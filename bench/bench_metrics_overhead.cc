@@ -107,8 +107,13 @@ int main(int argc, char** argv) {
   Banner("Query latency: profiling off vs on (median of 15)");
   Table t({"query", "off ms", "on ms", "overhead"});
   for (const auto& q : queries) {
-    QueryOptions off;           // defaults: no profile
-    QueryOptions on;
+    // Both sides execute every call: with the result cache on, "off" would be
+    // served from the cache while "on" (profiled runs skip it) executes, and
+    // feedback writeback from "on" would invalidate the cached plan.
+    QueryOptions off;
+    off.use_cache = false;
+    off.feedback = false;
+    QueryOptions on = off;
     on.collect_profile = true;
 
     auto base = CheckV(db.Query(q.sql, off), q.key);  // warm caches

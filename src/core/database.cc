@@ -666,11 +666,14 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
   SnapshotPin pin;
   uint64_t snap = 0;
+  // Slots with pending chains at the statement's pin, captured atomically
+  // with it (a commit can still land while the shared gate is held).
+  std::array<bool, ObjectManager::kEpochSlots> pending_at_pin{};
   if (snapshot_read) {
     if (s.snapshot_pinned_) {
       snap = s.snap_csn_;
     } else {
-      snap = versions_->PinSnapshot();
+      snap = versions_->PinSnapshot(&pending_at_pin);
       pin.store = versions_.get();
       pin.snap = snap;
     }
@@ -690,18 +693,19 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   // The one case where an epoch does NOT identify visible content is a
   // PENDING (uncommitted) mutation: the heap and epoch are already advanced
   // while every snapshot reader still sees the pre-image. Bypass the cache
-  // for a touched extent in that state — for an unpinned statement when the
-  // extent has pending chains now, and for a pinned session when it had
-  // pending chains at pin time (its frozen epoch view is tainted for the
-  // whole pin). Committed chains never bypass: the heap holds the latest
-  // committed state and its epochs identify it.
+  // for a touched extent that had pending chains when the reader pinned: the
+  // statement's own pin, or a pinned session's pin (its frozen epoch view is
+  // tainted for the whole pin). Checking "pending now" instead would race a
+  // commit landing after the pin: the epoch would then name the committed
+  // state while this reader still sees the pre-image. Committed chains never
+  // bypass: the heap holds the latest committed state and its epochs
+  // identify it.
   bool versioned_extent = false;
   if (entry != nullptr && snapshot_read) {
     for (const TouchedExtent& te : entry->extents) {
+      const size_t slot = te.file % ObjectManager::kEpochSlots;
       const bool tainted =
-          s.snapshot_pinned_
-              ? s.pinned_dirty_[te.file % ObjectManager::kEpochSlots]
-              : versions_->FileHasPendingVersions(te.file);
+          s.snapshot_pinned_ ? s.pinned_dirty_[slot] : pending_at_pin[slot];
       if (tainted) {
         versioned_extent = true;
         break;
@@ -883,12 +887,10 @@ Result<std::vector<Oid>> Database::MatchingObjects(const std::string& class_name
   // snapshot — the writer must see current rows), but must still never
   // observe another writer mid-mutation.
   CommitGate::SharedGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
-  MOOD_ASSIGN_OR_RETURN(RowSet rows, executor_->ExecutePlan(optimized.plan));
+  MOOD_ASSIGN_OR_RETURN(BatchSet rows, executor_->ExecutePlan(optimized.plan));
   int idx = rows.VarIndex(var);
   if (idx < 0) return Status::Internal("range variable lost during optimization");
-  std::vector<Oid> out;
-  out.reserve(rows.rows.size());
-  for (const auto& row : rows.rows) out.push_back(row[static_cast<size_t>(idx)]);
+  std::vector<Oid> out = rows.LiveColumn(static_cast<size_t>(idx));
   // A row may repeat the var when joins fan out; deduplicate.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

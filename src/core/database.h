@@ -55,9 +55,9 @@ struct DatabaseOptions {
   /// 1 = serial execution (the exact pre-parallelism behavior). This is the
   /// default; individual calls override it with QueryOptions::exec_threads.
   size_t exec_threads = 0;
-  /// Rows per RowBatch in the batch-at-a-time executor. 0 = row-at-a-time
-  /// execution (the pre-vectorization behavior, kept as the differential-
-  /// testing oracle). Individual calls override with QueryOptions::batch_size.
+  /// Rows per RowBatch in the batch-at-a-time executor (0 is treated as 1;
+  /// values above kMaxBatchRows clamp). Results never depend on it.
+  /// Individual calls override with QueryOptions::batch_size.
   size_t batch_size = 1024;
   /// SELECT statements slower than this (wall milliseconds) land in the
   /// slow-query ring buffer (Database::SlowQueries). <= 0 disables recording.
@@ -97,8 +97,7 @@ struct QueryOptions {
   /// Worker threads for this call. 0 (and unset everywhere) = the database
   /// default (DatabaseOptions::exec_threads).
   std::optional<size_t> exec_threads;
-  /// RowBatch capacity for this call; 0 = row-at-a-time execution (the
-  /// differential-testing oracle).
+  /// RowBatch capacity for this call (0 is treated as 1).
   std::optional<size_t> batch_size;
   /// Deref-cache capacity for this call; 0 disables the cache.
   std::optional<size_t> deref_cache_entries;

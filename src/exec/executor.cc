@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -115,31 +114,9 @@ struct BoundEnv {
     Prepare(vars, cache, params);
     for (size_t i = 0; i < binds.size(); i++) binds[i]->second = b.col(i)[row];
   }
-  void BindRow(const std::vector<std::string>& vars, const std::vector<Oid>& row,
-               DerefCache* cache, const std::vector<MoodValue>* params) {
-    Prepare(vars, cache, params);
-    for (size_t i = 0; i < binds.size(); i++) binds[i]->second = row[i];
-  }
 };
 
-/// Batch results flatten to the row-major RowSet in row order (public
-/// ExecutePlan API and the differential oracle comparisons).
-RowSet FlattenBatches(const BatchSet& bs) {
-  RowSet rs;
-  rs.vars = bs.vars;
-  rs.rows.reserve(bs.ActiveRows());
-  std::vector<Oid> rowbuf;
-  for (const RowBatch& b : bs.batches) {
-    rowbuf.resize(b.nslots);
-    for (size_t k = 0; k < b.ActiveRows(); k++) {
-      b.GatherRow(b.RowAt(k), rowbuf.data());
-      rs.rows.push_back(rowbuf);
-    }
-  }
-  return rs;
-}
-
-/// DISTINCT stage shared by both Finish paths (operates on final values).
+/// DISTINCT stage of Finish (operates on final values).
 /// Hashed dedup on the same EncodeTo key encoding GROUP BY uses (the encoding
 /// is type-tagged, so distinct kinds never collide); first occurrence wins,
 /// preserving the pre-dedup row order.
@@ -196,16 +173,6 @@ std::string QueryResult::ToString(size_t limit) const {
     out += "... (" + std::to_string(rows.size() - limit) + " more rows)\n";
   }
   return out;
-}
-
-Evaluator::Env Executor::EnvOf(const RowSet& rs, const std::vector<Oid>& row,
-                               DerefCache* cache,
-                               const std::vector<MoodValue>* params) const {
-  Evaluator::Env env;
-  env.deref = cache;
-  env.params = params;
-  for (size_t i = 0; i < rs.vars.size(); i++) env.vars[rs.vars[i]] = row[i];
-  return env;
 }
 
 ExprCompileEnv Executor::CompileEnvOf(
@@ -291,85 +258,6 @@ Status Executor::ChaseRefs(Oid from, const std::vector<std::string>& path,
     return Status::OK();
   }
   return handle(v);
-}
-
-Result<RowSet> Executor::ExecBind(const PlanNode& node, Ctx& ctx) const {
-  RowSet rs;
-  rs.vars = {node.from.var};
-  // MV delta maintenance: the restricted variable binds exactly the delta
-  // OIDs (caller-provided order) instead of scanning the extent.
-  if (ctx.bind_var != nullptr && *ctx.bind_var == node.from.var) {
-    for (Oid oid : *ctx.bind_oids) rs.rows.push_back({oid});
-    return rs;
-  }
-  if (ctx.threads <= 1) {
-    MOOD_RETURN_IF_ERROR(objects_->ScanExtent(node.from.class_name, node.from.every,
-                                              node.from.excludes, ctx.snapshot,
-                                              [&](Oid oid, const MoodValue&) {
-                                                rs.rows.push_back({oid});
-                                                return Status::OK();
-                                              }));
-    if (ctx.profile != nullptr) {
-      // Report the page-task count the parallel path would partition into, so
-      // the profile's morsel column is identical across thread counts.
-      MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
-                            objects_->ScanClasses(node.from.class_name, node.from.every,
-                                                  node.from.excludes));
-      size_t pages = 0;
-      for (const std::string& cls : classes) {
-        MOOD_ASSIGN_OR_RETURN(std::vector<PageId> ids, objects_->ExtentPageIds(cls));
-        pages += ids.size();
-      }
-      ctx.profile->morsels = pages;
-    }
-    return rs;
-  }
-  // Parallel extent scan: one morsel per extent page, in (class, chain) order —
-  // the exact sequence ScanExtent visits — so the in-order merge reproduces the
-  // serial result.
-  MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
-                        objects_->ScanClasses(node.from.class_name, node.from.every,
-                                              node.from.excludes));
-  struct PageTask {
-    const std::string* class_name;
-    PageId page;
-    HeapFile::ScanCursor* cursor;
-  };
-  std::vector<PageTask> tasks;
-  // One readahead cursor per class: workers advancing through a class's chain
-  // share the scan front, so prefetches run ahead of the fastest worker.
-  std::vector<std::unique_ptr<HeapFile::ScanCursor>> cursors;
-  // Task-index range of each class, so the merge can append that class's
-  // snapshot leftovers right after its pages (= serial snapshot-scan order).
-  std::vector<std::pair<size_t, size_t>> class_tasks;
-  for (const std::string& cls : classes) {
-    MOOD_ASSIGN_OR_RETURN(std::vector<PageId> pages, objects_->ExtentPageIds(cls));
-    cursors.push_back(std::make_unique<HeapFile::ScanCursor>());
-    size_t begin = tasks.size();
-    for (PageId p : pages) tasks.push_back({&cls, p, cursors.back().get()});
-    class_tasks.emplace_back(begin, tasks.size());
-  }
-  if (ctx.profile != nullptr) ctx.profile->morsels = tasks.size();
-  std::vector<std::vector<std::vector<Oid>>> partial(tasks.size());
-  MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, tasks.size(), [&](size_t t) {
-    return objects_->ScanExtentPage(*tasks[t].class_name, tasks[t].page,
-                                    tasks[t].cursor, ctx.snapshot,
-                                    [&](Oid oid, const MoodValue&) {
-                                      partial[t].push_back({oid});
-                                      return Status::OK();
-                                    });
-  }));
-  for (size_t c = 0; c < classes.size(); c++) {
-    for (size_t t = class_tasks[c].first; t < class_tasks[c].second; t++) {
-      for (auto& row : partial[t]) rs.rows.push_back(std::move(row));
-    }
-    MOOD_RETURN_IF_ERROR(objects_->SnapshotLeftovers(classes[c], ctx.snapshot,
-                                                     [&](Oid oid, const MoodValue&) {
-                                                       rs.rows.push_back({oid});
-                                                       return Status::OK();
-                                                     }));
-  }
-  return rs;
 }
 
 Result<bool> Executor::SnapshotScanHasVersions(const FromEntry& from,
@@ -508,307 +396,19 @@ Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx
   return current;
 }
 
-Result<RowSet> Executor::ExecIndexSelect(const PlanNode& node, Ctx& ctx) const {
-  RowSet rs;
-  rs.vars = {node.from.var};
-  MOOD_ASSIGN_OR_RETURN(std::vector<Oid> current, RunIndexProbes(node, ctx));
-  for (Oid o : current) rs.rows.push_back({o});
-  return rs;
-}
-
-Result<RowSet> Executor::ExecFilter(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(RowSet child, Exec(node.child, ctx));
-  RowSet rs;
-  rs.vars = child.vars;
-  // Compile each predicate once per operator (slots bound to child.vars order);
-  // the read-only programs are shared by every morsel worker. A null program
-  // means that predicate stays interpreted.
-  std::vector<ExprProgramPtr> programs(node.predicates.size());
-  for (size_t p = 0; p < node.predicates.size(); p++) {
-    programs[p] = CompileExpr(node.predicates[p], child.vars, ctx);
-  }
-  // Each morsel of child rows evaluates the predicate chain independently; the
-  // kept rows merge back in morsel order, matching the serial scan.
-  std::vector<Morsel> morsels = MakeMorsels(child.rows.size());
-  if (ctx.profile != nullptr) ctx.profile->morsels = morsels.size();
-  std::vector<std::vector<std::vector<Oid>>> partial(morsels.size());
-  MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, morsels.size(), [&](size_t m) {
-    ExprProgram::Scratch scratch;
-    scratch.params = ctx.params;
-    // The interpreter env is hoisted to the morsel and built only when some
-    // predicate actually needs the interpreted path; rows just rebind Oids.
-    BoundEnv benv;
-    for (size_t i = morsels[m].begin; i < morsels[m].end; i++) {
-      auto& row = child.rows[i];
-      bool keep = true;
-      for (size_t p = 0; p < node.predicates.size(); p++) {
-        if (programs[p] != nullptr) {
-          bool need_fallback = false;
-          auto r = programs[p]->EvalPredicate(row.data(), row.size(), ctx.cache,
-                                              &scratch, &need_fallback);
-          MOOD_RETURN_IF_ERROR(r.status());
-          if (!need_fallback) {
-            keep = r.value();
-            if (!keep) break;  // short-circuit: predicates are selectivity-ordered
-            continue;
-          }
-          CountRuntimeFallback();
-        }
-        benv.BindRow(child.vars, row, ctx.cache, ctx.params);
-        MOOD_ASSIGN_OR_RETURN(keep,
-                              evaluator_->EvalPredicate(node.predicates[p], benv.env));
-        if (!keep) break;
-      }
-      if (keep) partial[m].push_back(std::move(row));
-    }
-    return Status::OK();
-  }));
-  for (auto& part : partial) {
-    for (auto& row : part) rs.rows.push_back(std::move(row));
-  }
-  return rs;
-}
-
-Result<RowSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(RowSet left, Exec(node.left, ctx));
-  MOOD_ASSIGN_OR_RETURN(RowSet right, Exec(node.right, ctx));
-  int ref_idx = left.VarIndex(node.ref_var);
-  int tgt_idx = right.VarIndex(node.target_var);
-  if (ref_idx < 0 || tgt_idx < 0) {
-    return Status::Internal("pointer join variables not bound by children");
-  }
-  RowSet rs;
-  rs.vars = left.vars;
-  rs.vars.insert(rs.vars.end(), right.vars.begin(), right.vars.end());
-
-  // Right rows indexed by target oid.
-  std::unordered_map<uint64_t, std::vector<size_t>> right_by_oid;
-  for (size_t i = 0; i < right.rows.size(); i++) {
-    right_by_oid[right.rows[i][static_cast<size_t>(tgt_idx)].Pack()].push_back(i);
-  }
-
-  auto emit = [&](const std::vector<Oid>& lrow, size_t rrow) {
-    std::vector<Oid> combined = lrow;
-    combined.insert(combined.end(), right.rows[rrow].begin(), right.rows[rrow].end());
-    rs.rows.push_back(std::move(combined));
-  };
-
-  bool use_bji = node.method == JoinMethod::kIndexed && node.ref_path.size() == 1;
-  if (use_bji && ctx.snapshot.active() && node.left != nullptr) {
-    // The BJI maps the *latest* reference values. Under a snapshot with live
-    // version chains on the left extent the refs may have changed since the
-    // pin, so fall through to the chase path, which reads references through
-    // the snapshot-aware deref cache.
-    MOOD_ASSIGN_OR_RETURN(bool stale,
-                          SnapshotScanHasVersions(node.left->from, ctx.snapshot));
-    if (stale) use_bji = false;
-  }
-  if (use_bji) {
-    auto desc = objects_->catalog()->FindIndex(
-        node.left ? node.left->from.class_name : "", node.ref_path[0],
-        IndexKind::kBinaryJoin);
-    // Fall through to chasing when the index is missing (plans stay executable
-    // even if an index was dropped after optimization).
-    if (desc.has_value()) {
-      MOOD_ASSIGN_OR_RETURN(BinaryJoinIndex * bji, objects_->OpenJoinIndex(*desc));
-      std::unordered_map<uint64_t, std::vector<size_t>> left_by_ref;
-      for (size_t i = 0; i < left.rows.size(); i++) {
-        left_by_ref[left.rows[i][static_cast<size_t>(ref_idx)].Pack()].push_back(i);
-      }
-      std::set<std::pair<size_t, size_t>> emitted;
-      for (size_t r = 0; r < right.rows.size(); r++) {
-        Oid target = right.rows[r][static_cast<size_t>(tgt_idx)];
-        MOOD_ASSIGN_OR_RETURN(auto sources, bji->Sources(target));
-        for (Oid src : sources) {
-          auto it = left_by_ref.find(src.Pack());
-          if (it == left_by_ref.end()) continue;
-          for (size_t l : it->second) {
-            if (emitted.insert({l, r}).second) emit(left.rows[l], r);
-          }
-        }
-      }
-      return rs;
-    }
-  }
-
-  // Forward / backward / hash-partition: in memory they all chase the stored
-  // references and probe the inner side; the strategies differ in the disk
-  // access pattern the cost model prices (Section 6). The chase side (the probe)
-  // fans out across workers in left-row morsels; right_by_oid is read-only here.
-  std::vector<Morsel> morsels = MakeMorsels(left.rows.size());
-  if (ctx.profile != nullptr) ctx.profile->morsels = morsels.size();
-  std::vector<std::vector<std::vector<Oid>>> partial(morsels.size());
-  MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, morsels.size(), [&](size_t m) {
-    for (size_t i = morsels[m].begin; i < morsels[m].end; i++) {
-      const auto& lrow = left.rows[i];
-      Oid from = lrow[static_cast<size_t>(ref_idx)];
-      MOOD_RETURN_IF_ERROR(ChaseRefs(from, node.ref_path, ctx.cache, [&](Oid reached) {
-        auto it = right_by_oid.find(reached.Pack());
-        if (it != right_by_oid.end()) {
-          for (size_t r : it->second) {
-            std::vector<Oid> combined = lrow;
-            combined.insert(combined.end(), right.rows[r].begin(),
-                            right.rows[r].end());
-            partial[m].push_back(std::move(combined));
-          }
-        }
-        return Status::OK();
-      }));
-    }
-    return Status::OK();
-  }));
-  for (auto& part : partial) {
-    for (auto& row : part) rs.rows.push_back(std::move(row));
-  }
-  return rs;
-}
-
-Result<RowSet> Executor::ExecNestedLoop(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(RowSet left, Exec(node.left, ctx));
-  MOOD_ASSIGN_OR_RETURN(RowSet right, Exec(node.right, ctx));
-  RowSet rs;
-  rs.vars = left.vars;
-  rs.vars.insert(rs.vars.end(), right.vars.begin(), right.vars.end());
-  // Join predicate compiled against the combined (left ++ right) slot layout.
-  ExprProgramPtr join_prog = CompileExpr(node.join_pred, rs.vars, ctx);
-  // The outer (left) side partitions into morsels; every worker loops the full
-  // inner side, so merged morsels reproduce the serial (lrow, rrow) order.
-  std::vector<Morsel> morsels = MakeMorsels(left.rows.size());
-  if (ctx.profile != nullptr) ctx.profile->morsels = morsels.size();
-  std::vector<std::vector<std::vector<Oid>>> partial(morsels.size());
-  MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, morsels.size(), [&](size_t m) {
-    ExprProgram::Scratch scratch;
-    scratch.params = ctx.params;
-    for (size_t i = morsels[m].begin; i < morsels[m].end; i++) {
-      const auto& lrow = left.rows[i];
-      for (const auto& rrow : right.rows) {
-        std::vector<Oid> combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        if (node.join_pred != nullptr) {
-          bool match = false;
-          bool interpreted = join_prog == nullptr;
-          if (join_prog != nullptr) {
-            bool need_fallback = false;
-            auto r = join_prog->EvalPredicate(combined.data(), combined.size(),
-                                              ctx.cache, &scratch, &need_fallback);
-            MOOD_RETURN_IF_ERROR(r.status());
-            if (need_fallback) {
-              CountRuntimeFallback();
-              interpreted = true;
-            } else {
-              match = r.value();
-            }
-          }
-          if (interpreted) {
-            Evaluator::Env env = EnvOf(rs, combined, ctx.cache, ctx.params);
-            MOOD_ASSIGN_OR_RETURN(match,
-                                  evaluator_->EvalPredicate(node.join_pred, env));
-          }
-          if (!match) continue;
-        }
-        partial[m].push_back(std::move(combined));
-      }
-    }
-    return Status::OK();
-  }));
-  for (auto& part : partial) {
-    for (auto& row : part) rs.rows.push_back(std::move(row));
-  }
-  return rs;
-}
-
-Result<RowSet> Executor::ExecUnion(const PlanNode& node, Ctx& ctx) const {
-  if (node.children.empty()) return RowSet{};
-  MOOD_ASSIGN_OR_RETURN(RowSet first, Exec(node.children[0], ctx));
-  // Align every child on the first child's variable order and deduplicate
-  // (DNF AND-terms overlap, so the UNION needs set semantics).
-  std::set<std::vector<uint64_t>> seen;
-  RowSet rs;
-  rs.vars = first.vars;
-  auto add = [&](const RowSet& child) -> Status {
-    std::vector<int> mapping(rs.vars.size());
-    for (size_t i = 0; i < rs.vars.size(); i++) {
-      mapping[i] = child.VarIndex(rs.vars[i]);
-      if (mapping[i] < 0) {
-        return Status::Internal("UNION children bind different range variables");
-      }
-    }
-    for (const auto& row : child.rows) {
-      std::vector<Oid> aligned(rs.vars.size());
-      std::vector<uint64_t> key(rs.vars.size());
-      for (size_t i = 0; i < rs.vars.size(); i++) {
-        aligned[i] = row[static_cast<size_t>(mapping[i])];
-        key[i] = aligned[i].Pack();
-      }
-      if (seen.insert(key).second) rs.rows.push_back(std::move(aligned));
-    }
-    return Status::OK();
-  };
-  MOOD_RETURN_IF_ERROR(add(first));
-  for (size_t c = 1; c < node.children.size(); c++) {
-    MOOD_ASSIGN_OR_RETURN(RowSet child, Exec(node.children[c], ctx));
-    MOOD_RETURN_IF_ERROR(add(child));
-  }
-  return rs;
-}
-
-Result<RowSet> Executor::Dispatch(const PlanNode& node, Ctx& ctx) const {
-  switch (node.op) {
-    case PlanOp::kBindClass: return ExecBind(node, ctx);
-    case PlanOp::kIndexSelect: return ExecIndexSelect(node, ctx);
-    case PlanOp::kFilter: return ExecFilter(node, ctx);
-    case PlanOp::kPointerJoin: return ExecPointerJoin(node, ctx);
-    case PlanOp::kNestedLoopJoin: return ExecNestedLoop(node, ctx);
-    case PlanOp::kUnion: return ExecUnion(node, ctx);
-  }
-  return Status::Internal("unknown plan operator");
-}
-
-Result<RowSet> Executor::Exec(const PlanPtr& plan, Ctx& ctx) const {
-  if (ctx.profile == nullptr) return Dispatch(*plan, ctx);
-
-  // Profiling on: mirror the plan node into the profile tree, then dispatch
-  // with the mirrored node as the attach point so children nest underneath.
-  QueryProfile* node = ctx.profile->AddChild(plan->Describe());
-  node->est_rows = plan->est_rows;
-  node->est_cost = plan->est_cost;
-  node->has_estimates = true;
-  BufferPoolStats before;
-  if (ctx.pool != nullptr) before = ctx.pool->stats();
-  uint64_t start = ProfileNowNs();
-  Ctx sub = ctx;
-  sub.profile = node;
-  Result<RowSet> result = Dispatch(*plan, sub);
-  node->wall_ns = ProfileNowNs() - start;  // inclusive of children
-  if (ctx.pool != nullptr) {
-    BufferPoolStats after = ctx.pool->stats();
-    node->pool.hits = after.hits - before.hits;
-    node->pool.misses = after.misses - before.misses;
-    node->pool.evictions = after.evictions - before.evictions;
-    node->pool.prefetches = after.prefetches - before.prefetches;
-  }
-  if (result.ok()) {
-    node->rows_out = result.value().rows.size();
-    uint64_t in = 0;
-    for (const auto& c : node->children) in += c->rows_out;
-    node->rows_in = in;
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Batch-at-a-time operator path (ctx.batch > 0). A one-for-one mirror of the
-// row operators above: operators exchange column-major RowBatches with
-// selection vectors, expressions evaluate through ExprProgram::EvalBatch, and
-// whole batches are the morsel unit. The row path is kept verbatim as the
-// differential-testing oracle (batch_size = 0); batch_exec_test asserts both
-// paths produce identical results and error statuses.
+// Operators: each exchanges column-major RowBatches with selection vectors,
+// expressions evaluate through ExprProgram::EvalBatch, and whole batches are
+// the morsel unit. Every batch geometry and thread count produces the rows
+// (and the error status) of batch_size = 1 at one thread; batch_exec_test
+// asserts that and also diffs against a naive plan-free evaluator.
 // ---------------------------------------------------------------------------
 
-Result<BatchSet> Executor::ExecBindB(const PlanNode& node, Ctx& ctx) const {
+Result<BatchSet> Executor::ExecBind(const PlanNode& node, Ctx& ctx) const {
   BatchSet bs;
   bs.vars = {node.from.var};
-  // MV delta maintenance (mirrors the row path).
+  // MV delta maintenance: the restricted variable binds exactly the delta
+  // OIDs (caller-provided order) instead of scanning the extent.
   if (ctx.bind_var != nullptr && *ctx.bind_var == node.from.var) {
     BatchAppender out(&bs, 1, ctx.batch);
     for (Oid oid : *ctx.bind_oids) out.Push(&oid, 1);
@@ -823,8 +423,8 @@ Result<BatchSet> Executor::ExecBindB(const PlanNode& node, Ctx& ctx) const {
                                                 return Status::OK();
                                               }));
     if (ctx.profile != nullptr) {
-      // Same page-task morsel accounting as the row path, for the same reason:
-      // the profile must be identical across thread counts.
+      // Report the page-task count the parallel path would partition into, so
+      // the profile's morsel column is identical across thread counts.
       MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
                             objects_->ScanClasses(node.from.class_name, node.from.every,
                                                   node.from.excludes));
@@ -837,9 +437,10 @@ Result<BatchSet> Executor::ExecBindB(const PlanNode& node, Ctx& ctx) const {
     }
     return bs;
   }
-  // Parallel scan: the row path's page tasks, but the per-page oid runs pack
-  // into fixed-size batches in (class, chain) order — batches freely straddle
-  // page boundaries, and the in-order pack reproduces the serial scan order.
+  // Parallel extent scan: one task per extent page, in (class, chain) order —
+  // the exact sequence ScanExtent visits. The per-page oid runs pack into
+  // fixed-size batches in task order, so batches freely straddle page
+  // boundaries and the in-order pack reproduces the serial scan order.
   MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
                         objects_->ScanClasses(node.from.class_name, node.from.every,
                                               node.from.excludes));
@@ -849,9 +450,11 @@ Result<BatchSet> Executor::ExecBindB(const PlanNode& node, Ctx& ctx) const {
     HeapFile::ScanCursor* cursor;
   };
   std::vector<PageTask> tasks;
+  // One readahead cursor per class: workers advancing through a class's chain
+  // share the scan front, so prefetches run ahead of the fastest worker.
   std::vector<std::unique_ptr<HeapFile::ScanCursor>> cursors;
-  // Same per-class task ranges as the row path: each class's snapshot
-  // leftovers pack right after its pages, preserving the serial order.
+  // Task-index range of each class: its snapshot leftovers pack right after
+  // its pages (= serial snapshot-scan order).
   std::vector<std::pair<size_t, size_t>> class_tasks;
   for (const std::string& cls : classes) {
     MOOD_ASSIGN_OR_RETURN(std::vector<PageId> pages, objects_->ExtentPageIds(cls));
@@ -884,7 +487,7 @@ Result<BatchSet> Executor::ExecBindB(const PlanNode& node, Ctx& ctx) const {
   return bs;
 }
 
-Result<BatchSet> Executor::ExecIndexSelectB(const PlanNode& node, Ctx& ctx) const {
+Result<BatchSet> Executor::ExecIndexSelect(const PlanNode& node, Ctx& ctx) const {
   BatchSet bs;
   bs.vars = {node.from.var};
   MOOD_ASSIGN_OR_RETURN(std::vector<Oid> current, RunIndexProbes(node, ctx));
@@ -966,8 +569,8 @@ Status Executor::FilterBatch(const std::vector<ExprPtr>& preds,
   return Status::OK();
 }
 
-Result<BatchSet> Executor::ExecFilterB(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(BatchSet child, ExecB(node.child, ctx));
+Result<BatchSet> Executor::ExecFilter(const PlanNode& node, Ctx& ctx) const {
+  MOOD_ASSIGN_OR_RETURN(BatchSet child, Exec(node.child, ctx));
   std::vector<ExprProgramPtr> programs(node.predicates.size());
   for (size_t p = 0; p < node.predicates.size(); p++) {
     programs[p] = CompileExpr(node.predicates[p], child.vars, ctx);
@@ -981,9 +584,9 @@ Result<BatchSet> Executor::ExecFilterB(const PlanNode& node, Ctx& ctx) const {
   return child;
 }
 
-Result<BatchSet> Executor::ExecPointerJoinB(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(BatchSet left, ExecB(node.left, ctx));
-  MOOD_ASSIGN_OR_RETURN(BatchSet right, ExecB(node.right, ctx));
+Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const {
+  MOOD_ASSIGN_OR_RETURN(BatchSet left, Exec(node.left, ctx));
+  MOOD_ASSIGN_OR_RETURN(BatchSet right, Exec(node.right, ctx));
   int ref_idx = left.VarIndex(node.ref_var);
   int tgt_idx = right.VarIndex(node.target_var);
   if (ref_idx < 0 || tgt_idx < 0) {
@@ -1010,8 +613,10 @@ Result<BatchSet> Executor::ExecPointerJoinB(const PlanNode& node, Ctx& ctx) cons
 
   bool use_bji = node.method == JoinMethod::kIndexed && node.ref_path.size() == 1;
   if (use_bji && ctx.snapshot.active() && node.left != nullptr) {
-    // Same snapshot staleness rule as the row path: a BJI answers from the
-    // latest refs, so live version chains on the left extent force the chase.
+    // The BJI maps the *latest* reference values. Under a snapshot with live
+    // version chains on the left extent the refs may have changed since the
+    // pin, so fall through to the chase path, which reads references through
+    // the snapshot-aware deref cache.
     MOOD_ASSIGN_OR_RETURN(bool stale,
                           SnapshotScanHasVersions(node.left->from, ctx.snapshot));
     if (stale) use_bji = false;
@@ -1020,6 +625,8 @@ Result<BatchSet> Executor::ExecPointerJoinB(const PlanNode& node, Ctx& ctx) cons
     auto desc = objects_->catalog()->FindIndex(
         node.left ? node.left->from.class_name : "", node.ref_path[0],
         IndexKind::kBinaryJoin);
+    // Fall through to chasing when the index is missing (plans stay executable
+    // even if an index was dropped after optimization).
     if (desc.has_value()) {
       MOOD_ASSIGN_OR_RETURN(BinaryJoinIndex * bji, objects_->OpenJoinIndex(*desc));
       std::vector<std::pair<uint32_t, uint32_t>> lidx = left.LiveIndex();
@@ -1051,8 +658,11 @@ Result<BatchSet> Executor::ExecPointerJoinB(const PlanNode& node, Ctx& ctx) cons
     }
   }
 
-  // Chase path: one task per left batch. Output batches are ragged at task
-  // boundaries — deterministic, because the input batch decomposition is.
+  // Forward / backward / hash-partition: in memory they all chase the stored
+  // references and probe the inner side; the strategies differ in the disk
+  // access pattern the cost model prices (Section 6). The chase side fans out
+  // one task per left batch. Output batches are ragged at task boundaries —
+  // deterministic, because the input batch decomposition is.
   if (ctx.profile != nullptr) ctx.profile->morsels = left.batches.size();
   std::vector<BatchSet> partial(left.batches.size());
   MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, left.batches.size(), [&](size_t m) {
@@ -1081,9 +691,9 @@ Result<BatchSet> Executor::ExecPointerJoinB(const PlanNode& node, Ctx& ctx) cons
   return bs;
 }
 
-Result<BatchSet> Executor::ExecNestedLoopB(const PlanNode& node, Ctx& ctx) const {
-  MOOD_ASSIGN_OR_RETURN(BatchSet left, ExecB(node.left, ctx));
-  MOOD_ASSIGN_OR_RETURN(BatchSet right, ExecB(node.right, ctx));
+Result<BatchSet> Executor::ExecNestedLoop(const PlanNode& node, Ctx& ctx) const {
+  MOOD_ASSIGN_OR_RETURN(BatchSet left, Exec(node.left, ctx));
+  MOOD_ASSIGN_OR_RETURN(BatchSet right, Exec(node.right, ctx));
   BatchSet bs;
   bs.vars = left.vars;
   bs.vars.insert(bs.vars.end(), right.vars.begin(), right.vars.end());
@@ -1140,9 +750,11 @@ Result<BatchSet> Executor::ExecNestedLoopB(const PlanNode& node, Ctx& ctx) const
   return bs;
 }
 
-Result<BatchSet> Executor::ExecUnionB(const PlanNode& node, Ctx& ctx) const {
+Result<BatchSet> Executor::ExecUnion(const PlanNode& node, Ctx& ctx) const {
   if (node.children.empty()) return BatchSet{};
-  MOOD_ASSIGN_OR_RETURN(BatchSet first, ExecB(node.children[0], ctx));
+  MOOD_ASSIGN_OR_RETURN(BatchSet first, Exec(node.children[0], ctx));
+  // Align every child on the first child's variable order and deduplicate
+  // (DNF AND-terms overlap, so the UNION needs set semantics).
   std::set<std::vector<uint64_t>> seen;
   BatchSet bs;
   bs.vars = first.vars;
@@ -1171,27 +783,27 @@ Result<BatchSet> Executor::ExecUnionB(const PlanNode& node, Ctx& ctx) const {
   };
   MOOD_RETURN_IF_ERROR(add(first));
   for (size_t c = 1; c < node.children.size(); c++) {
-    MOOD_ASSIGN_OR_RETURN(BatchSet child, ExecB(node.children[c], ctx));
+    MOOD_ASSIGN_OR_RETURN(BatchSet child, Exec(node.children[c], ctx));
     MOOD_RETURN_IF_ERROR(add(child));
   }
   return bs;
 }
 
-Result<BatchSet> Executor::DispatchB(const PlanNode& node, Ctx& ctx) const {
+Result<BatchSet> Executor::Dispatch(const PlanNode& node, Ctx& ctx) const {
   switch (node.op) {
-    case PlanOp::kBindClass: return ExecBindB(node, ctx);
-    case PlanOp::kIndexSelect: return ExecIndexSelectB(node, ctx);
-    case PlanOp::kFilter: return ExecFilterB(node, ctx);
-    case PlanOp::kPointerJoin: return ExecPointerJoinB(node, ctx);
-    case PlanOp::kNestedLoopJoin: return ExecNestedLoopB(node, ctx);
-    case PlanOp::kUnion: return ExecUnionB(node, ctx);
+    case PlanOp::kBindClass: return ExecBind(node, ctx);
+    case PlanOp::kIndexSelect: return ExecIndexSelect(node, ctx);
+    case PlanOp::kFilter: return ExecFilter(node, ctx);
+    case PlanOp::kPointerJoin: return ExecPointerJoin(node, ctx);
+    case PlanOp::kNestedLoopJoin: return ExecNestedLoop(node, ctx);
+    case PlanOp::kUnion: return ExecUnion(node, ctx);
   }
   return Status::Internal("unknown plan operator");
 }
 
-Result<BatchSet> Executor::ExecB(const PlanPtr& plan, Ctx& ctx) const {
+Result<BatchSet> Executor::Exec(const PlanPtr& plan, Ctx& ctx) const {
   if (ctx.profile == nullptr) {
-    Result<BatchSet> result = DispatchB(*plan, ctx);
+    Result<BatchSet> result = Dispatch(*plan, ctx);
     if (result.ok()) {
       if (batch_batches_ != nullptr) batch_batches_->Add(result.value().batches.size());
       if (batch_rows_ != nullptr) batch_rows_->Add(result.value().ActiveRows());
@@ -1207,7 +819,7 @@ Result<BatchSet> Executor::ExecB(const PlanPtr& plan, Ctx& ctx) const {
   uint64_t start = ProfileNowNs();
   Ctx sub = ctx;
   sub.profile = node;
-  Result<BatchSet> result = DispatchB(*plan, sub);
+  Result<BatchSet> result = Dispatch(*plan, sub);
   node->wall_ns = ProfileNowNs() - start;  // inclusive of children
   if (ctx.pool != nullptr) {
     BufferPoolStats after = ctx.pool->stats();
@@ -1247,12 +859,12 @@ Executor::Ctx Executor::MakeCtx(const ExecOptions& options) const {
   return ctx;
 }
 
-Result<RowSet> Executor::ExecutePlan(const PlanPtr& plan) const {
+Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan) const {
   return ExecutePlan(plan, ExecOptions{});
 }
 
-Result<RowSet> Executor::ExecutePlan(const PlanPtr& plan,
-                                     const ExecOptions& options) const {
+Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan,
+                                       const ExecOptions& options) const {
   size_t capacity = options.deref_cache_entries == ExecOptions::kInheritCache
                         ? deref_cache_capacity_
                         : options.deref_cache_entries;
@@ -1267,169 +879,22 @@ Result<RowSet> Executor::ExecutePlan(const PlanPtr& plan,
   // A snapshot query keeps the (possibly capacity-0) cache attached anyway:
   // it is the conduit through which fetches see the version store.
   ctx.cache = capacity > 0 || ctx.snapshot.active() ? &cache : nullptr;
-  Result<RowSet> result = [&]() -> Result<RowSet> {
-    if (ctx.batch == 0) return Exec(plan, ctx);
-    MOOD_ASSIGN_OR_RETURN(BatchSet bs, ExecB(plan, ctx));
-    return FlattenBatches(bs);
-  }();
+  Result<BatchSet> result = Exec(plan, ctx);
   objects_->AccumulateDerefStats(cache.hits(), cache.misses());
   return result;
 }
 
-Result<QueryResult> Executor::FinishSelect(const SelectStmt& stmt, RowSet rows) const {
+Result<QueryResult> Executor::FinishSelect(const SelectStmt& stmt, BatchSet rows) const {
   DerefCache cache(deref_cache_capacity_);
   Ctx ctx;
   ctx.threads = threads_;
+  ctx.batch = batch_size_;
   ctx.cache = deref_cache_capacity_ > 0 ? &cache : nullptr;
   std::map<std::string, FromEntry> range_vars;
   for (const FromEntry& fe : stmt.from) range_vars.emplace(fe.var, fe);
   ctx.range_vars = &range_vars;
   Result<QueryResult> result = Finish(stmt, std::move(rows), ctx);
   objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-  return result;
-}
-
-Result<QueryResult> Executor::Finish(const SelectStmt& stmt, RowSet rows,
-                                     Ctx& ctx) const {
-  QueryProfile* prof = ctx.profile;
-  // Compile the clause expressions once against the row layout; a null program
-  // (or a runtime fallback) routes that expression through the interpreter.
-  std::vector<ExprProgramPtr> group_progs(stmt.group_by.size());
-  for (size_t g = 0; g < stmt.group_by.size(); g++) {
-    group_progs[g] = CompileExpr(stmt.group_by[g], rows.vars, ctx);
-  }
-  ExprProgramPtr having_prog = CompileExpr(stmt.having, rows.vars, ctx);
-  std::vector<ExprProgramPtr> order_progs(stmt.order_by.size());
-  for (size_t o = 0; o < stmt.order_by.size(); o++) {
-    order_progs[o] = CompileExpr(stmt.order_by[o].expr, rows.vars, ctx);
-  }
-  std::vector<ExprProgramPtr> proj_progs(stmt.projection.size());
-  for (size_t p = 0; p < stmt.projection.size(); p++) {
-    proj_progs[p] = CompileExpr(stmt.projection[p], rows.vars, ctx);
-  }
-  ExprProgram::Scratch scratch;
-  scratch.params = ctx.params;
-  auto eval_value = [&](const ExprPtr& e, const ExprProgramPtr& prog,
-                        const RowSet& rset, const std::vector<Oid>& row,
-                        std::optional<Evaluator::Env>& env) -> Result<MoodValue> {
-    if (prog != nullptr) {
-      bool need_fallback = false;
-      auto r = prog->Eval(row.data(), row.size(), ctx.cache, &scratch, &need_fallback);
-      if (!r.ok() || !need_fallback) return r;
-      CountRuntimeFallback();
-    }
-    if (!env.has_value()) env = EnvOf(rset, row, ctx.cache, ctx.params);
-    return evaluator_->Eval(e, env.value());
-  };
-  auto eval_pred = [&](const ExprPtr& e, const ExprProgramPtr& prog,
-                       const RowSet& rset, const std::vector<Oid>& row,
-                       std::optional<Evaluator::Env>& env) -> Result<bool> {
-    if (prog != nullptr) {
-      bool need_fallback = false;
-      auto r = prog->EvalPredicate(row.data(), row.size(), ctx.cache, &scratch,
-                                   &need_fallback);
-      if (!r.ok() || !need_fallback) return r;
-      CountRuntimeFallback();
-    }
-    if (!env.has_value()) env = EnvOf(rset, row, ctx.cache, ctx.params);
-    return evaluator_->EvalPredicate(e, env.value());
-  };
-
-  // GROUP BY: keep one representative row per group key (MOODSQL has no
-  // aggregate functions; grouping exposes one row per partition, matching the
-  // algebra's Partition operator).
-  if (!stmt.group_by.empty()) {
-    StageSpan span = StageSpan::Begin(prof, "GROUP BY", rows.rows.size());
-    std::map<std::string, std::vector<Oid>> groups;
-    for (const auto& row : rows.rows) {
-      std::optional<Evaluator::Env> env;
-      std::string key;
-      for (size_t g = 0; g < stmt.group_by.size(); g++) {
-        MOOD_ASSIGN_OR_RETURN(
-            MoodValue v, eval_value(stmt.group_by[g], group_progs[g], rows, row, env));
-        v.EncodeTo(&key);
-      }
-      groups.emplace(std::move(key), row);
-    }
-    RowSet grouped;
-    grouped.vars = rows.vars;
-    for (auto& [key, row] : groups) grouped.rows.push_back(row);
-    rows = std::move(grouped);
-    span.End(rows.rows.size());
-    if (stmt.having != nullptr) {
-      StageSpan hspan = StageSpan::Begin(prof, "HAVING", rows.rows.size());
-      RowSet kept;
-      kept.vars = rows.vars;
-      for (auto& row : rows.rows) {
-        std::optional<Evaluator::Env> env;
-        MOOD_ASSIGN_OR_RETURN(bool keep,
-                              eval_pred(stmt.having, having_prog, rows, row, env));
-        if (keep) kept.rows.push_back(std::move(row));
-      }
-      rows = std::move(kept);
-      hspan.End(rows.rows.size());
-    }
-  }
-
-  // ORDER BY before projection (keys may not be projected).
-  if (!stmt.order_by.empty()) {
-    StageSpan span = StageSpan::Begin(prof, "ORDER BY", rows.rows.size());
-    struct Keyed {
-      std::vector<MoodValue> keys;
-      std::vector<Oid> row;
-    };
-    std::vector<Keyed> keyed;
-    keyed.reserve(rows.rows.size());
-    for (auto& row : rows.rows) {
-      std::optional<Evaluator::Env> env;
-      Keyed k;
-      for (size_t o = 0; o < stmt.order_by.size(); o++) {
-        MOOD_ASSIGN_OR_RETURN(
-            MoodValue v,
-            eval_value(stmt.order_by[o].expr, order_progs[o], rows, row, env));
-        k.keys.push_back(std::move(v));
-      }
-      k.row = std::move(row);
-      keyed.push_back(std::move(k));
-    }
-    Status cmp_error;
-    std::stable_sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
-      for (size_t i = 0; i < stmt.order_by.size(); i++) {
-        auto c = a.keys[i].Compare(b.keys[i]);
-        if (!c.ok()) {
-          if (cmp_error.ok()) cmp_error = c.status();
-          return false;
-        }
-        if (c.value() != 0) {
-          return stmt.order_by[i].ascending ? c.value() < 0 : c.value() > 0;
-        }
-      }
-      return false;
-    });
-    MOOD_RETURN_IF_ERROR(cmp_error);
-    rows.rows.clear();
-    for (auto& k : keyed) rows.rows.push_back(std::move(k.row));
-    span.End(rows.rows.size());
-  }
-
-  // Projection.
-  StageSpan pspan = StageSpan::Begin(prof, "PROJECT", rows.rows.size());
-  QueryResult result;
-  for (const auto& p : stmt.projection) result.columns.push_back(p->ToString());
-  for (const auto& row : rows.rows) {
-    std::optional<Evaluator::Env> env;
-    std::vector<MoodValue> out;
-    out.reserve(stmt.projection.size());
-    for (size_t p = 0; p < stmt.projection.size(); p++) {
-      MOOD_ASSIGN_OR_RETURN(
-          MoodValue v, eval_value(stmt.projection[p], proj_progs[p], rows, row, env));
-      out.push_back(std::move(v));
-    }
-    result.rows.push_back(std::move(out));
-  }
-  pspan.End(result.rows.size());
-
-  if (stmt.distinct) ApplyDistinct(&result, prof);
   return result;
 }
 
@@ -1521,9 +986,11 @@ Status Executor::EvalColumns(const std::vector<ExprPtr>& exprs,
   return Status::OK();
 }
 
-Result<QueryResult> Executor::FinishB(const SelectStmt& stmt, BatchSet rows,
-                                      Ctx& ctx) const {
+Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
+                                     Ctx& ctx) const {
   QueryProfile* prof = ctx.profile;
+  // Compile the clause expressions once against the row layout; a null program
+  // (or a runtime fallback) routes that expression through the interpreter.
   std::vector<ExprProgramPtr> group_progs(stmt.group_by.size());
   for (size_t g = 0; g < stmt.group_by.size(); g++) {
     group_progs[g] = CompileExpr(stmt.group_by[g], rows.vars, ctx);
@@ -1543,7 +1010,7 @@ Result<QueryResult> Executor::FinishB(const SelectStmt& stmt, BatchSet rows,
     std::vector<std::pair<uint32_t, uint32_t>> lidx = rows.LiveIndex();
     BatchSet next;
     next.vars = rows.vars;
-    BatchAppender out(&next, rows.vars.size(), ctx.batch == 0 ? 1 : ctx.batch);
+    BatchAppender out(&next, rows.vars.size(), ctx.batch);
     std::vector<Oid> rowbuf(rows.vars.size());
     for (size_t i : order) {
       const RowBatch& b = rows.batches[lidx[i].first];
@@ -1553,6 +1020,9 @@ Result<QueryResult> Executor::FinishB(const SelectStmt& stmt, BatchSet rows,
     rows = std::move(next);
   };
 
+  // GROUP BY: keep one representative row per group key (MOODSQL has no
+  // aggregate functions; grouping exposes one row per partition, matching the
+  // algebra's Partition operator).
   if (!stmt.group_by.empty()) {
     StageSpan span = StageSpan::Begin(prof, "GROUP BY", rows.ActiveRows());
     std::vector<std::vector<MoodValue>> keys;
@@ -1580,6 +1050,7 @@ Result<QueryResult> Executor::FinishB(const SelectStmt& stmt, BatchSet rows,
     }
   }
 
+  // ORDER BY before projection (keys may not be projected).
   if (!stmt.order_by.empty()) {
     StageSpan span = StageSpan::Begin(prof, "ORDER BY", rows.ActiveRows());
     std::vector<ExprPtr> key_exprs;
@@ -1653,23 +1124,12 @@ Result<QueryResult> Executor::ExecuteSelect(const QueryOptimizer::Optimized& opt
   // Snapshot queries keep the cache attached even at capacity 0: it is the
   // conduit through which fetches consult the version store.
   ctx.cache = capacity > 0 || ctx.snapshot.active() ? &cache : nullptr;
-  if (ctx.batch > 0) {
-    Result<BatchSet> bs = ExecB(optimized.plan, ctx);
-    if (!bs.ok()) {
-      objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-      return bs.status();
-    }
-    Result<QueryResult> result =
-        FinishB(optimized.bound.stmt, std::move(bs).value(), ctx);
+  Result<BatchSet> bs = Exec(optimized.plan, ctx);
+  if (!bs.ok()) {
     objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-    return result;
+    return bs.status();
   }
-  Result<RowSet> rows = Exec(optimized.plan, ctx);
-  if (!rows.ok()) {
-    objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-    return rows.status();
-  }
-  Result<QueryResult> result = Finish(optimized.bound.stmt, std::move(rows).value(), ctx);
+  Result<QueryResult> result = Finish(optimized.bound.stmt, std::move(bs).value(), ctx);
   objects_->AccumulateDerefStats(cache.hits(), cache.misses());
   return result;
 }

@@ -17,19 +17,6 @@ namespace mood {
 struct QueryProfile;
 class MetricCounter;
 
-/// Intermediate result: rows of range-variable bindings.
-struct RowSet {
-  std::vector<std::string> vars;
-  std::vector<std::vector<Oid>> rows;
-
-  int VarIndex(const std::string& var) const {
-    for (size_t i = 0; i < vars.size(); i++) {
-      if (vars[i] == var) return static_cast<int>(i);
-    }
-    return -1;
-  }
-};
-
 /// Final query result: named columns of values.
 struct QueryResult {
   std::vector<std::string> columns;
@@ -54,9 +41,8 @@ struct ExecOptions {
   /// Per-query Deref cache capacity in entries; kInheritCache = the executor
   /// default, 0 disables the cache for this call.
   size_t deref_cache_entries = kInheritCache;
-  /// Rows per execution batch; kInheritBatch = the executor default, 0 runs
-  /// the row-at-a-time path (the differential-testing oracle and the exact
-  /// pre-batching behavior). Values above kMaxBatchRows are clamped.
+  /// Rows per execution batch; kInheritBatch = the executor default. 0 is
+  /// treated as 1 and values above kMaxBatchRows are clamped.
   size_t batch_size = kInheritBatch;
   /// When non-null, per-operator actuals (rows in/out, morsels, wall time,
   /// buffer-pool deltas) are recorded as children of this node. Null (the
@@ -88,20 +74,21 @@ struct ExecOptions {
 /// pipeline of Figure 7.1: FROM -> WHERE -> GROUP BY -> HAVING -> SELECT
 /// (projection) -> ORDER BY.
 ///
-/// Operators run batch-at-a-time by default: they exchange fixed-size
-/// RowBatches (column-major Oid slots plus a selection vector), expressions
-/// evaluate through ExprProgram::EvalBatch's columnar loops, and the morsel
-/// scheduler hands workers whole batches. batch_size = 0 selects the original
-/// row-at-a-time operators — kept intact as the differential-testing oracle
-/// (tests/batch_exec_test.cc proves the two paths produce identical results
-/// and error statuses).
+/// Operators run batch-at-a-time: they exchange fixed-size RowBatches
+/// (column-major Oid slots plus a selection vector), expressions evaluate
+/// through ExprProgram::EvalBatch's columnar loops, and the morsel scheduler
+/// hands workers whole batches. Batch geometry never shows in the result: any
+/// batch size and thread count returns the rows and error status of
+/// batch_size = 1 at one thread (the geometry reference), and
+/// tests/naive_oracle.h checks results against a plan-free row-by-row
+/// evaluator (tests/batch_exec_test.cc, tests/parallel_exec_test.cc).
 ///
 /// With threads > 1 the operators use morsel-driven intra-query parallelism:
 /// extent scans partition into extent pages, filters and join probe sides into
-/// fixed-size row morsels (whole batches in batch mode), and index selections
-/// into per-probe tasks. Partial results are merged in morsel order, so the
-/// produced RowSet is byte-identical to serial execution (the determinism
-/// property parallel_exec_test asserts).
+/// whole batches, and index selections into per-probe tasks. Partial results
+/// are merged in morsel order, so the produced BatchSet holds the rows of
+/// serial execution in the same order (the determinism property
+/// parallel_exec_test asserts).
 /// Only read paths run concurrently; the kernel structures underneath
 /// (BufferPool, HeapFile/BpTree reads, FunctionManager invocation) are
 /// concurrent-read safe, while Catalog/ObjectManager schema state must not be
@@ -125,21 +112,21 @@ class Executor {
   void set_deref_cache_capacity(size_t entries) { deref_cache_capacity_ = entries; }
   size_t deref_cache_capacity() const { return deref_cache_capacity_; }
 
-  /// Default rows per execution batch; 0 = row-at-a-time (oracle mode).
+  /// Default rows per execution batch (0 is treated as 1).
   /// Deprecated as a per-query knob: pass ExecOptions::batch_size.
   void set_batch_size(size_t rows) { batch_size_ = ClampBatchSize(rows); }
   size_t batch_size() const { return batch_size_; }
 
-  Result<RowSet> ExecutePlan(const PlanPtr& plan) const;
-  Result<RowSet> ExecutePlan(const PlanPtr& plan, const ExecOptions& options) const;
+  Result<BatchSet> ExecutePlan(const PlanPtr& plan) const;
+  Result<BatchSet> ExecutePlan(const PlanPtr& plan, const ExecOptions& options) const;
 
   Result<QueryResult> ExecuteSelect(const QueryOptimizer::Optimized& optimized) const;
   Result<QueryResult> ExecuteSelect(const QueryOptimizer::Optimized& optimized,
                                     const ExecOptions& options) const;
 
-  /// Evaluates the clause pipeline over an already-computed row set (used by the
-  /// naive executor in bench_query_e2e).
-  Result<QueryResult> FinishSelect(const SelectStmt& stmt, RowSet rows) const;
+  /// Evaluates the clause pipeline over an already-computed plan result (the
+  /// materialized-view manager finishes its maintenance plans through this).
+  Result<QueryResult> FinishSelect(const SelectStmt& stmt, BatchSet rows) const;
 
   /// Wires the exec.expr.* counters (registered by Database::Open): programs
   /// compiled, expressions left to / rows re-routed through the interpreter,
@@ -152,8 +139,7 @@ class Executor {
   }
 
   /// Wires the exec.batch.* counters (registered by Database::Open): RowBatches
-  /// produced by batch-mode operators and the live rows they carried. Both stay
-  /// flat in row-at-a-time (batch_size = 0) mode.
+  /// produced by plan operators and the live rows they carried.
   void SetBatchMetrics(MetricCounter* batches, MetricCounter* rows) {
     batch_batches_ = batches;
     batch_rows_ = rows;
@@ -170,7 +156,7 @@ class Executor {
   /// the profile node operator children attach under (null = profiling off).
   struct Ctx {
     size_t threads = 1;
-    size_t batch = 0;            ///< rows per batch; 0 = row-at-a-time operators
+    size_t batch = kDefaultBatchRows;  ///< rows per batch (>= 1)
     DerefCache* cache = nullptr;
     QueryProfile* profile = nullptr;
     BufferPool* pool = nullptr;  ///< sampled for per-operator deltas when profiling
@@ -191,36 +177,23 @@ class Executor {
     const std::vector<Oid>* bind_oids = nullptr;
   };
 
-  Result<RowSet> Exec(const PlanPtr& plan, Ctx& ctx) const;
-  Result<RowSet> Dispatch(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecBind(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecIndexSelect(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecFilter(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecPointerJoin(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecNestedLoop(const PlanNode& node, Ctx& ctx) const;
-  Result<RowSet> ExecUnion(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> Exec(const PlanPtr& plan, Ctx& ctx) const;
+  Result<BatchSet> Dispatch(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecBind(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecIndexSelect(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecFilter(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecPointerJoin(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecNestedLoop(const PlanNode& node, Ctx& ctx) const;
+  Result<BatchSet> ExecUnion(const PlanNode& node, Ctx& ctx) const;
 
-  Result<QueryResult> Finish(const SelectStmt& stmt, RowSet rows, Ctx& ctx) const;
-
-  // Batch-at-a-time operator path (ctx.batch > 0). Mirrors the row operators
-  // one for one; the row path above is kept verbatim as the oracle.
-  Result<BatchSet> ExecB(const PlanPtr& plan, Ctx& ctx) const;
-  Result<BatchSet> DispatchB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecBindB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecIndexSelectB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecFilterB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecPointerJoinB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecNestedLoopB(const PlanNode& node, Ctx& ctx) const;
-  Result<BatchSet> ExecUnionB(const PlanNode& node, Ctx& ctx) const;
-
-  Result<QueryResult> FinishB(const SelectStmt& stmt, BatchSet rows, Ctx& ctx) const;
+  Result<QueryResult> Finish(const SelectStmt& stmt, BatchSet rows, Ctx& ctx) const;
 
   /// Applies one predicate chain to a batch, rewriting its selection vector in
-  /// place. Reproduces the serial row loop exactly: predicates run in order
+  /// place. Reproduces row-by-row evaluation exactly: predicates run in order
   /// with short-circuit, fallback rows re-evaluate through a per-batch hoisted
   /// interpreter env, and the returned status is the error of the smallest row
   /// index that fails (rows at or past it are dropped from the selection —
-  /// the serial loop never reached them).
+  /// row-by-row evaluation never reaches them).
   Status FilterBatch(const std::vector<ExprPtr>& preds,
                      const std::vector<ExprProgramPtr>& programs,
                      const std::vector<std::string>& vars, RowBatch* batch,
@@ -247,12 +220,8 @@ class Executor {
   /// call sites because the cache itself lives on their stack.
   Ctx MakeCtx(const ExecOptions& options) const;
 
-  Evaluator::Env EnvOf(const RowSet& rs, const std::vector<Oid>& row,
-                       DerefCache* cache,
-                       const std::vector<MoodValue>* params) const;
-
   /// Slot/class bindings for compiling expressions over rows shaped `vars`.
-  /// Uses the ACTUAL RowSet var order for slot indices (PlanNode::BoundVars is
+  /// Uses the ACTUAL BatchSet var order for slot indices (PlanNode::BoundVars is
   /// sorted and may disagree with runtime row layout).
   ExprCompileEnv CompileEnvOf(const std::vector<std::string>& vars,
                               const std::map<std::string, FromEntry>* range_vars) const;
@@ -270,7 +239,7 @@ class Executor {
   Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
                    const std::function<Status(Oid)>& fn) const;
 
-  /// Shared probe/intersect step of kIndexSelect (both execution modes).
+  /// Probe/intersect step of kIndexSelect.
   Result<std::vector<Oid>> RunIndexProbes(const PlanNode& node, Ctx& ctx) const;
 
   /// True when any extent file a scan over `from` visits currently has live

@@ -207,11 +207,10 @@ bool ExprCompiler::EmitPath(const Expr& e, const ExprCompileEnv& env,
   return true;
 }
 
-Result<MoodValue> ExprProgram::Eval(const Oid* slots, size_t nslots, DerefCache* cache,
-                                    Scratch* scratch, bool* need_fallback) const {
-  (void)nslots;
+Result<MoodValue> ExprProgram::Eval(const Oid* slots, DerefCache* cache,
+                                    BatchScratch* scratch, bool* need_fallback) const {
   *need_fallback = false;
-  auto& st = scratch->stack;
+  auto& st = scratch->row_stack;
   st.clear();  // keeps capacity: no per-row allocation once warmed up
   size_t pc = 0;
   while (pc < code_.size()) {
@@ -350,16 +349,6 @@ Result<MoodValue> ExprProgram::Eval(const Oid* slots, size_t nslots, DerefCache*
   return std::move(st.back());
 }
 
-Result<bool> ExprProgram::EvalPredicate(const Oid* slots, size_t nslots,
-                                        DerefCache* cache, Scratch* scratch,
-                                        bool* need_fallback) const {
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(slots, nslots, cache, scratch, need_fallback));
-  if (*need_fallback) return false;
-  if (v.is_null()) return false;
-  OperandDataType o = OperandDataType::FromValue(v);
-  return o.AsBool();
-}
-
 bool ExprProgram::has_jumps() const {
   for (const Instr& ins : code_) {
     if (ins.op == OpCode::kJumpIfFalse || ins.op == OpCode::kJumpIfTrue) return true;
@@ -380,12 +369,11 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
     // Short-circuit jumps make control flow diverge per row; run the row
     // machine over a row-major slot gather. Dispatch is not amortized here,
     // but DNF splitting keeps jumps out of the hot filter predicates.
-    s->row.params = s->params;
     s->rowbuf.resize(batch.nslots);
     for (size_t k = 0; k < n; k++) {
       batch.GatherRow(batch.RowAt(k), s->rowbuf.data());
       bool need_fallback = false;
-      auto r = Eval(s->rowbuf.data(), batch.nslots, cache, &s->row, &need_fallback);
+      auto r = Eval(s->rowbuf.data(), cache, s, &need_fallback);
       if (!r.ok()) {
         s->flags[k] = kRowError;
         s->errors[k] = r.status();
@@ -626,7 +614,7 @@ void ExprProgram::EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
   for (size_t k = 0; k < n; k++) {
     if (s->flags[k] != kRowOk) continue;
     const MoodValue& v = s->values[k];
-    if (v.is_null()) continue;  // null => false, as in EvalPredicate
+    if (v.is_null()) continue;  // null => false, as in Evaluator::EvalPredicate
     auto b = OperandDataType::FromValue(v).AsBool();
     if (!b.ok()) {
       s->flags[k] = kRowError;

@@ -12,12 +12,12 @@
 
 namespace mood {
 
-/// A bound expression lowered into flat postfix bytecode. The program is
-/// evaluated by a small non-recursive stack machine: operands live in a
-/// caller-provided scratch stack (reused across rows, so scalar operands never
-/// touch the heap), range variables are dense slot indices into the row's Oid
-/// vector, and attribute steps are plan-time ordinals into per-class
-/// AttributeLayouts (no string-map or catalog lookup per row).
+/// A bound expression lowered into flat postfix bytecode, evaluated a whole
+/// RowBatch at a time (EvalBatch): operands live in caller-provided scratch
+/// columns (reused across batches, so scalar operands never touch the heap),
+/// range variables are dense slot indices into the batch's Oid columns, and
+/// attribute steps are plan-time ordinals into per-class AttributeLayouts (no
+/// string-map or catalog lookup per row).
 ///
 /// Semantics contract: a program produces byte-identical MoodValues and
 /// identical error statuses to the interpreted Evaluator for every expression
@@ -26,8 +26,8 @@ namespace mood {
 /// Dynamic constructs the compiler cannot pin down statically (method calls,
 /// mid-path collection fan-out, polymorphic roots) are rejected at compile
 /// time; runtime surprises (a subclass instance lacking the bound attribute, a
-/// value that fans out unexpectedly) raise `need_fallback` so the caller
-/// re-evaluates that row with the interpreter.
+/// value that fans out unexpectedly) flag the row kRowFallback so the caller
+/// re-evaluates it with the interpreter.
 class ExprProgram {
  public:
   enum class OpCode : uint8_t {
@@ -59,23 +59,6 @@ class ExprProgram {
     std::string name;
   };
 
-  /// Reusable per-worker evaluation state; clear()ed (capacity kept) per row.
-  struct Scratch {
-    std::vector<MoodValue> stack;
-    /// Bound `?` parameter values for this execution (null: none bound).
-    const std::vector<MoodValue>* params = nullptr;
-  };
-
-  /// Evaluates over a row of range-variable bindings. On a dynamic case the
-  /// compiled form cannot express, sets *need_fallback and returns OK(Null);
-  /// the caller must re-evaluate the row through the interpreter.
-  Result<MoodValue> Eval(const Oid* slots, size_t nslots, DerefCache* cache,
-                         Scratch* scratch, bool* need_fallback) const;
-
-  /// Predicate wrapper with the interpreter's truth rules (null => false).
-  Result<bool> EvalPredicate(const Oid* slots, size_t nslots, DerefCache* cache,
-                             Scratch* scratch, bool* need_fallback) const;
-
   /// Per-row outcome of a batch evaluation.
   enum RowFlag : uint8_t {
     kRowOk = 0,        ///< values[k] (or keep[k]) holds the row's result
@@ -104,8 +87,8 @@ class ExprProgram {
     std::vector<Col> stack;
     size_t top = 0;
     std::vector<uint32_t> live;
-    Scratch row;               ///< row machine state for programs with jumps
-    std::vector<Oid> rowbuf;   ///< row-major slot gather for the row machine
+    std::vector<MoodValue> row_stack;  ///< row machine stack (programs with jumps)
+    std::vector<Oid> rowbuf;           ///< row-major slot gather for the row machine
     /// Bound `?` parameter values for this execution (null: none bound).
     const std::vector<MoodValue>* params = nullptr;
   };
@@ -123,7 +106,7 @@ class ExprProgram {
 
   /// Predicate form of EvalBatch: scratch->keep[k] is set for kRowOk rows with
   /// the interpreter's truth rules (null => false); a value AsBool() rejects
-  /// turns the row into kRowError, matching EvalPredicate.
+  /// turns the row into kRowError, matching Evaluator::EvalPredicate.
   void EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
                           BatchScratch* scratch) const;
 
@@ -143,6 +126,13 @@ class ExprProgram {
 
  private:
   friend class ExprCompiler;
+
+  /// Row machine for programs with short-circuit jumps: evaluates one row of
+  /// range-variable bindings on s->row_stack. On a dynamic case the compiled
+  /// form cannot express, sets *need_fallback and returns OK(Null); the caller
+  /// must re-evaluate the row through the interpreter.
+  Result<MoodValue> Eval(const Oid* slots, DerefCache* cache, BatchScratch* s,
+                         bool* need_fallback) const;
 
   ObjectManager* objects_ = nullptr;
   std::vector<Instr> code_;

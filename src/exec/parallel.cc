@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace mood {
 
@@ -13,18 +14,7 @@ size_t DefaultExecThreads() {
 }
 
 size_t ClampBatchSize(size_t requested) {
-  if (requested == 0) return 0;
-  return std::min(requested, kMaxBatchRows);
-}
-
-std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size) {
-  if (morsel_size == 0) morsel_size = 1;
-  std::vector<Morsel> morsels;
-  morsels.reserve((n + morsel_size - 1) / morsel_size);
-  for (size_t begin = 0; begin < n; begin += morsel_size) {
-    morsels.push_back({begin, std::min(begin + morsel_size, n)});
-  }
-  return morsels;
+  return std::clamp<size_t>(requested, 1, kMaxBatchRows);
 }
 
 Status ParallelFor(size_t threads, size_t num_tasks,

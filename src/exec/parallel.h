@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "common/status.h"
 
@@ -12,21 +11,9 @@ namespace mood {
 /// allows" (std::thread::hardware_concurrency, never less than 1).
 size_t DefaultExecThreads();
 
-/// Half-open row range [begin, end): one unit of parallel work.
-struct Morsel {
-  size_t begin = 0;
-  size_t end = 0;
-  size_t size() const { return end - begin; }
-};
-
-/// Rows per morsel. Small enough that skewed predicates still load-balance,
-/// large enough that the per-morsel dispatch cost is noise.
-inline constexpr size_t kMorselRows = 256;
-
-/// Rows per batch in batch-at-a-time execution (the default behind
-/// QueryOptions::batch_size). In batch mode, whole batches are the morsel
-/// unit: the scheduler hands workers batches, so per-task dispatch and
-/// per-operator setup amortize over this many rows instead of one.
+/// Rows per batch (the default behind QueryOptions::batch_size). Whole batches
+/// are the morsel unit: the scheduler hands workers batches, so per-task
+/// dispatch and per-operator setup amortize over this many rows instead of one.
 inline constexpr size_t kDefaultBatchRows = 1024;
 
 /// Hard cap on a single batch's capacity: bounds the columnar scratch an
@@ -34,18 +21,13 @@ inline constexpr size_t kDefaultBatchRows = 1024;
 /// requests from degenerating into one morsel per query.
 inline constexpr size_t kMaxBatchRows = 1u << 16;
 
-/// Normalizes a batch_size knob: 0 stays 0 (row-at-a-time oracle mode),
-/// anything else is capped at kMaxBatchRows.
+/// Normalizes a batch_size knob into [1, kMaxBatchRows]: 0 becomes 1.
 size_t ClampBatchSize(size_t requested);
-
-/// Partitions [0, n) into fixed-size morsels; the last one may be short.
-std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size = kMorselRows);
 
 /// Runs `task(i)` for every i in [0, num_tasks) on up to `threads` workers.
 /// Workers pull indexes from a shared cursor (morsel-driven scheduling: work
 /// distribution adapts to per-morsel cost skew instead of pre-partitioning).
-/// Row-at-a-time operators pass one task per kMorselRows-row morsel; batch
-/// operators pass one task per RowBatch.
+/// Operators pass one task per RowBatch (extent scans: one per page).
 ///
 /// Error semantics are deterministic: if any tasks fail, the returned status is
 /// the failure with the *smallest* task index — exactly the error an in-order

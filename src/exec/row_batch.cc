@@ -44,6 +44,15 @@ std::vector<std::pair<uint32_t, uint32_t>> BatchSet::LiveIndex() const {
   return idx;
 }
 
+std::vector<Oid> BatchSet::LiveColumn(size_t s) const {
+  std::vector<Oid> out;
+  out.reserve(ActiveRows());
+  for (const RowBatch& b : batches) {
+    for (size_t k = 0; k < b.ActiveRows(); k++) out.push_back(b.col(s)[b.RowAt(k)]);
+  }
+  return out;
+}
+
 void BatchAppender::Push(const Oid* row, size_t n) {
   if (out_->batches.empty() || out_->batches.back().Full()) {
     out_->batches.emplace_back(nslots_, capacity_);

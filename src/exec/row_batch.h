@@ -52,8 +52,8 @@ struct RowBatch {
   void GatherRow(uint32_t row, Oid* out) const;
 };
 
-/// A materialized operator result in batch form — the batch-mode analogue of
-/// RowSet. Batches may be ragged (joins emit one run of batches per input
+/// A materialized operator result: the range variables plus their bindings in
+/// batches. Batches may be ragged (joins emit one run of batches per input
 /// batch); the row order is batch order, then selection order within a batch.
 struct BatchSet {
   std::vector<std::string> vars;
@@ -71,6 +71,9 @@ struct BatchSet {
   /// Flat (batch, row) coordinates of every live row, in row order. Joins use
   /// this to address the build side globally regardless of batch raggedness.
   std::vector<std::pair<uint32_t, uint32_t>> LiveIndex() const;
+
+  /// Slot `s` of every live row, in row order.
+  std::vector<Oid> LiveColumn(size_t s) const;
 };
 
 /// Append-side helper: packs row-major rows into fixed-capacity batches at the

@@ -279,14 +279,13 @@ Status MvManager::ExecuteIntoBuckets(MatView* v, const std::vector<Oid>* delta) 
   // Deltas run the per-root maintenance plan (restricted bind + WHERE filter,
   // no hop-extent scans); the initial/full build runs the optimizer's plan.
   MOOD_ASSIGN_OR_RETURN(
-      RowSet rows,
+      BatchSet rows,
       executor_->ExecutePlan(delta != nullptr ? v->delta_plan : v->optimized.plan,
                              eo));
   int ri = rows.VarIndex(v->root_var);
   if (ri < 0) return Status::Internal("root variable missing from view row set");
   std::vector<uint64_t> roots;
-  roots.reserve(rows.rows.size());
-  for (const auto& r : rows.rows) roots.push_back(r[static_cast<size_t>(ri)].Pack());
+  for (Oid root : rows.LiveColumn(static_cast<size_t>(ri))) roots.push_back(root.Pack());
   MOOD_ASSIGN_OR_RETURN(QueryResult qr,
                         executor_->FinishSelect(v->stmt, std::move(rows)));
   // No GROUP BY / DISTINCT / ORDER BY (delta-maintainable precondition), so
@@ -311,7 +310,7 @@ Status MvManager::RebuildLocked(MatView* v) {
   if (v->delta_maintainable) return ExecuteIntoBuckets(v, nullptr);
   ExecOptions eo;
   eo.threads = 1;
-  MOOD_ASSIGN_OR_RETURN(RowSet rows, executor_->ExecutePlan(v->optimized.plan, eo));
+  MOOD_ASSIGN_OR_RETURN(BatchSet rows, executor_->ExecutePlan(v->optimized.plan, eo));
   MOOD_ASSIGN_OR_RETURN(v->flat, executor_->FinishSelect(v->stmt, std::move(rows)));
   v->columns = v->flat.columns;
   return Status::OK();

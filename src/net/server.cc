@@ -223,8 +223,10 @@ void MoodServer::IoLoop() {
         std::lock_guard<std::mutex> lock(conns_mu_);
         for (auto& [fd, conn] : conns_) {
           if (conn->busy.load(std::memory_order_acquire)) continue;
-          if (now - conn->last_active_ms.load(std::memory_order_relaxed) >
-              options_.idle_timeout_ms) {
+          // A worker may have stamped last_active after `now` was read, so
+          // compare without unsigned subtraction (now - last would wrap).
+          if (conn->last_active_ms.load(std::memory_order_relaxed) +
+                  options_.idle_timeout_ms < now) {
             idle.push_back(conn);
           }
         }

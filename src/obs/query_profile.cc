@@ -24,8 +24,8 @@ std::string QueryProfile::Render(const RenderOptions& options) const {
     std::snprintf(buf, sizeof(buf), "  (est rows=%.2f cost=%.3f)", est_rows, est_cost);
     out += buf;
   }
-  // `batches` appears only in batch mode, so row-at-a-time renderings are
-  // byte-identical to what they were before batch execution existed.
+  // `batches` is omitted where no RowBatch was produced (Finish stages and
+  // empty operator outputs).
   if (batches > 0) {
     std::snprintf(buf, sizeof(buf),
                   "  (actual rows=%llu in=%llu morsels=%llu batches=%llu)",

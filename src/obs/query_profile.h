@@ -51,7 +51,7 @@ struct QueryProfile {
   uint64_t rows_in = 0;    ///< rows consumed from children (0 for leaves)
   uint64_t rows_out = 0;   ///< rows produced
   uint64_t morsels = 0;    ///< parallel work units dispatched (0 = inline)
-  uint64_t batches = 0;    ///< RowBatches produced (0 = row-at-a-time mode)
+  uint64_t batches = 0;    ///< RowBatches produced (0: Finish stage or empty)
   uint64_t wall_ns = 0;    ///< inclusive wall time on the coordinating thread
   PoolDelta pool;          ///< inclusive buffer-pool delta
 

@@ -1,5 +1,6 @@
 #include "sql/dnf.h"
 
+#include "sql/evaluator.h"
 #include "types/operand.h"
 
 namespace mood {
@@ -10,6 +11,12 @@ bool IsLiteral(const ExprPtr& e) { return e->kind == ExprKind::kLiteral; }
 
 /// Evaluates a binary op over two literals via the run-time interpreter.
 Result<MoodValue> EvalLiteral(BinaryOp op, const MoodValue& a, const MoodValue& b) {
+  // Comparisons fold through the run-time comparison, so a folded `3 = 'BMW'`
+  // fails with the same status text as the unfolded one would.
+  if (IsComparison(op)) {
+    MOOD_ASSIGN_OR_RETURN(bool r, Evaluator::Compare(op, a, b));
+    return MoodValue::Boolean(r);
+  }
   OperandDataType x = OperandDataType::FromValue(a);
   OperandDataType y = OperandDataType::FromValue(b);
   OperandDataType r(DataTypeCode::kInt32);
@@ -19,14 +26,9 @@ Result<MoodValue> EvalLiteral(BinaryOp op, const MoodValue& a, const MoodValue& 
     case BinaryOp::kMul: r = x * y; break;
     case BinaryOp::kDiv: r = x / y; break;
     case BinaryOp::kMod: r = x % y; break;
-    case BinaryOp::kEq: r = (x == y); break;
-    case BinaryOp::kNe: r = (x != y); break;
-    case BinaryOp::kLt: r = (x < y); break;
-    case BinaryOp::kLe: r = (x <= y); break;
-    case BinaryOp::kGt: r = (x > y); break;
-    case BinaryOp::kGe: r = (x >= y); break;
     case BinaryOp::kAnd: r = (x && y); break;
     case BinaryOp::kOr: r = (x || y); break;
+    default: return Status::Internal("unhandled binary operator");
   }
   return r.ToValue();
 }

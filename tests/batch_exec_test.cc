@@ -12,11 +12,15 @@
 #include "exec/parallel.h"
 #include "exec/row_batch.h"
 #include "sql/parser.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace mood {
 namespace {
 
+using testing::ExpectNaiveMatch;
+using testing::NaiveSelect;
+using testing::SortedRows;
 using testing::TempDir;
 
 /// Thread counts the differential sweep exercises. MOOD_TEST_THREADS=<n>
@@ -98,8 +102,8 @@ TEST(RowBatchTest, AppenderCoercesZeroCapacity) {
   EXPECT_EQ(bs.batches.size(), 2u);
 }
 
-TEST(ClampBatchSizeTest, ZeroMeansRowAtATime) {
-  EXPECT_EQ(ClampBatchSize(0), 0u);
+TEST(ClampBatchSizeTest, ClampsIntoOneToMax) {
+  EXPECT_EQ(ClampBatchSize(0), 1u);
   EXPECT_EQ(ClampBatchSize(1), 1u);
   EXPECT_EQ(ClampBatchSize(kDefaultBatchRows), kDefaultBatchRows);
   EXPECT_EQ(ClampBatchSize(kMaxBatchRows + 1), kMaxBatchRows);
@@ -107,7 +111,8 @@ TEST(ClampBatchSizeTest, ZeroMeansRowAtATime) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential harness: batched execution vs the row-at-a-time oracle
+// Differential harness: every batch geometry vs the batch-1 serial reference,
+// plus the plan-free naive oracle (tests/naive_oracle.h)
 // ---------------------------------------------------------------------------
 
 /// Paper database at a scale chosen so the Vehicle extent (120 objects) spans
@@ -122,13 +127,13 @@ class BatchExecFixture : public ::testing::Test {
     MOOD_ASSERT_OK(db_.CollectAllStatistics());
   }
 
-  /// The differential contract: for every batch size and thread count, batched
-  /// execution returns byte-identical results — or the byte-identical error
-  /// status — as the serial row-at-a-time oracle (batch_size = 0).
+  /// The geometry contract: for every batch size and thread count, execution
+  /// returns byte-identical results — or the byte-identical error status — as
+  /// the serial one-row-per-batch reference (batch_size = 1, one thread).
   void ExpectBatchMatch(const std::string& sql,
                         std::vector<size_t> batch_sizes = {1, 7, 1024}) {
     QueryOptions oracle_opts;
-    oracle_opts.batch_size = 0;
+    oracle_opts.batch_size = 1;
     oracle_opts.exec_threads = 1;
     auto oracle = db_.Query(sql, oracle_opts);
     for (size_t batch : batch_sizes) {
@@ -152,6 +157,15 @@ class BatchExecFixture : public ::testing::Test {
     }
   }
 
+  /// ExpectBatchMatch, then the naive oracle: both must agree on success and,
+  /// when both succeed, on the sorted rows.
+  void ExpectMatch(const std::string& sql,
+                   std::vector<size_t> batch_sizes = {1, 7, 1024}) {
+    ExpectBatchMatch(sql, batch_sizes);
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectNaiveMatch(&db_, sql);
+  }
+
   uint64_t CounterValue(const std::string& name) {
     return db_.metrics()->Counter(name)->value();
   }
@@ -162,49 +176,49 @@ class BatchExecFixture : public ::testing::Test {
 };
 
 TEST_F(BatchExecFixture, FilterScans) {
-  ExpectBatchMatch("SELECT v FROM Vehicle v");
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 4");
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders <= 8");
-  ExpectBatchMatch(
+  ExpectMatch("SELECT v FROM Vehicle v");
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 4");
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders <= 8");
+  ExpectMatch(
       "SELECT e FROM VehicleEngine e WHERE e.cylinders = 2 OR e.size >= 0");
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE NOT e.cylinders > 8");
-  ExpectBatchMatch(
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE NOT e.cylinders > 8");
+  ExpectMatch(
       "SELECT v FROM EVERY Vehicle v WHERE v.weight > 0 AND v.weight < 100000");
-  ExpectBatchMatch("SELECT v FROM EVERY Automobile - JapaneseAuto v");
+  ExpectMatch("SELECT v FROM EVERY Automobile - JapaneseAuto v");
 }
 
 TEST_F(BatchExecFixture, PathExpressionsAndPointerJoins) {
-  ExpectBatchMatch(paperdb::kExample81Query);
-  ExpectBatchMatch(paperdb::kExample82Query);
-  ExpectBatchMatch(paperdb::kSection31Query);
-  ExpectBatchMatch(
+  ExpectMatch(paperdb::kExample81Query);
+  ExpectMatch(paperdb::kExample82Query);
+  ExpectMatch(paperdb::kSection31Query);
+  ExpectMatch(
       "SELECT d.transmission, d.engine.cylinders FROM VehicleDriveTrain d "
       "WHERE d.engine.cylinders > 8");
-  ExpectBatchMatch(
+  ExpectMatch(
       "SELECT v.drivetrain.engine.cylinders, v.weight FROM Vehicle v "
       "WHERE v.drivetrain.engine.cylinders = 4");
 }
 
 TEST_F(BatchExecFixture, ExplicitJoins) {
-  ExpectBatchMatch(
+  ExpectMatch(
       "SELECT v FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d");
-  ExpectBatchMatch(
+  ExpectMatch(
       "SELECT v.weight, d.transmission FROM Vehicle v, VehicleDriveTrain d "
       "WHERE v.drivetrain = d AND d.transmission = 'MANUAL'");
 }
 
 TEST_F(BatchExecFixture, ProjectionsAndClausePipeline) {
-  ExpectBatchMatch("SELECT e.cylinders, e.cylinders * 2 + 1 FROM VehicleEngine e");
-  ExpectBatchMatch("SELECT e.size FROM VehicleEngine e ORDER BY e.size DESC");
-  ExpectBatchMatch("SELECT e.cylinders FROM VehicleEngine e GROUP BY e.cylinders");
-  ExpectBatchMatch(
+  ExpectMatch("SELECT e.cylinders, e.cylinders * 2 + 1 FROM VehicleEngine e");
+  ExpectMatch("SELECT e.size FROM VehicleEngine e ORDER BY e.size DESC");
+  ExpectMatch("SELECT e.cylinders FROM VehicleEngine e GROUP BY e.cylinders");
+  ExpectMatch(
       "SELECT e.cylinders FROM VehicleEngine e GROUP BY e.cylinders "
       "HAVING e.cylinders > 8");
-  ExpectBatchMatch("SELECT DISTINCT e.cylinders FROM VehicleEngine e");
-  ExpectBatchMatch(
+  ExpectMatch("SELECT DISTINCT e.cylinders FROM VehicleEngine e");
+  ExpectMatch(
       "SELECT DISTINCT e.cylinders FROM VehicleEngine e ORDER BY e.cylinders");
   // Method calls interpret per row inside the batch loop (compile refusal).
-  ExpectBatchMatch("SELECT v.weight, v.lbweight() FROM Vehicle v");
+  ExpectMatch("SELECT v.weight, v.lbweight() FROM Vehicle v");
 }
 
 TEST_F(BatchExecFixture, IndexedSelection) {
@@ -212,25 +226,44 @@ TEST_F(BatchExecFixture, IndexedSelection) {
       db_.Execute("CREATE INDEX eng_cyl ON VehicleEngine(cylinders) USING BTREE")
           .status());
   MOOD_ASSERT_OK(db_.CollectAllStatistics());
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 6");
-  ExpectBatchMatch(
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 6");
+  ExpectMatch(
       "SELECT e FROM VehicleEngine e WHERE e.cylinders = 6 AND e.size > 0");
 }
 
 TEST_F(BatchExecFixture, ErrorStatusesMatch) {
   // Division by zero fires mid-extent (cylinders sweeps the even values of
-  // [2,32], so some row has cylinders = 8); the batched path must surface the
-  // same first-row error the serial oracle does.
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE 100 / (e.cylinders - 8) > 0");
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 'four'");
-  ExpectBatchMatch(
+  // [2,32], so some row has cylinders = 8); every geometry must surface the
+  // same first-row error the one-row-per-batch reference does.
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE 100 / (e.cylinders - 8) > 0");
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders = 'four'");
+  ExpectMatch(
       "SELECT e FROM VehicleEngine e WHERE e.size / (e.cylinders - e.cylinders) = 1");
-  ExpectBatchMatch("SELECT v FROM Vehicle v WHERE v.id.cylinders = 2");
+  ExpectMatch("SELECT v FROM Vehicle v WHERE v.id.cylinders = 2");
   // Error in a projection / ORDER BY column, after a passing filter.
-  ExpectBatchMatch(
+  ExpectMatch(
       "SELECT 100 / (e.cylinders - 8) FROM VehicleEngine e WHERE e.cylinders > 2");
-  ExpectBatchMatch(
+  ExpectMatch(
       "SELECT e FROM VehicleEngine e ORDER BY 100 / (e.cylinders - 8)");
+}
+
+TEST_F(BatchExecFixture, FinishStageErrorOrder) {
+  // Clause expressions evaluate column-wise, yet the surfaced error must be
+  // the one row-by-row evaluation hits first: the smallest (row, expression)
+  // pair. Every row fails `e.cylinders + 'x'`; only cylinders = 8 rows fail the
+  // division, so the TypeError wins in either column order.
+  const std::string a = "100 / (e.cylinders - 8)";
+  const std::string b = "e.cylinders + 'x'";
+  for (const std::string& sql :
+       {"SELECT " + a + ", " + b + " FROM VehicleEngine e",
+        "SELECT " + b + ", " + a + " FROM VehicleEngine e",
+        "SELECT e FROM VehicleEngine e ORDER BY " + a + ", " + b,
+        "SELECT e FROM VehicleEngine e ORDER BY " + b + ", " + a,
+        "SELECT e FROM VehicleEngine e GROUP BY " + a + ", " + b,
+        "SELECT e FROM VehicleEngine e GROUP BY " + b + ", " + a}) {
+    ExpectBatchMatch(sql);
+    ExpectNaiveMatch(&db_, sql, /*same_error=*/true);
+  }
 }
 
 TEST_F(BatchExecFixture, RandomizedExpressionsMatch) {
@@ -263,12 +296,22 @@ TEST_F(BatchExecFixture, RandomizedExpressionsMatch) {
     }
   };
 
+  // Plan-time errors legitimately differ from the naive oracle (DNF splits OR
+  // terms, constants fold), so rows are compared only when both sides succeed;
+  // the floor keeps that comparison from going vacuous.
+  int compared = 0;
   for (int i = 0; i < 60; i++) {
     std::string sql = "SELECT e FROM VehicleEngine e WHERE " + pred(3);
     SCOPED_TRACE("iteration " + std::to_string(i) + ": " + sql);
     ExpectBatchMatch(sql, {7, 1024});
     if (HasFatalFailure()) return;
+    auto engine = db_.Query(sql);
+    auto naive = NaiveSelect(&db_, sql);
+    if (!engine.ok() || !naive.ok()) continue;
+    compared++;
+    EXPECT_EQ(SortedRows(engine.value()), SortedRows(naive.value()));
   }
+  EXPECT_GE(compared, 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,21 +323,21 @@ TEST_F(BatchExecFixture, BatchSizeEdgeGeometries) {
   // 1 (degenerate), 6 (divides 60 exactly), 7 (doesn't), 59/61 (one off),
   // 60 (equals cardinality), 1024 (single batch spanning every heap page).
   std::vector<size_t> sizes = {1, 6, 7, 59, 60, 61, 1024};
-  ExpectBatchMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders >= 2", sizes);
-  ExpectBatchMatch("SELECT e.size FROM VehicleEngine e ORDER BY e.size", sizes);
+  ExpectMatch("SELECT e FROM VehicleEngine e WHERE e.cylinders >= 2", sizes);
+  ExpectMatch("SELECT e.size FROM VehicleEngine e ORDER BY e.size", sizes);
   // Vehicle spans several pages at scale 120: sizes below the per-page row
   // count make batches straddle page boundaries in the parallel scan.
-  ExpectBatchMatch("SELECT v.weight FROM Vehicle v WHERE v.weight > 0",
-                   {1, 7, 40, 120, 1024});
+  ExpectMatch("SELECT v.weight FROM Vehicle v WHERE v.weight > 0",
+              {1, 7, 40, 120, 1024});
 }
 
 TEST_F(BatchExecFixture, EmptyExtent) {
   MOOD_ASSERT_OK(db_.Execute("CREATE CLASS Lonely TUPLE (x Integer)").status());
-  ExpectBatchMatch("SELECT l FROM Lonely l");
-  ExpectBatchMatch("SELECT l FROM Lonely l WHERE l.x > 0");
-  ExpectBatchMatch("SELECT l.x FROM Lonely l ORDER BY l.x");
+  ExpectMatch("SELECT l FROM Lonely l");
+  ExpectMatch("SELECT l FROM Lonely l WHERE l.x > 0");
+  ExpectMatch("SELECT l.x FROM Lonely l ORDER BY l.x");
   // Join with an empty side.
-  ExpectBatchMatch("SELECT v, l FROM Vehicle v, Lonely l WHERE v.weight = l.x");
+  ExpectMatch("SELECT v, l FROM Vehicle v, Lonely l WHERE v.weight = l.x");
 }
 
 TEST_F(BatchExecFixture, OversizedBatchRequestClamps) {
@@ -304,7 +347,7 @@ TEST_F(BatchExecFixture, OversizedBatchRequestClamps) {
   MOOD_ASSERT_OK_AND_ASSIGN(
       auto res, db_.Query("SELECT e FROM VehicleEngine e WHERE e.cylinders = 4", opts));
   QueryOptions oracle;
-  oracle.batch_size = 0;
+  oracle.batch_size = 1;
   oracle.exec_threads = 1;
   MOOD_ASSERT_OK_AND_ASSIGN(
       auto want,
@@ -357,13 +400,10 @@ TEST_F(BatchExecFixture, FallbackRowMidBatch) {
       continue;
     }
     EXPECT_EQ(scratch.flags[k], ExprProgram::kRowOk) << "row " << k;
-    // Cross-check against the row-at-a-time program evaluation.
-    ExprProgram::Scratch row_scratch;
-    bool need_fallback = false;
-    Oid row = batch.col(0)[batch.RowAt(k)];
-    MOOD_ASSERT_OK_AND_ASSIGN(
-        bool want, prog->EvalPredicate(&row, 1, nullptr, &row_scratch, &need_fallback));
-    EXPECT_FALSE(need_fallback);
+    // Cross-check against the interpreter.
+    Evaluator::Env row_env;
+    row_env.vars["e"] = batch.col(0)[batch.RowAt(k)];
+    MOOD_ASSERT_OK_AND_ASSIGN(bool want, db_.evaluator()->EvalPredicate(where, row_env));
     EXPECT_EQ(scratch.keep[k] != 0, want) << "row " << k;
   }
 
@@ -382,21 +422,13 @@ TEST_F(BatchExecFixture, FallbackRowMidBatch) {
 // exec.batch.* metrics and knob wiring
 // ---------------------------------------------------------------------------
 
-TEST_F(BatchExecFixture, BatchCountersMoveOnlyInBatchMode) {
+TEST_F(BatchExecFixture, BatchCountersTrackOperatorOutput) {
   const std::string sql = "SELECT e FROM VehicleEngine e WHERE e.cylinders >= 2";
   uint64_t batches0 = CounterValue("exec.batch.batches");
   uint64_t rows0 = CounterValue("exec.batch.rows");
 
   // This test asserts *execution* side effects, so the result cache (which
   // legitimately skips execution on a repeat) must stay out of the way.
-  QueryOptions oracle;
-  oracle.batch_size = 0;
-  oracle.exec_threads = 1;
-  oracle.use_cache = false;
-  MOOD_ASSERT_OK(db_.Query(sql, oracle).status());
-  EXPECT_EQ(CounterValue("exec.batch.batches"), batches0);
-  EXPECT_EQ(CounterValue("exec.batch.rows"), rows0);
-
   QueryOptions batched;
   batched.batch_size = 7;
   batched.exec_threads = 1;
@@ -425,12 +457,12 @@ TEST(BatchExecOptions, BatchSizeKnobWiresThrough) {
     EXPECT_EQ(db.executor()->batch_size(), 256u);
   }
   {
-    // 0 = row-at-a-time as the database-wide default.
+    // 0 clamps to one row per batch.
     Database db;
     DatabaseOptions opts;
     opts.batch_size = 0;
     MOOD_ASSERT_OK(db.Open(dir.Path("mood-rows"), opts));
-    EXPECT_EQ(db.executor()->batch_size(), 0u);
+    EXPECT_EQ(db.executor()->batch_size(), 1u);
   }
   {
     // Oversized requests clamp to the allocation guard.

@@ -1,0 +1,163 @@
+#pragma once
+
+// A naive SELECT evaluator used as the test oracle for the executor. It shares
+// no optimizer, plan, ExprProgram or RowBatch with the engine: FROM is the
+// cross product of the FROM extents in ScanExtent order, and every clause
+// (WHERE, GROUP BY, HAVING, ORDER BY, projection, DISTINCT) evaluates row by
+// row, as the outer loop, through the interpreted Evaluator.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "core/database.h"
+#include "sql/parser.h"
+
+namespace mood::testing {
+
+inline Result<QueryResult> NaiveSelect(Database* db, const std::string& sql) {
+  MOOD_ASSIGN_OR_RETURN(Statement parsed, Parser::Parse(sql));
+  if (!std::holds_alternative<SelectStmt>(parsed)) {
+    return Status::InvalidArgument("naive oracle evaluates SELECT only");
+  }
+  const SelectStmt& stmt = std::get<SelectStmt>(parsed);
+  const Evaluator& ev = *db->evaluator();
+  using Row = std::vector<Oid>;
+  auto env_of = [&](const Row& row) {
+    Evaluator::Env env;
+    for (size_t i = 0; i < row.size(); i++) env.vars[stmt.from[i].var] = row[i];
+    return env;
+  };
+  // FROM x WHERE: extend every partial row by one extent at a time, so the
+  // first FROM variable varies slowest.
+  std::vector<Row> rows = {Row{}};
+  for (const FromEntry& fe : stmt.from) {
+    std::vector<Oid> extent;
+    MOOD_RETURN_IF_ERROR(db->objects()->ScanExtent(
+        fe.class_name, fe.every, fe.excludes, [&](Oid oid, const MoodValue&) {
+          extent.push_back(oid);
+          return Status::OK();
+        }));
+    std::vector<Row> next;
+    for (const Row& row : rows) {
+      for (Oid oid : extent) {
+        next.push_back(row);
+        next.back().push_back(oid);
+      }
+    }
+    rows = std::move(next);
+  }
+  auto keep_where = [&](const ExprPtr& pred, std::vector<Row>* in) -> Status {
+    std::vector<Row> kept;
+    for (Row& row : *in) {
+      MOOD_ASSIGN_OR_RETURN(bool keep, ev.EvalPredicate(pred, env_of(row)));
+      if (keep) kept.push_back(std::move(row));
+    }
+    *in = std::move(kept);
+    return Status::OK();
+  };
+  if (stmt.where != nullptr) MOOD_RETURN_IF_ERROR(keep_where(stmt.where, &rows));
+  // Evaluates `exprs` over every row: row-outer, expression-inner.
+  auto eval_all = [&](const std::vector<ExprPtr>& exprs, const std::vector<Row>& in)
+      -> Result<std::vector<std::vector<MoodValue>>> {
+    std::vector<std::vector<MoodValue>> out;
+    for (const Row& row : in) {
+      Evaluator::Env env = env_of(row);
+      out.emplace_back();
+      for (const ExprPtr& e : exprs) {
+        MOOD_ASSIGN_OR_RETURN(MoodValue v, ev.Eval(e, env));
+        out.back().push_back(std::move(v));
+      }
+    }
+    return out;
+  };
+  if (!stmt.group_by.empty()) {
+    MOOD_ASSIGN_OR_RETURN(auto keys, eval_all(stmt.group_by, rows));
+    std::map<std::string, Row> groups;  // first row per key, in key order
+    for (size_t r = 0; r < rows.size(); r++) {
+      std::string key;
+      for (const MoodValue& v : keys[r]) v.EncodeTo(&key);
+      groups.emplace(std::move(key), rows[r]);
+    }
+    rows.clear();
+    for (auto& [key, row] : groups) rows.push_back(std::move(row));
+    if (stmt.having != nullptr) MOOD_RETURN_IF_ERROR(keep_where(stmt.having, &rows));
+  }
+  if (!stmt.order_by.empty()) {
+    std::vector<ExprPtr> exprs;
+    for (const auto& ob : stmt.order_by) exprs.push_back(ob.expr);
+    MOOD_ASSIGN_OR_RETURN(auto keys, eval_all(exprs, rows));
+    std::vector<size_t> order(rows.size());
+    for (size_t i = 0; i < order.size(); i++) order[i] = i;
+    Status cmp_error;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (size_t k = 0; k < exprs.size(); k++) {
+        auto c = keys[a][k].Compare(keys[b][k]);
+        if (!c.ok()) {
+          if (cmp_error.ok()) cmp_error = c.status();
+          return false;
+        }
+        if (c.value() != 0) return stmt.order_by[k].ascending == (c.value() < 0);
+      }
+      return false;
+    });
+    MOOD_RETURN_IF_ERROR(cmp_error);
+    std::vector<Row> sorted;
+    for (size_t i : order) sorted.push_back(std::move(rows[i]));
+    rows = std::move(sorted);
+  }
+  QueryResult result;
+  for (const ExprPtr& p : stmt.projection) result.columns.push_back(p->ToString());
+  MOOD_ASSIGN_OR_RETURN(result.rows, eval_all(stmt.projection, rows));
+  if (stmt.distinct) {
+    std::set<std::string> seen;
+    std::vector<std::vector<MoodValue>> unique;
+    for (auto& row : result.rows) {
+      std::string key;
+      for (const MoodValue& v : row) v.EncodeTo(&key);
+      if (seen.insert(std::move(key)).second) unique.push_back(std::move(row));
+    }
+    result.rows = std::move(unique);
+  }
+  return result;
+}
+
+/// Rendered rows, sorted: the comparison form for results whose row order the
+/// query leaves open (plans legitimately reorder unordered rows).
+inline std::vector<std::string> SortedRows(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (const auto& row : r.rows) {
+    std::string line;
+    for (const MoodValue& v : row) line += v.ToString() + " | ";
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Diffs the engine's answer to `sql` against NaiveSelect. Both sides must
+/// agree on success (and, with `same_error`, on the status text); when both
+/// succeed, columns and sorted rows must be equal.
+inline void ExpectNaiveMatch(Database* db, const std::string& sql,
+                             bool same_error = false) {
+  Result<QueryResult> engine = db->Query(sql);
+  Result<QueryResult> naive = NaiveSelect(db, sql);
+  ASSERT_EQ(engine.ok(), naive.ok())
+      << sql << "\n engine: " << engine.status().ToString()
+      << "\n naive:  " << naive.status().ToString();
+  if (!engine.ok()) {
+    if (same_error) {
+      EXPECT_EQ(engine.status().ToString(), naive.status().ToString()) << sql;
+    }
+    return;
+  }
+  EXPECT_EQ(engine.value().columns, naive.value().columns) << sql;
+  EXPECT_EQ(SortedRows(engine.value()), SortedRows(naive.value())) << sql;
+}
+
+}  // namespace mood::testing

@@ -291,6 +291,37 @@ TEST_F(NetFixture, IdleSessionsAreReaped) {
   EXPECT_GE(MetricOf(&db_, "net.sessions_reaped"), 1.0);
 }
 
+/// Busy sessions survive the reaper: a worker can stamp last_active after the
+/// reaper read its clock, which must not read as an (unsigned-wrapped) huge
+/// idle time. Clients issue back-to-back requests across several reaper ticks.
+TEST_F(NetFixture, BusySessionsSurviveReaperTicks) {
+  ServerOptions opts;
+  opts.idle_timeout_ms = 1000;
+  StartServer(opts);
+  const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(1600);
+  std::vector<std::thread> clients;
+  std::vector<int> failures(4, 0), requests(4, 0);
+  for (size_t t = 0; t < failures.size(); t++) {
+    clients.emplace_back([&, t] {
+      MoodClient c;
+      if (!c.Connect("127.0.0.1", server_.port()).ok()) {
+        failures[t]++;
+        return;
+      }
+      while (std::chrono::steady_clock::now() < until) {
+        requests[t]++;
+        if (!c.Execute("SELECT a.id FROM Acc a").ok()) failures[t]++;
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  for (size_t t = 0; t < failures.size(); t++) {
+    EXPECT_EQ(failures[t], 0) << "client " << t;
+    EXPECT_GT(requests[t], 0) << "client " << t;
+  }
+  EXPECT_EQ(MetricOf(&db_, "net.sessions_reaped"), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol discipline
 // ---------------------------------------------------------------------------

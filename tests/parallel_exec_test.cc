@@ -10,11 +10,13 @@
 #include "core/database.h"
 #include "core/paper_example.h"
 #include "exec/parallel.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace mood {
 namespace {
 
+using testing::ExpectNaiveMatch;
 using testing::TempDir;
 
 /// Thread counts the determinism fixture exercises. MOOD_TEST_THREADS=<n>
@@ -29,36 +31,8 @@ std::vector<size_t> TestThreadCounts() {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelFor / MakeMorsels unit properties
+// ParallelFor unit properties
 // ---------------------------------------------------------------------------
-
-TEST(MakeMorselsTest, PartitionsExactly) {
-  EXPECT_TRUE(MakeMorsels(0).empty());
-  auto one = MakeMorsels(1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].begin, 0u);
-  EXPECT_EQ(one[0].end, 1u);
-
-  // 1000 rows at 256/morsel -> 256, 256, 256, 232.
-  auto ms = MakeMorsels(1000);
-  ASSERT_EQ(ms.size(), 4u);
-  size_t covered = 0;
-  for (size_t i = 0; i < ms.size(); i++) {
-    EXPECT_EQ(ms[i].begin, covered) << "morsel " << i;
-    EXPECT_LE(ms[i].begin, ms[i].end);
-    covered = ms[i].end;
-  }
-  EXPECT_EQ(covered, 1000u);
-  EXPECT_EQ(ms.back().size(), 1000u % kMorselRows);
-}
-
-TEST(MakeMorselsTest, CustomSizeAndZeroGuard) {
-  auto ms = MakeMorsels(10, 3);
-  ASSERT_EQ(ms.size(), 4u);
-  EXPECT_EQ(ms[3].size(), 1u);
-  // morsel_size 0 must not loop forever.
-  EXPECT_EQ(MakeMorsels(5, 0).size(), 5u);
-}
 
 TEST(ParallelForTest, RunsEveryTaskOnce) {
   for (size_t threads : {1u, 2u, 4u, 8u}) {
@@ -135,22 +109,24 @@ class ParallelExecFixture : public ::testing::Test {
     return {false, true};
   }
 
-  /// Batch sizes the sweep exercises: row-at-a-time (0), a small size that
+  /// Batch sizes the sweep exercises: one row per batch, a small size that
   /// forces many partial batches, and the default. MOOD_TEST_BATCH=<n> narrows
   /// the axis the same way MOOD_TEST_THREADS does.
   static std::vector<size_t> TestBatchSizes() {
     const char* env = std::getenv("MOOD_TEST_BATCH");
     if (env != nullptr) return {static_cast<size_t>(std::atoi(env))};
-    return {0, 7, 1024};
+    return {1, 7, 1024};
   }
 
-  /// Oracle: serial, interpreted, row-at-a-time. Every (batch size, compile
-  /// mode, thread count) combination must match it byte-for-byte.
+  /// Reference: serial, interpreted, one row per batch. Every (batch size,
+  /// compile mode, thread count) combination must match it byte-for-byte —
+  /// rows or error status — and the reference must agree with the naive
+  /// oracle (tests/naive_oracle.h).
   void ExpectDeterministic(const std::string& sql) {
     db_.executor()->set_threads(1);
     QueryOptions oracle_opts;
     oracle_opts.compile_expressions = false;
-    oracle_opts.batch_size = 0;
+    oracle_opts.batch_size = 1;
     auto serial = db_.Query(sql, oracle_opts);
     for (size_t batch : TestBatchSizes()) {
       for (bool compile : TestCompileModes()) {
@@ -158,8 +134,8 @@ class ParallelExecFixture : public ::testing::Test {
         opts.compile_expressions = compile;
         opts.batch_size = batch;
         std::vector<size_t> counts = TestThreadCounts();
-        // Compiled and batched modes also diff serially against the oracle.
-        if (compile || batch > 0) counts.insert(counts.begin(), 1);
+        // Every mode but the reference's own also diffs serially against it.
+        if (compile || batch != 1) counts.insert(counts.begin(), 1);
         for (size_t threads : counts) {
           db_.executor()->set_threads(threads);
           auto parallel = db_.Query(sql, opts);
@@ -167,7 +143,11 @@ class ParallelExecFixture : public ::testing::Test {
               << sql << " @" << threads << " threads compile=" << compile
               << " batch=" << batch << ": serial=" << serial.status().ToString()
               << " parallel=" << parallel.status().ToString();
-          if (!serial.ok()) continue;
+          if (!serial.ok()) {
+            EXPECT_EQ(serial.status().ToString(), parallel.status().ToString())
+                << sql << " @" << threads << " compile=" << compile << " batch=" << batch;
+            continue;
+          }
           const QueryResult& s = serial.value();
           const QueryResult& p = parallel.value();
           EXPECT_EQ(s.columns, p.columns) << sql << " @" << threads;
@@ -179,6 +159,7 @@ class ParallelExecFixture : public ::testing::Test {
       }
     }
     db_.executor()->set_threads(1);
+    ExpectNaiveMatch(&db_, sql);
   }
 
   TempDir dir_;

@@ -4,6 +4,7 @@
 
 #include "common/random.h"
 #include "sql/dnf.h"
+#include "sql/evaluator.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
@@ -236,6 +237,23 @@ TEST(DnfTest, FoldsConstantSubtrees) {
   MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr folded, FoldConstants(e));
   ASSERT_EQ(folded->kind, ExprKind::kLiteral);
   EXPECT_EQ(folded->literal.AsInteger(), 9);
+}
+
+TEST(DnfTest, FoldedComparisonErrorsMatchRunTime) {
+  // A comparison folded at plan time must fail with the run-time status text.
+  Evaluator runtime(nullptr, nullptr);
+  for (const char* text : {"3 = 'BMW'", "'BMW' < 3", "2.5 >= 'x'"}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr e, Parser::ParseExpression(text));
+    Result<ExprPtr> folded = FoldConstants(e);
+    Result<MoodValue> evaluated = runtime.Eval(e, Evaluator::Env{});
+    ASSERT_FALSE(evaluated.ok()) << text;
+    ASSERT_FALSE(folded.ok()) << text;
+    EXPECT_EQ(folded.status().ToString(), evaluated.status().ToString()) << text;
+  }
+  MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr ok, Parser::ParseExpression("1 < 2"));
+  MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr folded, FoldConstants(ok));
+  ASSERT_EQ(folded->kind, ExprKind::kLiteral);
+  EXPECT_TRUE(folded->literal.AsBoolean());
 }
 
 TEST(DnfTest, PushNotDownNegatesComparisons) {
