@@ -10,18 +10,6 @@
 
 namespace mood {
 
-namespace {
-/// Statement-scoped snapshot pin: releases the CSN pin on every exit path so
-/// an error return can never leak a pin (a leaked pin wedges version GC).
-struct SnapshotPin {
-  VersionStore* store = nullptr;
-  uint64_t snap = 0;
-  ~SnapshotPin() {
-    if (store != nullptr) store->UnpinSnapshot(snap);
-  }
-};
-}  // namespace
-
 Database::Database() {
   // The implicit session exists for the Database's whole lifetime (it backs
   // the facade's own SQL surface even before Open / after Close).
@@ -176,10 +164,7 @@ Status Database::Close() {
         MOOD_RETURN_IF_ERROR(txn_manager_->Abort(s->txn_));
         s->txn_ = nullptr;
       }
-      if (s->snapshot_pinned_ && versions_ != nullptr) {
-        versions_->UnpinSnapshot(s->snap_csn_);
-        s->snapshot_pinned_ = false;
-      }
+      s->view_.reset();
     }
   }
   if (txn_manager_ != nullptr) txn_manager_->PruneCompleted();
@@ -472,14 +457,9 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
     // ANALYZE run reads a consistent snapshot under the shared gate.
     const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
     CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
-    SnapshotPin pin;
-    if (snapshot_read) {
-      uint64_t snap = s.snapshot_pinned_ ? s.snap_csn_ : versions_->PinSnapshot();
-      if (!s.snapshot_pinned_) {
-        pin.store = versions_.get();
-        pin.snap = snap;
-      }
-      exec.snapshot = SnapshotView{versions_.get(), snap};
+    std::optional<ReadView> statement_view;
+    if (const ReadView* view = ReaderView(s, snapshot_read, &statement_view)) {
+      exec.snapshot = view->snapshot();
     }
     uint64_t start = ProfileNowNs();
     MOOD_ASSIGN_OR_RETURN(out.result, executor_->ExecuteSelect(out.optimized, exec));
@@ -541,7 +521,7 @@ Result<ExecResult> Database::ExecuteStatement(Session& s, const Statement& stmt,
                                               const QueryOptions& options,
                                               const std::string& cache_sql) {
   if (statements_counter_ != nullptr) statements_counter_->Add(1);
-  if (s.snapshot_pinned_ && !std::holds_alternative<SelectStmt>(stmt) &&
+  if (s.view_ && !std::holds_alternative<SelectStmt>(stmt) &&
       !std::holds_alternative<ExplainStmt>(stmt)) {
     // A pinned snapshot makes the session read-only by construction: its own
     // writes could never become visible at the pinned CSN.
@@ -572,46 +552,51 @@ Result<ExecResult> Database::ExecSelect(Session& s, const SelectStmt& stmt,
   return ExecSelectCached(s, stmt, ResolveFor(s, options), {}, cache_sql);
 }
 
+const ReadView* Database::ReaderView(const Session& s, bool snapshot_read,
+                                     std::optional<ReadView>* statement_view) const {
+  if (!snapshot_read) return nullptr;
+  if (s.view_) return &*s.view_;
+  statement_view->emplace(objects_->PinReadView());
+  return &**statement_view;
+}
+
 Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt,
                                               const ResolvedQueryOptions& r,
                                               const std::vector<MoodValue>& params,
                                               const std::string& cache_sql) {
   if (queries_counter_ != nullptr) queries_counter_->Add(1);
-  WriteEpochFn epoch_of = [this](uint16_t file) {
-    return objects_->WriteEpochOf(file);
-  };
+
+  // --- Snapshot + gate scope ----------------------------------------------
+  // Outside a write transaction a SELECT runs at a consistent snapshot under
+  // the commit gate's shared side, held from here to the end of execution:
+  // writers' heap mutations never physically race the scan, and logically the
+  // statement sees exactly the commits with CSN <= its view's pin (the
+  // session's long pin, or a fresh statement pin). The view probe, plan
+  // cache, result cache and executor below all answer to that one view.
+  // Inside a write transaction the statement reads latest — its own writes
+  // included — with 2PL providing its isolation, and no cache that could
+  // hide those writes is consulted.
+  const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
+  CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
+  std::optional<ReadView> statement_view;
+  const ReadView* view = ReaderView(s, snapshot_read, &statement_view);
 
   // --- Materialized-view rewrite -------------------------------------------
   // Probed before the plan cache: a registered view whose normalized SQL
   // matches answers from its materialized extent (after catching up on
-  // pending deltas) without optimizing or executing anything. Eligibility
-  // mirrors the result cache: the normal cached path, outside a write
-  // transaction (a transaction must see its own uncommitted writes). The
-  // freshness callback vetoes the serve whenever a dependency extent's latest
-  // state is not what this session's read would see: pending (uncommitted)
-  // version chains for unpinned statements, any epoch drift since pin for
-  // pinned sessions. use_cache=false bypasses — the differential oracle.
-  if (r.use_cache && !cache_sql.empty() && matviews_ != nullptr &&
-      versions_ != nullptr && s.txn_ == nullptr) {
-    CommitGate::SharedGuard mv_gate(&versions_->gate());
-    auto mv_fresh = [this, &s](const std::vector<uint16_t>& deps) {
-      for (uint16_t f : deps) {
-        if (s.snapshot_pinned_) {
-          const size_t slot = f % ObjectManager::kEpochSlots;
-          if (s.pinned_dirty_[slot] ||
-              s.pinned_epochs_[slot] != objects_->WriteEpochOf(f)) {
-            return false;
-          }
-        } else if (versions_->FileHasPendingVersions(f)) {
-          return false;
-        }
-      }
-      return true;
+  // pending deltas) without optimizing or executing anything. The extent
+  // holds the latest state of its dependencies, so it may serve only a reader
+  // for whom that latest state is exactly what it sees: view.Current for every
+  // dependency file. use_cache=false bypasses — the differential oracle.
+  if (r.use_cache && !cache_sql.empty() && matviews_ != nullptr && view != nullptr) {
+    auto current = [view](const std::vector<uint16_t>& deps) {
+      return std::all_of(deps.begin(), deps.end(),
+                         [view](uint16_t f) { return view->Current(f); });
     };
     ExecResult hit;
     hit.kind = ExecResult::Kind::kQuery;
     MOOD_ASSIGN_OR_RETURN(MvManager::Outcome oc,
-                          matviews_->TryServe(cache_sql, mv_fresh, &hit.query));
+                          matviews_->TryServe(cache_sql, current, &hit.query));
     if (oc == MvManager::Outcome::kServed) return hit;
   }
 
@@ -619,6 +604,8 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
                        plan_cache_ != nullptr && plan_cache_->capacity() > 0;
 
   // --- Plan-cache probe ---------------------------------------------------
+  // Plans tolerate churn (stale statistics cost optimality, not
+  // correctness), so they validate against live epochs.
   CachedPlanPtr entry;
   std::string key;
   uint64_t schema_epoch = 0;
@@ -629,7 +616,8 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
     key += '\x1f';
     key += r.feedback ? 'F' : '-';
     schema_epoch = catalog_->schema_epoch();
-    entry = plan_cache_->Lookup(key, schema_epoch, stats_->plans_version(), epoch_of);
+    entry = plan_cache_->Lookup(key, schema_epoch, stats_->plans_version(),
+                                [this](uint16_t file) { return objects_->WriteEpochOf(file); });
     if (entry == nullptr) {
       auto built = std::make_shared<CachedPlan>();
       built->schema_epoch = schema_epoch;
@@ -655,95 +643,51 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
     optimized = &fresh;
   }
 
-  // --- Snapshot + gate scope ----------------------------------------------
-  // Outside a write transaction a SELECT runs at a consistent snapshot under
-  // the commit gate's shared side: writers' heap mutations never physically
-  // race the scan, and logically the statement sees exactly the commits with
-  // CSN <= its pin (the session's long pin, or a fresh statement pin).
-  // Inside a write transaction the statement reads latest — its own writes
-  // included — with 2PL providing its isolation.
-  const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
-  CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
-  SnapshotPin pin;
-  uint64_t snap = 0;
-  // Slots with pending chains at the statement's pin, captured atomically
-  // with it (a commit can still land while the shared gate is held).
-  std::array<bool, ObjectManager::kEpochSlots> pending_at_pin{};
-  if (snapshot_read) {
-    if (s.snapshot_pinned_) {
-      snap = s.snap_csn_;
-    } else {
-      snap = versions_->PinSnapshot(&pending_at_pin);
-      pin.store = versions_.get();
-      pin.snap = snap;
-    }
-  }
-
   // --- Result-cache probe -------------------------------------------------
-  // Probed inside the gate, where touched extents are quiescent. The entry
-  // key bakes in the write epochs of every touched extent (the session's
-  // frozen pin-time view for pinned sessions, the live epochs otherwise), so
-  // an entry is only ever found by a reader whose visible state is exactly
-  // the state the entry was computed from. Reader cohorts pinned on either
-  // side of a commit therefore coexist as separate epoch-stamped variants
-  // instead of thrash-overwriting a single slot; superseded variants simply
-  // age out of the LRU. ResultCache::Insert still re-validates epochs after
+  // The entry key bakes in the view's epoch of every touched extent, so an
+  // entry is only ever found by a reader whose visible state is exactly the
+  // state the entry was computed from. Reader cohorts pinned on either side
+  // of a commit therefore coexist as separate epoch-stamped variants instead
+  // of thrash-overwriting a single slot; superseded variants simply age out
+  // of the LRU. ResultCache::Insert still re-validates the stamp after
   // execution as a belt-and-braces staleness check.
   //
-  // The one case where an epoch does NOT identify visible content is a
-  // PENDING (uncommitted) mutation: the heap and epoch are already advanced
-  // while every snapshot reader still sees the pre-image. Bypass the cache
-  // for a touched extent that had pending chains when the reader pinned: the
-  // statement's own pin, or a pinned session's pin (its frozen epoch view is
-  // tainted for the whole pin). Checking "pending now" instead would race a
-  // commit landing after the pin: the epoch would then name the committed
-  // state while this reader still sees the pre-image. Committed chains never
-  // bypass: the heap holds the latest committed state and its epochs
-  // identify it.
-  bool versioned_extent = false;
-  if (entry != nullptr && snapshot_read) {
-    for (const TouchedExtent& te : entry->extents) {
-      const size_t slot = te.file % ObjectManager::kEpochSlots;
-      const bool tainted =
-          s.snapshot_pinned_ ? s.pinned_dirty_[slot] : pending_at_pin[slot];
-      if (tainted) {
-        versioned_extent = true;
-        break;
-      }
-    }
-  }
-  WriteEpochFn result_epoch_of = epoch_of;
-  if (s.snapshot_pinned_) {
-    const auto& view = s.pinned_epochs_;
-    result_epoch_of = [&view](uint16_t file) {
-      return view[file % ObjectManager::kEpochSlots];
-    };
-  }
+  // An epoch identifies visible content only if the extent had no PENDING
+  // (uncommitted) mutation at the reader's pin: a pending write has already
+  // advanced heap and epoch while the reader still sees the pre-image. So
+  // the cache is bypassed (probe and fill) unless view.Identifies every
+  // touched extent. Checking "pending now" instead would race a commit
+  // landing after the pin: the epoch would then name the committed state
+  // while this reader still sees the pre-image.
   std::string result_key;
   std::vector<TouchedExtent> captured;
   bool fill_result = false;
+  WriteEpochFn view_epoch_of;
   if (entry != nullptr && entry->result_cacheable && !r.collect_profile &&
-      s.txn_ == nullptr && !versioned_extent && result_cache_ != nullptr &&
-      result_cache_->capacity_bytes() > 0) {
+      view != nullptr && result_cache_ != nullptr &&
+      result_cache_->capacity_bytes() > 0 &&
+      std::all_of(entry->extents.begin(), entry->extents.end(),
+                  [view](const TouchedExtent& te) { return view->Identifies(te.file); })) {
+    view_epoch_of = [view](uint16_t file) { return view->EpochOf(file); };
     captured.reserve(entry->extents.size());
     result_key = key;
     result_key += '\x1e';
     result_key += ParamValueKey(params);
     result_key += '\x1d';
     for (const TouchedExtent& te : entry->extents) {
-      const uint64_t epoch = result_epoch_of(te.file);
+      const uint64_t epoch = view->EpochOf(te.file);
       captured.push_back(TouchedExtent{te.file, epoch});
       result_key.append(reinterpret_cast<const char*>(&te.file), sizeof(te.file));
       result_key.append(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
     }
     ExecResult hit;
     hit.kind = ExecResult::Kind::kQuery;
-    if (result_cache_->Lookup(result_key, schema_epoch, result_epoch_of, &hit.query)) {
+    if (result_cache_->Lookup(result_key, schema_epoch, view_epoch_of, &hit.query)) {
       return hit;
     }
     // Filling is safe for pinned sessions too: the rows are the state at the
-    // session's frozen epoch view, and the key above stamps exactly that
-    // view, so only readers seeing the same state can ever find the entry.
+    // session's view, and the key above stamps exactly that view, so only
+    // readers seeing the same state can ever find the entry.
     fill_result = true;
   }
 
@@ -755,7 +699,7 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   exec.deref_cache_entries = r.deref_cache_entries;
   exec.compile_expressions = r.compile_expressions;
   exec.batch_size = r.batch_size;
-  if (snapshot_read) exec.snapshot = SnapshotView{versions_.get(), snap};
+  if (view != nullptr) exec.snapshot = view->snapshot();
   if (!params.empty()) exec.params = &params;
   if (entry != nullptr && r.compile_expressions) {
     exec.program_memo = entry->programs.get();
@@ -786,7 +730,7 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
     }
   }
   if (fill_result) {
-    result_cache_->Insert(result_key, qr, schema_epoch, captured, result_epoch_of);
+    result_cache_->Insert(result_key, qr, schema_epoch, captured, view_epoch_of);
   }
   res.query = std::move(qr);
   return res;

@@ -439,12 +439,18 @@ class Database {
   Result<ExecResult> ExecSelect(Session& s, const SelectStmt& stmt,
                                 const QueryOptions& options,
                                 const std::string& cache_sql = {});
+  /// The view a snapshot read answers to: the session's pinned view, or a
+  /// statement view pinned into `*statement_view` (the caller holds the
+  /// shared gate). Null when `snapshot_read` is false (a write transaction
+  /// reads latest).
+  const ReadView* ReaderView(const Session& s, bool snapshot_read,
+                             std::optional<ReadView>* statement_view) const;
   /// The caching SELECT core shared by Execute and PreparedStatement::Execute:
-  /// plan-cache probe (optimize + compile-memo build on miss), result-cache
-  /// probe for read-only method-free statements, then execution with `params`
-  /// bound. Outside a write transaction the execution (and the result-cache
-  /// window) runs at a consistent snapshot under the commit gate's shared
-  /// side; inside one it reads latest so the transaction sees its own writes.
+  /// materialized-view probe, plan-cache probe (optimize + compile-memo build
+  /// on miss), result-cache probe for read-only method-free statements, then
+  /// execution with `params` bound. Outside a write transaction all of it runs
+  /// in one shared-gate section against one ReadView; inside one it reads
+  /// latest so the transaction sees its own writes.
   Result<ExecResult> ExecSelectCached(Session& s, const SelectStmt& stmt,
                                       const ResolvedQueryOptions& r,
                                       const std::vector<MoodValue>& params,

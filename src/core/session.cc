@@ -14,10 +14,6 @@ Session::~Session() {
     txn_ = nullptr;
     db_->txn_manager_->PruneCompleted();
   }
-  if (snapshot_pinned_ && db_->versions_ != nullptr) {
-    db_->versions_->UnpinSnapshot(snap_csn_);
-    snapshot_pinned_ = false;
-  }
   std::lock_guard<std::mutex> lock(db_->sessions_mu_);
   std::erase(db_->sessions_, this);
 }
@@ -96,7 +92,7 @@ Result<TxnHandle> Session::Begin() {
   if (txn_ != nullptr) {
     return Status::InvalidArgument("a transaction is already active");
   }
-  if (snapshot_pinned_) {
+  if (view_) {
     return Status::InvalidArgument(
         "a snapshot is pinned on this session; EndSnapshot() first");
   }
@@ -114,32 +110,21 @@ Status Session::BeginSnapshot() {
   if (txn_ != nullptr) {
     return Status::InvalidArgument("a transaction is already active");
   }
-  if (snapshot_pinned_) {
+  if (view_) {
     return Status::InvalidArgument("a snapshot is already pinned on this session");
   }
-  // Pin under the shared gate so no writer is mid-mutation: the epoch view
-  // captured here is consistent with the pinned CSN (needed for result-cache
-  // validation at the pinned snapshot).
+  // Pin under the shared gate so no writer is mid-mutation: the epochs the
+  // view captures are consistent with its CSN.
   CommitGate::SharedGuard gate(&db_->versions_->gate());
-  static_assert(ObjectManager::kEpochSlots == 64,
-                "epoch slots must match VersionStore file slots");
-  snap_csn_ = db_->versions_->PinSnapshot(&pinned_dirty_);
-  for (size_t slot = 0; slot < ObjectManager::kEpochSlots; slot++) {
-    pinned_epochs_[slot] = db_->objects_->WriteEpochOf(static_cast<uint16_t>(slot));
-  }
-  snapshot_pinned_ = true;
+  view_.emplace(db_->objects_->PinReadView());
   return Status::OK();
 }
 
 Status Session::EndSnapshot() {
-  if (!snapshot_pinned_) {
+  if (!view_) {
     return Status::InvalidArgument("no snapshot is pinned on this session");
   }
-  if (DbAlive() && db_->versions_ != nullptr) {
-    db_->versions_->UnpinSnapshot(snap_csn_);
-  }
-  snapshot_pinned_ = false;
-  snap_csn_ = 0;
+  view_.reset();
   return Status::OK();
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,10 +59,10 @@ class Session {
   /// pinned — the snapshot transaction is read-only by construction.
   Status BeginSnapshot();
   Status EndSnapshot();
-  bool in_snapshot() const { return snapshot_pinned_; }
+  bool in_snapshot() const { return view_.has_value(); }
   /// CSN this session's SELECTs read at: the pinned snapshot while one is
   /// active, otherwise 0 (each statement pins a fresh snapshot of its own).
-  uint64_t snapshot_csn() const { return snapshot_pinned_ ? snap_csn_ : 0; }
+  uint64_t snapshot_csn() const { return view_ ? view_->csn() : 0; }
 
   /// Session-default QueryOptions: each per-call field that is unset inherits
   /// these, then the Open-time DatabaseOptions behavior.
@@ -92,19 +92,10 @@ class Session {
   QueryOptions defaults_;
   /// Active read-write transaction (owned by the TransactionManager).
   Transaction* txn_ = nullptr;
-  /// Read-only snapshot transaction state (see BeginSnapshot).
-  bool snapshot_pinned_ = false;
-  uint64_t snap_csn_ = 0;
-  /// Write-epoch view captured at BeginSnapshot under the shared gate: the
-  /// epochs a result-cache entry must match to be served at the pinned
-  /// snapshot (entries tagged with newer epochs reflect later commits).
-  std::array<uint64_t, ObjectManager::kEpochSlots> pinned_epochs_{};
-  /// Slots that carried PENDING version chains at pin time. For such a slot
-  /// the pinned view's epoch was already bumped by an uncommitted mutation
-  /// while this session reads the pre-image, so the epoch does not identify
-  /// the content this session sees — the result cache must be bypassed for
-  /// queries touching a dirty slot (both probe and fill).
-  std::array<bool, ObjectManager::kEpochSlots> pinned_dirty_{};
+  /// The pinned read view of a read-only snapshot session (see
+  /// BeginSnapshot); every SELECT on the session reads and validates through
+  /// it. Database::Close resets it before the VersionStore goes away.
+  std::optional<ReadView> view_;
 };
 
 }  // namespace mood

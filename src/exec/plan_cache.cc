@@ -75,86 +75,43 @@ std::string ParamValueKey(const std::vector<MoodValue>& params) {
 
 void PlanCache::Configure(size_t max_entries, uint64_t churn_delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = max_entries;
   churn_delta_ = churn_delta;
-  while (lru_.size() > max_entries_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
+  lru_.SetCapacity(max_entries);
 }
 
 CachedPlanPtr PlanCache::Lookup(const std::string& key, uint64_t cur_schema_epoch,
                                 uint64_t cur_plans_version,
                                 const WriteEpochFn& epoch_of) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (misses_) misses_->Add();
-    return nullptr;
-  }
-  const CachedPlanPtr& plan = it->second->plan;
-  bool valid = plan->schema_epoch == cur_schema_epoch &&
-               plan->plans_version == cur_plans_version;
-  for (size_t i = 0; valid && i < plan->extents.size(); i++) {
-    const TouchedExtent& te = plan->extents[i];
-    const uint64_t cur = epoch_of(te.file);
-    // Backwards movement (file dropped and re-created) is unbounded churn.
-    valid = cur >= te.write_epoch && cur - te.write_epoch <= churn_delta_;
-  }
-  if (!valid) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    if (invalidations_) invalidations_->Add();
-    if (misses_) misses_->Add();
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  it->second = lru_.begin();
-  if (hits_) hits_->Add();
-  return it->second->plan;
+  const uint64_t invalid_before = lru_.invalidations();
+  const CachedPlanPtr* plan = lru_.Find(key, [&](const CachedPlanPtr& p) {
+    return p->plans_version == cur_plans_version &&
+           StampHolds(p->schema_epoch, cur_schema_epoch, p->extents, epoch_of,
+                      churn_delta_);
+  });
+  counters_.Probe(plan != nullptr, lru_.invalidations() != invalid_before);
+  return plan != nullptr ? *plan : nullptr;
 }
 
 void PlanCache::Insert(const std::string& key, CachedPlanPtr plan) {
   if (plan == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (max_entries_ == 0) return;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->plan = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    it->second = lru_.begin();
-    return;
-  }
-  lru_.push_front(Node{key, std::move(plan)});
-  index_[key] = lru_.begin();
-  while (lru_.size() > max_entries_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    if (evictions_) evictions_->Add();
-  }
+  counters_.Evicted(lru_.Put(key, std::move(plan)));
 }
 
 bool PlanCache::ContainsSql(const std::string& normalized_sql) const {
-  const std::string prefix = normalized_sql + '\x1f';
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Node& n : lru_) {
-    if (n.key.size() >= prefix.size() &&
-        n.key.compare(0, prefix.size(), prefix) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
+  return lru_.ContainsPrefix(normalized_sql + '\x1f');
 }
 
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
+}
+
+size_t PlanCache::capacity() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.capacity();
 }
 
 // --- ResultCache ---------------------------------------------------------------
@@ -190,35 +147,20 @@ size_t ApproxResultBytes(const QueryResult& result) {
 
 void ResultCache::Configure(size_t max_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  max_bytes_ = max_bytes;
-  EvictToFitLocked(0);
+  lru_.SetCapacity(max_bytes);
 }
 
 bool ResultCache::Lookup(const std::string& key, uint64_t cur_schema_epoch,
                          const WriteEpochFn& epoch_of, QueryResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (misses_) misses_->Add();
-    return false;
-  }
-  bool valid = it->second->schema_epoch == cur_schema_epoch;
-  for (size_t i = 0; valid && i < it->second->extents.size(); i++) {
-    const TouchedExtent& te = it->second->extents[i];
-    valid = epoch_of(te.file) == te.write_epoch;
-  }
-  if (!valid) {
-    used_bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-    if (invalidations_) invalidations_->Add();
-    if (misses_) misses_->Add();
-    return false;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  it->second = lru_.begin();
-  *out = it->second->result;
-  if (hits_) hits_->Add();
+  const uint64_t invalid_before = lru_.invalidations();
+  const Entry* e = lru_.Find(key, [&](const Entry& entry) {
+    return StampHolds(entry.schema_epoch, cur_schema_epoch, entry.extents, epoch_of,
+                      /*max_churn=*/0);
+  });
+  counters_.Probe(e != nullptr, lru_.invalidations() != invalid_before);
+  if (e == nullptr) return false;
+  *out = e->result;
   return true;
 }
 
@@ -230,48 +172,20 @@ void ResultCache::Insert(const std::string& key, const QueryResult& result,
   // extent's epoch past the captured value — the result may mix before/after
   // states, so it must not be admitted. (A writer landing after this check is
   // harmless: Lookup re-validates against then-current epochs and misses.)
-  for (const TouchedExtent& te : extents) {
-    if (epoch_of(te.file) != te.write_epoch) return;
+  // The schema cannot move under the caller's shared gate; the re-check is
+  // about the extents.
+  if (!StampHolds(schema_epoch, schema_epoch, extents, epoch_of, /*max_churn=*/0)) {
+    return;
   }
   const size_t bytes = ApproxResultBytes(result) + key.size();
   std::lock_guard<std::mutex> lock(mu_);
-  if (max_bytes_ == 0 || bytes > max_bytes_) return;
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    used_bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
-  EvictToFitLocked(bytes);
-  lru_.push_front(Node{key, result, schema_epoch, extents, bytes});
-  index_[key] = lru_.begin();
-  used_bytes_ += bytes;
+  if (bytes > lru_.capacity()) return;  // never admitted: skip copying the rows
+  counters_.Evicted(lru_.Put(key, Entry{result, schema_epoch, extents}, bytes));
 }
 
-void ResultCache::EvictToFitLocked(size_t incoming) {
-  while (!lru_.empty() && used_bytes_ + incoming > max_bytes_) {
-    used_bytes_ -= lru_.back().bytes;
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    if (evictions_) evictions_->Add();
-  }
-}
-
-void ResultCache::Clear() {
+size_t ResultCache::capacity_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  used_bytes_ = 0;
-}
-
-size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-size_t ResultCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return used_bytes_;
+  return lru_.capacity();
 }
 
 // --- Touched extents -----------------------------------------------------------

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "exec/executor.h"
 #include "exec/expr_compile.h"
 #include "obs/metrics.h"
@@ -29,16 +27,6 @@ std::string NormalizeSql(const std::string& sql);
 /// executions whose parameters carry the same value kinds, so an `?`-probe
 /// optimized under integer comparison semantics never serves float bindings.
 std::string ParamTypeSignature(const std::vector<MoodValue>& params);
-
-/// One extent file a query reads, with its write epoch at stamp time.
-struct TouchedExtent {
-  uint16_t file = 0;
-  uint64_t write_epoch = 0;
-};
-
-/// Returns the current write epoch of an extent file (bound to
-/// ObjectManager::WriteEpochOf by the database facade).
-using WriteEpochFn = std::function<uint64_t(uint16_t)>;
 
 /// One cached optimized plan plus everything needed to re-execute it without
 /// parse/optimize/compile work: the bound query, the physical plan, and the
@@ -64,11 +52,34 @@ struct CachedPlan {
 };
 using CachedPlanPtr = std::shared_ptr<const CachedPlan>;
 
+/// The hit/miss/eviction/invalidation counters a cache reports (each may be
+/// null; detach before registry teardown).
+struct CacheCounters {
+  MetricCounter* hits = nullptr;
+  MetricCounter* misses = nullptr;
+  MetricCounter* evictions = nullptr;
+  MetricCounter* invalidations = nullptr;
+
+  /// Records one probe: a hit, or a miss that was `stale` when it dropped an
+  /// invalid entry.
+  void Probe(bool hit, bool stale) const {
+    Add(hit ? hits : misses, 1);
+    if (stale) Add(invalidations, 1);
+  }
+  void Evicted(size_t n) const { Add(evictions, n); }
+
+ private:
+  static void Add(MetricCounter* c, uint64_t n) {
+    if (c != nullptr && n > 0) c->Add(n);
+  }
+};
+
 /// Bounded LRU of optimized plans keyed by normalized SQL + parameter-type
 /// signature (+ the feedback flag, which changes what the optimizer may use).
-/// Entries are validated lazily at lookup against the current schema epoch,
-/// statistics plans-version and extent write-epoch churn; invalid entries are
-/// dropped and counted, so DDL and heavy writes cannot pin stale plans.
+/// Entries are validated lazily at lookup against the statistics
+/// plans-version and StampHolds (schema epoch, extent churn within the
+/// configured delta); invalid entries are dropped and counted, so DDL and
+/// heavy writes cannot pin stale plans.
 class PlanCache {
  public:
   /// `max_entries` = 0 disables the cache (Lookup always misses, Insert drops).
@@ -78,10 +89,7 @@ class PlanCache {
   /// Counter hookup (nullptrs allowed; detach before registry teardown).
   void SetMetrics(MetricCounter* hits, MetricCounter* misses,
                   MetricCounter* evictions, MetricCounter* invalidations) {
-    hits_ = hits;
-    misses_ = misses;
-    evictions_ = evictions;
-    invalidations_ = invalidations;
+    counters_ = {hits, misses, evictions, invalidations};
   }
 
   /// Returns the cached plan for `key`, or nullptr on miss. A present entry
@@ -97,33 +105,23 @@ class PlanCache {
   /// uses it to annotate `[plan: cached]` without perturbing the cache.
   bool ContainsSql(const std::string& normalized_sql) const;
 
-  void Clear();
   size_t size() const;
-  size_t capacity() const { return max_entries_; }
+  size_t capacity() const;
 
  private:
-  struct Node {
-    std::string key;
-    CachedPlanPtr plan;
-  };
-
   mutable std::mutex mu_;
-  size_t max_entries_ = 0;
   uint64_t churn_delta_ = 0;
-  std::list<Node> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
-  MetricCounter* hits_ = nullptr;
-  MetricCounter* misses_ = nullptr;
-  MetricCounter* evictions_ = nullptr;
-  MetricCounter* invalidations_ = nullptr;
+  LruCache<CachedPlanPtr> lru_;
+  CacheCounters counters_;
 };
 
 /// Byte-bounded LRU of query results for read-only, method-free statements,
 /// keyed by plan-cache key + the exact bound parameter values. An entry is
-/// served only while the schema epoch and every touched extent's write epoch
-/// still equal the values captured before the caching execution began — any
-/// intervening write (even one racing that execution; see Insert) makes the
-/// next lookup recompute, so a cached result is never stale.
+/// served only while StampHolds with zero churn: the schema epoch and every
+/// touched extent's write epoch still equal the values captured before the
+/// caching execution began — any intervening write (even one racing that
+/// execution; see Insert) makes the next lookup recompute, so a cached result
+/// is never stale.
 class ResultCache {
  public:
   /// `max_bytes` = 0 disables the cache. A single result larger than
@@ -131,10 +129,7 @@ class ResultCache {
   void Configure(size_t max_bytes);
   void SetMetrics(MetricCounter* hits, MetricCounter* misses,
                   MetricCounter* evictions, MetricCounter* invalidations) {
-    hits_ = hits;
-    misses_ = misses;
-    evictions_ = evictions;
-    invalidations_ = invalidations;
+    counters_ = {hits, misses, evictions, invalidations};
   }
 
   bool Lookup(const std::string& key, uint64_t cur_schema_epoch,
@@ -148,31 +143,18 @@ class ResultCache {
               uint64_t schema_epoch, const std::vector<TouchedExtent>& extents,
               const WriteEpochFn& epoch_of);
 
-  void Clear();
-  size_t size() const;
-  size_t bytes() const;
-  size_t capacity_bytes() const { return max_bytes_; }
+  size_t capacity_bytes() const;
 
  private:
-  struct Node {
-    std::string key;
+  struct Entry {
     QueryResult result;
     uint64_t schema_epoch = 0;
     std::vector<TouchedExtent> extents;
-    size_t bytes = 0;
   };
 
-  void EvictToFitLocked(size_t incoming);
-
   mutable std::mutex mu_;
-  size_t max_bytes_ = 0;
-  size_t used_bytes_ = 0;
-  std::list<Node> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
-  MetricCounter* hits_ = nullptr;
-  MetricCounter* misses_ = nullptr;
-  MetricCounter* evictions_ = nullptr;
-  MetricCounter* invalidations_ = nullptr;
+  LruCache<Entry> lru_;  ///< cost = approximate bytes
+  CacheCounters counters_;
 };
 
 /// Approximate in-memory footprint of a result, for the byte budget.

@@ -207,8 +207,13 @@ void MoodServer::IoLoop() {
       }
       // Readable (or peer half-closed with data pending): hand the whole
       // connection to a worker. EPOLLONESHOT keeps a second event from firing
-      // until the worker re-arms, so one session == at most one worker.
-      conn->busy.store(true, std::memory_order_release);
+      // until the worker re-arms, so one session == at most one worker. The
+      // exchange reads the previous worker's release of `busy` (stored before
+      // it re-armed), so that worker's last use of the connection happens
+      // before the next worker's first: the kernel orders the re-arm and
+      // this event, but only the atomic makes that visible to the memory
+      // model and to ThreadSanitizer.
+      conn->busy.exchange(true, std::memory_order_acq_rel);
       {
         std::lock_guard<std::mutex> lock(queue_mu_);
         ready_.push_back(std::move(conn));

@@ -166,6 +166,20 @@ Result<Oid> ObjectManager::CreateObject(const std::string& class_name, MoodValue
   return oid;
 }
 
+ReadView ObjectManager::PinReadView() const {
+  ReadView view(this);
+  const uint64_t csn = versions_->PinSnapshot(&view.pending_);
+  view.pin_ = std::unique_ptr<VersionStore, SnapshotUnpin>(versions_, {csn});
+  for (size_t slot = 0; slot < kFileSlots; slot++) {
+    view.epochs_[slot] = write_epochs_[slot].load(std::memory_order_acquire);
+  }
+  return view;
+}
+
+bool ReadView::Current(uint16_t file) const {
+  return Identifies(file) && objects_->WriteEpochOf(file) == EpochOf(file);
+}
+
 Result<DerefCache::Snapshot> ObjectManager::FetchSnapshot(Oid oid,
                                                           DerefCache* cache) const {
   if (!oid.valid()) return Status::InvalidArgument("null object identifier");

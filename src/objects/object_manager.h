@@ -14,24 +14,11 @@
 #include "index/bptree.h"
 #include "index/hash_index.h"
 #include "index/join_index.h"
+#include "objects/read_view.h"
 #include "storage/storage_manager.h"
 #include "types/value.h"
 
 namespace mood {
-
-class VersionStore;
-
-/// A reader's multi-version snapshot: reconstruct object state as of commit
-/// sequence number `csn` using `versions` (see VersionStore's visibility
-/// rule). Inactive (null `versions`) means read-latest — the legacy embedded
-/// behavior. Carried by DerefCache so every cached read path is
-/// snapshot-aware without new parameters on each call.
-struct SnapshotView {
-  const VersionStore* versions = nullptr;
-  uint64_t csn = 0;
-
-  bool active() const { return versions != nullptr; }
-};
 
 /// Per-query dereference cache: OID -> decoded object snapshot. Path
 /// expressions (the paper's forward-traversal inner loop) dereference the same
@@ -206,15 +193,16 @@ class ObjectManager {
   Result<MoodValue> GetAttributeByOrdinal(Oid oid, const AttributeLayout& expected,
                                           uint32_t ordinal, DerefCache* cache) const;
 
-  /// Write-epoch slot count (files alias slots by `file % kEpochSlots`).
-  /// Public so snapshot sessions can capture a full epoch view at pin time.
-  static constexpr size_t kEpochSlots = 64;
-
   /// Write epoch of one extent file's slot (see DerefCache). Monotonically
-  /// increases on every object write to files sharing the slot.
+  /// increases on every object write to files sharing the slot (FileSlot).
   uint64_t WriteEpochOf(uint16_t file) const {
-    return write_epochs_[file % kEpochSlots].load(std::memory_order_acquire);
+    return write_epochs_[FileSlot(file)].load(std::memory_order_acquire);
   }
+
+  /// Pins a ReadView: the version store's current CSN and pending slots plus
+  /// every slot's write epoch. Requires SetVersionStore, and the caller holds
+  /// the commit gate shared, so no epoch moves between the two captures.
+  ReadView PinReadView() const;
 
   /// Scans a class extent. `include_subclasses` adds every transitive subclass
   /// extent (the EVERY form); `exclude` removes the subtrees of the listed
@@ -346,7 +334,7 @@ class ObjectManager {
   /// Called after any committed object write to `file`; invalidates cached
   /// snapshots of every object in files sharing the epoch slot.
   void BumpWriteEpoch(uint16_t file) const {
-    write_epochs_[file % kEpochSlots].fetch_add(1, std::memory_order_acq_rel);
+    write_epochs_[FileSlot(file)].fetch_add(1, std::memory_order_acq_rel);
   }
 
   /// Applies index maintenance for one object transition old -> new (either may
@@ -369,7 +357,7 @@ class ObjectManager {
   /// Slotted by file id so a write invalidates at class granularity (plus any
   /// class whose extent file aliases the slot — a false invalidation, never a
   /// false hit).
-  mutable std::array<std::atomic<uint64_t>, kEpochSlots> write_epochs_{};
+  mutable std::array<std::atomic<uint64_t>, kFileSlots> write_epochs_{};
   /// Engine-wide observability counters (relaxed atomics; see RegisterMetrics).
   mutable std::atomic<uint64_t> objects_created_{0};
   mutable std::atomic<uint64_t> objects_deleted_{0};

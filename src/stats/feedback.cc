@@ -52,57 +52,30 @@ void CostCalibration::Reset() {
 
 void FeedbackStore::Configure(const FeedbackOptions& opts) {
   std::lock_guard<std::mutex> lock(mu_);
-  opts_ = opts;
-  while (lru_.size() > opts_.max_entries && !lru_.empty()) {
-    index_.erase(lru_.back().sig);
-    lru_.pop_back();
-  }
+  refresh_epoch_delta_ = opts.refresh_epoch_delta;
+  lru_.SetCapacity(opts.max_entries);
 }
 
 void FeedbackStore::Record(const std::string& sig, double selectivity,
                            uint64_t schema_epoch, uint16_t file,
                            uint64_t write_epoch) {
-  if (opts_.max_entries == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(sig);
-  if (it != index_.end()) {
-    it->second->entry = Entry{selectivity, schema_epoch, write_epoch, file};
-    Touch(it->second);
-    return;
-  }
-  lru_.push_front(Node{sig, Entry{selectivity, schema_epoch, write_epoch, file}});
-  index_[sig] = lru_.begin();
-  if (lru_.size() > opts_.max_entries) {
-    index_.erase(lru_.back().sig);
-    lru_.pop_back();
-  }
+  lru_.Put(sig, Entry{selectivity, schema_epoch, TouchedExtent{file, write_epoch}});
 }
 
 bool FeedbackStore::Lookup(const std::string& sig, uint64_t cur_schema_epoch,
                            uint16_t file, uint64_t cur_write_epoch,
                            double* selectivity) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(sig);
-  if (it == index_.end()) return false;
-  const Entry& e = it->second->entry;
-  const uint64_t churn =
-      cur_write_epoch >= e.write_epoch ? cur_write_epoch - e.write_epoch : 0;
-  if (e.schema_epoch != cur_schema_epoch || e.file != file ||
-      churn > opts_.refresh_epoch_delta) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    invalidations_++;
-    return false;
-  }
-  Touch(it->second);
-  *selectivity = e.selectivity;
+  const Entry* e = lru_.Find(sig, [&](const Entry& entry) {
+    return entry.extent.file == file &&
+           StampHolds(entry.schema_epoch, cur_schema_epoch, {&entry.extent, 1},
+                      [&](uint16_t) { return cur_write_epoch; },
+                      refresh_epoch_delta_);
+  });
+  if (e == nullptr) return false;
+  *selectivity = e->selectivity;
   return true;
-}
-
-void FeedbackStore::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
 }
 
 size_t FeedbackStore::size() const {
@@ -110,8 +83,9 @@ size_t FeedbackStore::size() const {
   return lru_.size();
 }
 
-void FeedbackStore::Touch(std::list<Node>::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
+uint64_t FeedbackStore::invalidations() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.invalidations();
 }
 
 }  // namespace mood

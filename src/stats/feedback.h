@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+
+#include "common/lru_cache.h"
+#include "objects/read_view.h"
 
 namespace mood {
 
@@ -41,16 +42,16 @@ class CostCalibration {
 /// Bounded LRU of measured selectivities keyed by normalized predicate
 /// signature (e.g. "Company.name = 'BMW'" or "Vehicle.manufacturer.name: =
 /// 'BMW'"). Entries remember the catalog schema epoch and the extent file's
-/// write epoch at record time; Lookup drops entries whose schema epoch moved
-/// or whose file churned past refresh_epoch_delta writes, so stale
-/// measurements cannot steer the optimizer after DDL or heavy update traffic.
+/// write epoch at record time; Lookup drops entries that fail StampHolds
+/// (schema epoch moved, or the file churned past refresh_epoch_delta writes),
+/// so stale measurements cannot steer the optimizer after DDL or heavy update
+/// traffic.
 class FeedbackStore {
  public:
   struct Entry {
     double selectivity = 0;
     uint64_t schema_epoch = 0;
-    uint64_t write_epoch = 0;
-    uint16_t file = 0;
+    TouchedExtent extent;  ///< the predicate's extent file at record time
   };
 
   void Configure(const FeedbackOptions& opts);
@@ -63,23 +64,13 @@ class FeedbackStore {
   bool Lookup(const std::string& sig, uint64_t cur_schema_epoch, uint16_t file,
               uint64_t cur_write_epoch, double* selectivity);
 
-  void Clear();
   size_t size() const;
-  uint64_t invalidations() const { return invalidations_; }
+  uint64_t invalidations() const;
 
  private:
-  struct Node {
-    std::string sig;
-    Entry entry;
-  };
-
-  void Touch(std::list<Node>::iterator it);
-
   mutable std::mutex mu_;
-  FeedbackOptions opts_;
-  std::list<Node> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
-  uint64_t invalidations_ = 0;
+  uint64_t refresh_epoch_delta_ = 0;
+  LruCache<Entry> lru_;
 };
 
 }  // namespace mood

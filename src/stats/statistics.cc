@@ -119,7 +119,7 @@ Status StatisticsManager::Collect(const std::string& class_name) {
 
   CollectEpochs ep;
   ep.schema_epoch = catalog->schema_epoch();
-  if (ExtentEpoch(class_name, &ep.file, &ep.write_epoch)) {
+  if (ExtentEpoch(class_name, &ep.extent)) {
     collected_[class_name] = ep;
   }
   BumpPlansVersion();
@@ -133,23 +133,22 @@ void StatisticsManager::Configure(size_t histogram_buckets,
   feedback_.Configure(feedback);
 }
 
-bool StatisticsManager::ExtentEpoch(const std::string& cls, uint16_t* file,
-                                    uint64_t* write_epoch) const {
+bool StatisticsManager::ExtentEpoch(const std::string& cls,
+                                    TouchedExtent* extent) const {
   auto type = objects_->catalog()->Lookup(cls);
   if (!type.ok()) return false;
-  *file = static_cast<uint16_t>(type.value()->extent_file);
-  *write_epoch = objects_->WriteEpochOf(*file);
+  extent->file = static_cast<uint16_t>(type.value()->extent_file);
+  extent->write_epoch = objects_->WriteEpochOf(extent->file);
   return true;
 }
 
 void StatisticsManager::RecordFeedback(const std::string& sig,
                                        double selectivity,
                                        const std::string& cls) {
-  uint16_t file = 0;
-  uint64_t write_epoch = 0;
-  if (!ExtentEpoch(cls, &file, &write_epoch)) return;
-  feedback_.Record(sig, selectivity, objects_->catalog()->schema_epoch(), file,
-                   write_epoch);
+  TouchedExtent extent;
+  if (!ExtentEpoch(cls, &extent)) return;
+  feedback_.Record(sig, selectivity, objects_->catalog()->schema_epoch(),
+                   extent.file, extent.write_epoch);
   if (feedback_writes_) feedback_writes_->Add();
   BumpPlansVersion();
 }
@@ -157,12 +156,11 @@ void StatisticsManager::RecordFeedback(const std::string& sig,
 bool StatisticsManager::LookupFeedback(const std::string& sig,
                                        const std::string& cls,
                                        double* selectivity) {
-  uint16_t file = 0;
-  uint64_t write_epoch = 0;
-  if (!ExtentEpoch(cls, &file, &write_epoch)) return false;
+  TouchedExtent extent;
+  if (!ExtentEpoch(cls, &extent)) return false;
   const uint64_t before = feedback_.invalidations();
   const bool hit = feedback_.Lookup(sig, objects_->catalog()->schema_epoch(),
-                                    file, write_epoch, selectivity);
+                                    extent.file, extent.write_epoch, selectivity);
   const uint64_t dropped = feedback_.invalidations() - before;
   if (dropped > 0 && feedback_invalidations_) feedback_invalidations_->Add(dropped);
   if (hit && feedback_hits_) feedback_hits_->Add();
@@ -172,15 +170,11 @@ bool StatisticsManager::LookupFeedback(const std::string& sig,
 void StatisticsManager::MaybeAutoRefresh(const std::string& cls) {
   auto it = collected_.find(cls);
   if (it == collected_.end()) return;  // injected stats: never auto-refresh
-  uint16_t file = 0;
-  uint64_t write_epoch = 0;
-  if (!ExtentEpoch(cls, &file, &write_epoch)) return;
-  const uint64_t schema = objects_->catalog()->schema_epoch();
-  const uint64_t churn = write_epoch >= it->second.write_epoch
-                             ? write_epoch - it->second.write_epoch
-                             : 0;
-  if (schema == it->second.schema_epoch &&
-      churn <= feedback_opts_.refresh_epoch_delta) {
+  const CollectEpochs& stamp = it->second;
+  if (StampHolds(stamp.schema_epoch, objects_->catalog()->schema_epoch(),
+                 {&stamp.extent, 1},
+                 [this](uint16_t file) { return objects_->WriteEpochOf(file); },
+                 feedback_opts_.refresh_epoch_delta)) {
     return;
   }
   if (Collect(cls).ok() && refreshes_) refreshes_->Add();

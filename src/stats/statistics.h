@@ -84,9 +84,6 @@ class StatisticsManager {
   void BumpPlansVersion() {
     plans_version_.fetch_add(1, std::memory_order_acq_rel);
   }
-  uint64_t feedback_refresh_delta() const {
-    return feedback_opts_.refresh_epoch_delta;
-  }
 
   /// Records one measured selectivity under `sig`, stamped with the current
   /// schema epoch and the extent file's write epoch.
@@ -137,13 +134,11 @@ class StatisticsManager {
  private:
   struct CollectEpochs {
     uint64_t schema_epoch = 0;
-    uint64_t write_epoch = 0;
-    uint16_t file = 0;
+    TouchedExtent extent;
   };
 
   /// Extent file + current write epoch for `cls`; false when unknown.
-  bool ExtentEpoch(const std::string& cls, uint16_t* file,
-                   uint64_t* write_epoch) const;
+  bool ExtentEpoch(const std::string& cls, TouchedExtent* extent) const;
 
   ObjectManager* objects_;
   std::map<std::string, ClassStats> classes_;

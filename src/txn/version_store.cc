@@ -19,7 +19,7 @@ void VersionStore::CapturePending(uint64_t batch, Oid oid, bool absent_before,
   auto [it, inserted] = chains_.try_emplace(packed);
   Chain& chain = it->second;
   if (inserted) {
-    file_counts_[oid.file % kFileSlots].fetch_add(1, std::memory_order_release);
+    file_counts_[FileSlot(oid.file)].fetch_add(1, std::memory_order_release);
   }
   // The heap-liveness flag always tracks the latest physical state, even when
   // the capture itself is a first-write-wins duplicate.
@@ -33,7 +33,7 @@ void VersionStore::CapturePending(uint64_t batch, Oid oid, bool absent_before,
   e.type_id = type_id;
   e.tuple = std::move(pre_image);
   chain.entries.push_back(std::move(e));
-  pending_counts_[oid.file % kFileSlots].fetch_add(1, std::memory_order_release);
+  pending_counts_[FileSlot(oid.file)].fetch_add(1, std::memory_order_release);
   batch_oids_[batch].push_back(packed);
   captures_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -49,7 +49,7 @@ uint64_t VersionStore::CommitBatch(uint64_t batch) {
       for (Entry& e : cit->second.entries) {
         if (e.superseded_csn == kPendingCsn && e.batch == batch) {
           e.superseded_csn = csn;
-          pending_counts_[Oid::Unpack(packed).file % kFileSlots].fetch_sub(
+          pending_counts_[FileSlot(Oid::Unpack(packed).file)].fetch_sub(
               1, std::memory_order_release);
         }
       }
@@ -73,7 +73,7 @@ void VersionStore::AbortBatch(uint64_t batch) {
       if (eit->superseded_csn == kPendingCsn && eit->batch == batch) {
         // The caller is rolling the heap back to this entry's pre-state.
         chain.live_in_heap = !eit->absent;
-        pending_counts_[Oid::Unpack(packed).file % kFileSlots].fetch_sub(
+        pending_counts_[FileSlot(Oid::Unpack(packed).file)].fetch_sub(
             1, std::memory_order_release);
         eit = chain.entries.erase(eit);
       } else {
@@ -82,29 +82,23 @@ void VersionStore::AbortBatch(uint64_t batch) {
     }
     if (chain.entries.empty()) {
       chains_.erase(cit);
-      file_counts_[Oid::Unpack(packed).file % kFileSlots].fetch_sub(
+      file_counts_[FileSlot(Oid::Unpack(packed).file)].fetch_sub(
           1, std::memory_order_release);
     }
   }
   batch_oids_.erase(it);
 }
 
-uint64_t VersionStore::PinSnapshot() { return PinSnapshot(nullptr); }
-
-uint64_t VersionStore::PinSnapshot(std::array<bool, 64>* pending_slots) {
+uint64_t VersionStore::PinSnapshot(PendingSlots* pending_slots) {
   std::lock_guard<std::mutex> l(mu_);
   uint64_t snap = last_csn_.load(std::memory_order_relaxed);
   pins_.insert(snap);
-  if (pending_slots != nullptr) {
-    // Captured under the same mutex that CommitBatch holds while stamping, so
-    // "pending at pin" is exact with respect to the pinned CSN: a commit either
-    // finished before the pin (slot clean, heap visible) or starts after it
-    // (slot still pending here).
-    static_assert(kFileSlots == 64, "pending_slots size mismatch");
-    for (size_t i = 0; i < kFileSlots; i++) {
-      (*pending_slots)[i] =
-          pending_counts_[i].load(std::memory_order_relaxed) > 0;
-    }
+  // Captured under the same mutex that CommitBatch holds while stamping, so
+  // "pending at pin" is exact with respect to the pinned CSN: a commit either
+  // finished before the pin (slot clean, heap visible) or starts after it
+  // (slot still pending here).
+  for (size_t i = 0; i < kFileSlots; i++) {
+    (*pending_slots)[i] = pending_counts_[i].load(std::memory_order_relaxed) > 0;
   }
   return snap;
 }
@@ -169,7 +163,7 @@ void VersionStore::CollectGarbageLocked() {
         chain.entries.end());
     gc_dropped_.fetch_add(before - chain.entries.size(), std::memory_order_relaxed);
     if (chain.entries.empty()) {
-      file_counts_[Oid::Unpack(it->first).file % kFileSlots].fetch_sub(
+      file_counts_[FileSlot(Oid::Unpack(it->first).file)].fetch_sub(
           1, std::memory_order_release);
       it = chains_.erase(it);
     } else {

@@ -17,6 +17,15 @@ namespace mood {
 class MoodValue;
 class MetricsRegistry;
 
+/// Per-file bookkeeping — write epochs, version-chain counts, pending bits —
+/// lives in kFileSlots slots, and files alias slots through FileSlot. Aliasing
+/// is conservative: two files sharing a slot can only cause a false
+/// invalidation or a false "has versions", never a false hit. This is the one
+/// place that knows the mapping.
+inline constexpr size_t kFileSlots = 64;
+inline constexpr size_t FileSlot(uint16_t file) { return file % kFileSlots; }
+using PendingSlots = std::array<bool, kFileSlots>;
+
 /// Writer-priority shared/exclusive gate serializing physical page access
 /// between concurrently running statements (DESIGN.md §14).
 ///
@@ -164,15 +173,12 @@ class VersionStore {
   // --- reader side ----------------------------------------------------------
 
   /// Pins the current CSN as a snapshot; entries it can see survive GC until
-  /// Unpin. Every snapshot reader must pin (statement-scope for autocommit
-  /// SELECTs, transaction-scope for read-only snapshot txns).
-  uint64_t PinSnapshot();
-  /// Pin variant that also reports, atomically with the pin, which file slots
-  /// carried PENDING (uncommitted) chains at pin time. A session pinned while
-  /// a slot was pending sees pre-images whose content predates that slot's
-  /// already-bumped write epoch — its result-cache use of that slot would
-  /// alias a later committed state, so the caller must treat it as dirty.
-  uint64_t PinSnapshot(std::array<bool, 64>* pending_slots);
+  /// Unpin. Every snapshot reader pins, through a ReadView (statement scope
+  /// for autocommit SELECTs, session scope for read-only snapshot sessions).
+  /// Also reports, atomically with the pin, which file slots carried PENDING
+  /// (uncommitted) chains: a reader pinned while a slot was pending sees
+  /// pre-images whose content predates that slot's already-bumped write epoch.
+  uint64_t PinSnapshot(PendingSlots* pending_slots);
   void UnpinSnapshot(uint64_t snap);
 
   /// Number of currently pinned snapshots (tests assert pins drain to zero).
@@ -189,17 +195,7 @@ class VersionStore {
   /// Lock-free fast path: false means no oid of any file aliasing this slot
   /// has a chain, so scans and fetches can skip VisibleVersion entirely.
   bool FileHasVersions(uint16_t file) const {
-    return file_counts_[file % kFileSlots].load(std::memory_order_acquire) > 0;
-  }
-
-  /// Like FileHasVersions but counting only PENDING (uncommitted) entries.
-  /// This is the result cache's staleness guard: while a pending pre-image
-  /// exists, snapshot readers see content that disagrees with the (already
-  /// mutated, already epoch-bumped) heap, so an epoch-stamped cache entry
-  /// could alias two different states. Committed chains are harmless — the
-  /// heap holds the latest committed state and epochs identify it.
-  bool FileHasPendingVersions(uint16_t file) const {
-    return pending_counts_[file % kFileSlots].load(std::memory_order_acquire) > 0;
+    return file_counts_[FileSlot(file)].load(std::memory_order_acquire) > 0;
   }
 
   /// Oids of `file` whose heap record is currently gone but whose chain may
@@ -251,7 +247,6 @@ class VersionStore {
   std::atomic<uint64_t> last_csn_{0};
   std::atomic<uint64_t> next_batch_{1};
 
-  static constexpr size_t kFileSlots = 64;  // matches ObjectManager::kEpochSlots
   std::array<std::atomic<uint64_t>, kFileSlots> file_counts_{};
   std::array<std::atomic<uint64_t>, kFileSlots> pending_counts_{};
 

@@ -10,11 +10,13 @@
 #include "core/paper_example.h"
 #include "exec/plan_cache.h"
 #include "obs/metrics.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace mood {
 namespace {
 
+using testing::ExpectNaiveMatch;
 using testing::TempDir;
 
 /// Thread counts for the racing-writer test. MOOD_TEST_THREADS=<n> narrows the
@@ -345,6 +347,9 @@ TEST_F(PlanCacheFixture, RandomizedDifferentialVsUncached) {
     MOOD_ASSERT_OK_AND_ASSIGN(QueryResult oracle, db_.Query(sql, oracle_opts));
     ASSERT_EQ(cached.ToString(), oracle.ToString())
         << "stale cache at step " << step << " for: " << sql;
+    // use_cache=false shares the executor with the cached path; the naive
+    // evaluator shares no plan or operator with either.
+    ExpectNaiveMatch(&db_, sql);
   }
   // The workload must actually have exercised the caches.
   EXPECT_GT(CounterOf(&db_, "cache.plan.hits"), 0);

@@ -142,6 +142,12 @@ TEST(FeedbackStoreTest, WriteEpochChurnInvalidates) {
   // Past it: dropped.
   EXPECT_FALSE(store.Lookup("sig", 1, 3, 100 + 17, &sel));
   EXPECT_EQ(store.invalidations(), 1u);
+  // An epoch below the stamp is not "no churn": the stamp no longer names
+  // the extent it measured, so the entry is dropped as stale too.
+  store.Record("sig", 0.5, 1, /*file=*/3, /*write=*/100);
+  EXPECT_FALSE(store.Lookup("sig", 1, 3, 99, &sel));
+  EXPECT_EQ(store.invalidations(), 2u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(CostCalibrationTest, RunningMeansAndValidity) {
@@ -287,8 +293,18 @@ TEST_F(FeedbackFixture, WriteEpochChurnTriggersAutoRefresh) {
         db_.Execute("NEW Hot <" + std::to_string(i) + ">").status());
   }
   MOOD_ASSERT_OK(db_.Execute("ANALYZE Hot").status());
+  // Churn exactly equal to the threshold keeps the collected statistics.
+  for (int i = 0; i < 4; i++) {
+    MOOD_ASSERT_OK(
+        db_.Execute("NEW Hot <" + std::to_string(50 + i) + ">").status());
+  }
+  const double at_delta = Metric("stats.refreshes");
+  MOOD_ASSERT_OK(db_.Query("SELECT h FROM Hot h WHERE h.x = 1", {}).status());
+  EXPECT_EQ(Metric("stats.refreshes"), at_delta);
+  MOOD_ASSERT_OK_AND_ASSIGN(ClassStats stale, db_.stats()->Class("Hot"));
+  EXPECT_EQ(stale.cardinality, 8u);
   // Churn the extent well past the refresh threshold.
-  for (int i = 0; i < 32; i++) {
+  for (int i = 0; i < 28; i++) {
     MOOD_ASSERT_OK(
         db_.Execute("NEW Hot <" + std::to_string(100 + i) + ">").status());
   }
