@@ -238,25 +238,21 @@ int main(int argc, char** argv) {
       "real cores and working sets past the hot-cache regime.\n",
       DefaultExecThreads());
   // --- Batch-at-a-time execution: the same plans across the batch-size axis,
-  // diffed against the geometry reference (one row per batch, one thread,
-  // interpreted expressions).
+  // diffed against the geometry reference (one row per batch, one thread).
   Banner("Batched execution (batch-size axis, reference parity, t=1)");
   const std::vector<size_t> batch_axis = {1, 256, 1024, 4096};
-  MetricCounter* fallback_counter = db.metrics()->Counter("exec.expr.fallback");
   Table bt({"query", "b=1 ms", "b=256 ms", "b=1024 ms", "b=4096 ms", "b1024 t2 ms",
             "b1024 t8 ms", "rows"});
   for (const auto& q : queries) {
     QueryOptions oracle_opts;
     oracle_opts.exec_threads = 1;
     oracle_opts.batch_size = 1;
-    oracle_opts.compile_expressions = false;
     auto oracle = CheckV(db.Query(q.sql, oracle_opts), q.label);
     std::vector<std::string> cells = {q.label};
     for (size_t batch : batch_axis) {
       QueryOptions opts;
       opts.exec_threads = 1;
       opts.batch_size = batch;
-      uint64_t fb_before = fallback_counter->value();
       auto start = std::chrono::steady_clock::now();
       auto qr = CheckV(db.Query(q.sql, opts), q.label);
       double ms = MillisSince(start);
@@ -265,11 +261,6 @@ int main(int argc, char** argv) {
       checks.Expect(qr.ToString() == oracle.ToString(),
                     std::string(q.label) + ": batch=" + std::to_string(batch) +
                         " matches the batch=1 reference");
-      // The bench queries are type-clean, so batched evaluation must complete
-      // without a single per-row interpreter fallback.
-      checks.Expect(fallback_counter->value() == fb_before,
-                    std::string(q.label) + ": batch=" + std::to_string(batch) +
-                        " zero runtime fallbacks");
     }
     // Default batch size at 2 and 8 workers: whole batches are the morsel unit.
     for (size_t threads : {2u, 8u}) {
@@ -295,65 +286,6 @@ int main(int argc, char** argv) {
       "batch reference; timings separate dispatch overhead (small batches)\n"
       "from columnar evaluation (large batches).\n");
 
-  // --- Compiled expression programs: the same plans with predicate/projection
-  // compilation on vs off (QueryOptions::compile_expressions).
-  Banner("Expression compilation (compiled vs interpreted, t=1, median of 9)");
-  std::vector<Query> compile_queries = queries;
-  // `size` has no index, so these stay full scans with per-row evaluation —
-  // the regime predicate compilation targets.
-  compile_queries.push_back({"filter-heavy scalar arithmetic", "filter_scalar",
-                             "SELECT e FROM VehicleEngine e WHERE "
-                             "(e.size * 3 + e.size / 2 - 7) % 1000 > 100 AND "
-                             "e.size * 2 - e.size / 4 > 500",
-                             false});
-  compile_queries.push_back({"filter-heavy comparison chain", "filter_chain",
-                             "SELECT e FROM VehicleEngine e WHERE "
-                             "e.size >= 1100 AND e.size <= 1350 AND "
-                             "NOT (e.size = 1200)",
-                             false});
-  const int kCompileIters = 9;
-  auto median_ms = [&](const std::string& sql, bool compile) {
-    QueryOptions opts;
-    opts.exec_threads = 1;
-    opts.compile_expressions = compile;
-    std::vector<double> ms;
-    for (int i = 0; i < kCompileIters; i++) {
-      auto start = std::chrono::steady_clock::now();
-      CheckV(db.Query(sql, opts), sql.c_str());
-      ms.push_back(MillisSince(start));
-    }
-    std::sort(ms.begin(), ms.end());
-    return ms[ms.size() / 2];
-  };
-  MetricCounter* expr_fallback = db.metrics()->Counter("exec.expr.fallback");
-  Table ct({"query", "interpreted ms", "compiled ms", "speedup"});
-  for (const auto& q : compile_queries) {
-    QueryOptions off, on;
-    off.compile_expressions = false;
-    off.exec_threads = 1;
-    on.exec_threads = 1;
-    auto interp_res = CheckV(db.Query(q.sql, off), q.label);
-    uint64_t fb_before = expr_fallback->value();
-    auto comp_res = CheckV(db.Query(q.sql, on), q.label);
-    checks.Expect(comp_res.ToString() == interp_res.ToString(),
-                  std::string(q.label) + ": compiled matches interpreted");
-    if (q.key == std::string("filter_scalar") || q.key == std::string("filter_chain")) {
-      checks.Expect(expr_fallback->value() == fb_before,
-                    std::string(q.label) + ": no runtime fallback (pure scalar)");
-    }
-    double interp_ms = median_ms(q.sql, false);
-    double comp_ms = median_ms(q.sql, true);
-    report_json.Metric("interpreted_ms", q.key, interp_ms);
-    report_json.Metric("compiled_ms", q.key, comp_ms);
-    report_json.Metric("compile_speedup", q.key, interp_ms / std::max(comp_ms, 0.001));
-    ct.AddRow({q.label, Fmt(interp_ms, 2), Fmt(comp_ms, 2),
-               Fmt(interp_ms / std::max(comp_ms, 0.001), 2) + "x"});
-  }
-  ct.Print();
-  std::printf(
-      "compilation pays off where per-row evaluation dominates (scalar\n"
-      "filter-heavy queries); pointer-chasing queries spend their time in\n"
-      "object fetches, which both evaluation paths share.\n");
   // --- Repeated-query traffic: the same statement issued over and over, as a
   // hot OLTP-ish workload would. Cold re-runs the whole lex/parse/optimize/
   // compile pipeline per call (use_cache = false); warm goes through

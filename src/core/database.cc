@@ -119,7 +119,6 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   slow_counter_ = metrics_->Counter("exec.slow_queries");
   query_us_hist_ = metrics_->Histogram("exec.query_us");
   executor_->SetExprMetrics(metrics_->Counter("exec.expr.compiled"),
-                            metrics_->Counter("exec.expr.fallback"),
                             metrics_->Counter("exec.expr.const_folded"));
   executor_->SetBatchMetrics(metrics_->Counter("exec.batch.batches"),
                              metrics_->Counter("exec.batch.rows"));
@@ -170,7 +169,7 @@ Status Database::Close() {
   if (txn_manager_ != nullptr) txn_manager_->PruneCompleted();
   MOOD_RETURN_IF_ERROR(Checkpoint());
   // Executor holds raw counter pointers into the registry; detach them first.
-  executor_->SetExprMetrics(nullptr, nullptr, nullptr);
+  executor_->SetExprMetrics(nullptr, nullptr);
   executor_->SetBatchMetrics(nullptr, nullptr);
   stats_->SetMetrics(nullptr, nullptr, nullptr, nullptr);
   plan_cache_->SetMetrics(nullptr, nullptr, nullptr, nullptr);
@@ -297,7 +296,6 @@ ResolvedQueryOptions Database::ResolveFor(const Session& s,
   r.deref_cache_entries =
       pick(options.deref_cache_entries, d.deref_cache_entries, ExecOptions::kInheritCache);
   r.collect_profile = pick(options.collect_profile, d.collect_profile, false);
-  r.compile_expressions = pick(options.compile_expressions, d.compile_expressions, true);
   r.feedback = pick(options.feedback, d.feedback, true);
   r.use_cache = pick(options.use_cache, d.use_cache, true);
   return r;
@@ -417,28 +415,19 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
   const ResolvedQueryOptions r = ResolveFor(s, options.query);
   ExplainResult out;
   out.options = options;
-  // EXPLAIN always re-optimizes: its plan copy is annotated (notes below,
-  // AnnotateCompilation) and must never alias a shared cached plan. The cache
-  // is only *probed* to report whether execution would hit it.
+  // EXPLAIN always re-optimizes: its plan copy is annotated (notes below) and
+  // must never alias a shared cached plan. The cache is only *probed* to
+  // report whether execution would hit it.
   MOOD_ASSIGN_OR_RETURN(out.optimized, optimizer_->Optimize(stmt, r.feedback));
-  if (options.verbose && r.compile_expressions) {
-    // Annotate each predicate-bearing operator with compiled/interpreted so
-    // EXPLAIN VERBOSE shows which evaluation path execution would take.
-    executor_->AnnotateCompilation(out.optimized.plan.get(),
-                                   out.optimized.bound.range_vars);
-  }
   if (options.verbose && plan_cache_ != nullptr && !cache_sql.empty()) {
-    const bool cached = plan_cache_->ContainsSql(cache_sql);
-    std::string& note = out.optimized.plan->note;
-    const std::string tag = cached ? "plan: cached" : "plan: fresh";
-    // "] [" keeps existing annotations (e.g. "[exprs: compiled]") intact as
-    // their own bracket group in the rendered plan line.
-    note = note.empty() ? tag : note + "] [" + tag;
+    out.optimized.plan->note =
+        plan_cache_->ContainsSql(cache_sql) ? "plan: cached" : "plan: fresh";
   }
   if (options.verbose && matviews_ != nullptr && !cache_sql.empty() &&
       s.txn_ == nullptr && matviews_->WouldServe(cache_sql)) {
     // Execution would serve this statement from a materialized extent instead
-    // of the plan below (freshness permitting).
+    // of the plan below (freshness permitting). "] [" keeps each annotation
+    // its own bracket group in the rendered plan line.
     std::string& note = out.optimized.plan->note;
     note = note.empty() ? std::string("mv: rewritten")
                         : note + "] [" + "mv: rewritten";
@@ -450,7 +439,6 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
     ExecOptions exec;
     exec.threads = r.exec_threads;
     exec.deref_cache_entries = r.deref_cache_entries;
-    exec.compile_expressions = r.compile_expressions;
     exec.batch_size = r.batch_size;
     exec.profile = out.profile.get();
     // Same read physics as ExecSelectCached: outside a write transaction the
@@ -697,13 +685,10 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   ExecOptions exec;
   exec.threads = r.exec_threads;
   exec.deref_cache_entries = r.deref_cache_entries;
-  exec.compile_expressions = r.compile_expressions;
   exec.batch_size = r.batch_size;
   if (view != nullptr) exec.snapshot = view->snapshot();
   if (!params.empty()) exec.params = &params;
-  if (entry != nullptr && r.compile_expressions) {
-    exec.program_memo = entry->programs.get();
-  }
+  if (entry != nullptr) exec.program_memo = entry->programs.get();
   if (r.collect_profile) {
     res.profile = std::make_shared<QueryProfile>();
     res.profile->label = "RESULT";

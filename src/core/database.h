@@ -104,10 +104,6 @@ struct QueryOptions {
   /// Record a per-operator QueryProfile into ExecResult::profile. Off by
   /// default: the disabled path costs one pointer test per operator.
   std::optional<bool> collect_profile;
-  /// Lower WHERE/HAVING/SELECT-list expressions to plan-time bytecode programs
-  /// (exec/expr_compile). Off forces the interpreted Evaluator everywhere —
-  /// the differential-testing oracle and the paper's original behavior.
-  std::optional<bool> compile_expressions;
   /// Let the optimizer use measured selectivities/costs written back from
   /// profiled executions, and write this execution's profile back when
   /// collect_profile is on. Off reproduces the paper's pure-model plans.
@@ -124,7 +120,6 @@ struct ResolvedQueryOptions {
   size_t batch_size = ExecOptions::kInheritBatch;
   size_t deref_cache_entries = ExecOptions::kInheritCache;
   bool collect_profile = false;
-  bool compile_expressions = true;
   bool feedback = true;
   bool use_cache = true;
 };

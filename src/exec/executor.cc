@@ -87,35 +87,6 @@ struct StageSpan {
   }
 };
 
-/// Interpreter environment hoisted out of the row loop: the var map and the
-/// deref-cache handle are set up once per batch/morsel, then only the Oid
-/// bindings are rewritten per row. (Rebuilding the whole env per row — a map
-/// allocation plus a deref-handle re-resolve for every row — was the Filter
-/// operator's known perf bug.) Built lazily: queries where every predicate
-/// stays compiled never pay for it.
-struct BoundEnv {
-  Evaluator::Env env;
-  std::vector<std::map<std::string, Oid>::iterator> binds;
-  bool ready = false;
-
-  void Prepare(const std::vector<std::string>& vars, DerefCache* cache,
-               const std::vector<MoodValue>* params) {
-    if (ready) return;
-    env.deref = cache;
-    env.params = params;
-    binds.reserve(vars.size());
-    for (const std::string& v : vars) {
-      binds.push_back(env.vars.emplace(v, Oid{}).first);
-    }
-    ready = true;
-  }
-  void BindRow(const std::vector<std::string>& vars, const RowBatch& b, uint32_t row,
-               DerefCache* cache, const std::vector<MoodValue>* params) {
-    Prepare(vars, cache, params);
-    for (size_t i = 0; i < binds.size(); i++) binds[i]->second = b.col(i)[row];
-  }
-};
-
 /// DISTINCT stage of Finish (operates on final values).
 /// Hashed dedup on the same EncodeTo key encoding GROUP BY uses (the encoding
 /// is type-tagged, so distinct kinds never collide); first occurrence wins,
@@ -184,23 +155,7 @@ ExprCompileEnv Executor::CompileEnvOf(
     vi.slot = static_cast<uint32_t>(i);
     if (range_vars != nullptr) {
       auto it = range_vars->find(vars[i]);
-      if (it != range_vars->end()) {
-        const FromEntry& fe = it->second;
-        if (!fe.every) {
-          // A plain FROM scans one extent: every instance is exactly this class.
-          vi.class_name = fe.class_name;
-          vi.single_class = true;
-        } else {
-          // EVERY is polymorphic unless the exclusions prune the subtree to a
-          // single class (e.g. `EVERY Automobile - JapaneseAuto` with exactly
-          // one remaining extent).
-          auto classes = objects_->ScanClasses(fe.class_name, true, fe.excludes);
-          if (classes.ok() && classes.value().size() == 1) {
-            vi.class_name = classes.value()[0];
-            vi.single_class = true;
-          }
-        }
-      }
+      if (it != range_vars->end()) vi.class_name = it->second.class_name;
     }
     env.vars.emplace(vars[i], vi);
   }
@@ -210,33 +165,20 @@ ExprCompileEnv Executor::CompileEnvOf(
 ExprProgramPtr Executor::CompileExpr(const ExprPtr& expr,
                                      const std::vector<std::string>& vars,
                                      const Ctx& ctx) const {
-  if (!ctx.compile || expr == nullptr) return nullptr;
+  if (expr == nullptr) return nullptr;
   // A cached plan carries a memo of its compiled programs (keyed by Expr
-  // identity), so steady-state executions skip lowering entirely — including
-  // re-discovering that an expression must stay interpreted.
+  // identity), so steady-state executions skip lowering entirely.
   if (ctx.program_memo != nullptr) {
-    ExprProgramPtr memoized;
-    if (ctx.program_memo->Lookup(expr.get(), &memoized)) return memoized;
+    if (ExprProgramPtr memoized = ctx.program_memo->Lookup(expr.get())) return memoized;
   }
-  ExprCompileEnv cenv = CompileEnvOf(vars, ctx.range_vars);
-  ExprCompiler compiler(objects_);
-  std::unique_ptr<ExprProgram> prog = compiler.Compile(expr, cenv);
-  if (prog == nullptr) {
-    if (expr_fallback_ != nullptr) expr_fallback_->Add(1);
-    if (ctx.program_memo != nullptr) ctx.program_memo->Insert(expr.get(), nullptr);
-    return nullptr;
-  }
+  ExprProgramPtr prog =
+      ExprCompiler(evaluator_).Compile(expr, CompileEnvOf(vars, ctx.range_vars));
   if (expr_compiled_ != nullptr) expr_compiled_->Add(1);
   if (expr_folded_ != nullptr && prog->const_folded() > 0) {
     expr_folded_->Add(prog->const_folded());
   }
-  ExprProgramPtr shared(std::move(prog));
-  if (ctx.program_memo != nullptr) ctx.program_memo->Insert(expr.get(), shared);
-  return shared;
-}
-
-void Executor::CountRuntimeFallback() const {
-  if (expr_fallback_ != nullptr) expr_fallback_->Add(1);
+  if (ctx.program_memo != nullptr) ctx.program_memo->Insert(expr.get(), prog);
+  return prog;
 }
 
 Status Executor::ChaseRefs(Oid from, const std::vector<std::string>& path,
@@ -496,14 +438,11 @@ Result<BatchSet> Executor::ExecIndexSelect(const PlanNode& node, Ctx& ctx) const
   return bs;
 }
 
-Status Executor::FilterBatch(const std::vector<ExprPtr>& preds,
-                             const std::vector<ExprProgramPtr>& programs,
-                             const std::vector<std::string>& vars, RowBatch* batch,
-                             Ctx& ctx) const {
+Status Executor::FilterBatch(const std::vector<ExprProgramPtr>& programs,
+                             RowBatch* batch, Ctx& ctx) const {
   if (batch->ActiveRows() == 0) return Status::OK();
   ExprProgram::BatchScratch scratch;
   scratch.params = ctx.params;
-  BoundEnv benv;
   // Serial-equivalent error choice: the serial loop is row-outer, so the
   // surfaced error is the smallest row index that errors at its own first
   // failing predicate — a later predicate pass can still find a *smaller*
@@ -513,53 +452,19 @@ Status Executor::FilterBatch(const std::vector<ExprPtr>& preds,
   uint32_t err_row = no_err;
   Status err;
   std::vector<uint32_t> survivors;
-  for (size_t p = 0; p < preds.size(); p++) {
+  for (const ExprProgramPtr& program : programs) {
     const size_t n = batch->ActiveRows();
     if (n == 0) break;
     survivors.clear();
-    if (programs[p] != nullptr) {
-      programs[p]->EvalPredicateBatch(*batch, ctx.cache, &scratch);
-      for (size_t k = 0; k < n; k++) {
-        uint32_t row = batch->RowAt(k);
-        if (row >= err_row) break;
-        bool keep = false;
-        switch (scratch.flags[k]) {
-          case ExprProgram::kRowOk:
-            keep = scratch.keep[k] != 0;
-            break;
-          case ExprProgram::kRowFallback: {
-            CountRuntimeFallback();
-            benv.BindRow(vars, *batch, row, ctx.cache, ctx.params);
-            auto r = evaluator_->EvalPredicate(preds[p], benv.env);
-            if (!r.ok()) {
-              err_row = row;
-              err = r.status();
-            } else {
-              keep = r.value();
-            }
-            break;
-          }
-          case ExprProgram::kRowError:
-            err_row = row;
-            err = scratch.errors[k];
-            break;
-        }
-        if (keep && row < err_row) survivors.push_back(row);
-      }
-    } else {
-      // Predicate the compiler refused: interpret the whole batch through the
-      // hoisted env.
-      for (size_t k = 0; k < n; k++) {
-        uint32_t row = batch->RowAt(k);
-        if (row >= err_row) break;
-        benv.BindRow(vars, *batch, row, ctx.cache, ctx.params);
-        auto r = evaluator_->EvalPredicate(preds[p], benv.env);
-        if (!r.ok()) {
-          err_row = row;
-          err = r.status();
-          break;
-        }
-        if (r.value()) survivors.push_back(row);
+    program->EvalPredicateBatch(*batch, ctx.cache, &scratch);
+    for (size_t k = 0; k < n; k++) {
+      uint32_t row = batch->RowAt(k);
+      if (row >= err_row) break;
+      if (scratch.flags[k] == ExprProgram::kRowError) {
+        err_row = row;
+        err = scratch.errors[k];
+      } else if (scratch.keep[k] != 0) {
+        survivors.push_back(row);
       }
     }
     batch->sel.assign(survivors.begin(), survivors.end());
@@ -579,7 +484,7 @@ Result<BatchSet> Executor::ExecFilter(const PlanNode& node, Ctx& ctx) const {
   // selection vector in place, so the morsel-order "merge" is the identity.
   if (ctx.profile != nullptr) ctx.profile->morsels = child.batches.size();
   MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, child.batches.size(), [&](size_t m) {
-    return FilterBatch(node.predicates, programs, child.vars, &child.batches[m], ctx);
+    return FilterBatch(programs, &child.batches[m], ctx);
   }));
   return child;
 }
@@ -699,13 +604,8 @@ Result<BatchSet> Executor::ExecNestedLoop(const PlanNode& node, Ctx& ctx) const 
   bs.vars.insert(bs.vars.end(), right.vars.begin(), right.vars.end());
   const size_t lcols = left.vars.size();
   const size_t ncols = bs.vars.size();
-  ExprProgramPtr join_prog = CompileExpr(node.join_pred, bs.vars, ctx);
-  std::vector<ExprPtr> preds;
   std::vector<ExprProgramPtr> progs;
-  if (node.join_pred != nullptr) {
-    preds.push_back(node.join_pred);
-    progs.push_back(join_prog);
-  }
+  if (node.join_pred != nullptr) progs.push_back(CompileExpr(node.join_pred, bs.vars, ctx));
   std::vector<std::pair<uint32_t, uint32_t>> ridx = right.LiveIndex();
   if (ctx.profile != nullptr) ctx.profile->morsels = left.batches.size();
   std::vector<BatchSet> partial(left.batches.size());
@@ -721,9 +621,7 @@ Result<BatchSet> Executor::ExecNestedLoop(const PlanNode& node, Ctx& ctx) const 
     std::vector<Oid> outbuf(ncols);
     auto flush = [&]() -> Status {
       if (pair.nrows == 0) return Status::OK();
-      if (!preds.empty()) {
-        MOOD_RETURN_IF_ERROR(FilterBatch(preds, progs, bs.vars, &pair, ctx));
-      }
+      if (!progs.empty()) MOOD_RETURN_IF_ERROR(FilterBatch(progs, &pair, ctx));
       for (size_t k = 0; k < pair.ActiveRows(); k++) {
         pair.GatherRow(pair.RowAt(k), outbuf.data());
         out.Push(outbuf.data(), ncols);
@@ -847,7 +745,6 @@ Executor::Ctx Executor::MakeCtx(const ExecOptions& options) const {
                                  ? batch_size_
                                  : options.batch_size);
   ctx.profile = options.profile;
-  ctx.compile = options.compile_expressions;
   ctx.params = options.params;
   ctx.program_memo = options.program_memo;
   ctx.snapshot = options.snapshot;
@@ -870,7 +767,7 @@ Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan,
                         : options.deref_cache_entries;
   Ctx ctx = MakeCtx(options);
   // Bare-plan entry point: recover the range-variable declarations from the
-  // plan's leaves so expressions still compile against static classes.
+  // plan's leaves so attribute steps compile to ordinals.
   std::map<std::string, FromEntry> range_vars;
   CollectRangeVars(*plan, &range_vars);
   ctx.range_vars = &range_vars;
@@ -898,9 +795,8 @@ Result<QueryResult> Executor::FinishSelect(const SelectStmt& stmt, BatchSet rows
   return result;
 }
 
-void Executor::EvalColumn(const ExprPtr& e, const ExprProgramPtr& prog,
-                          const BatchSet& bs, size_t limit, Ctx& ctx,
-                          ExprProgram::BatchScratch* scratch,
+void Executor::EvalColumn(const ExprProgram& prog, const BatchSet& bs, size_t limit,
+                          Ctx& ctx, ExprProgram::BatchScratch* scratch,
                           std::vector<MoodValue>* out, size_t* err_row,
                           Status* err) const {
   // Evaluate one clause expression over every live row (in flat row order),
@@ -908,58 +804,26 @@ void Executor::EvalColumn(const ExprPtr& e, const ExprProgramPtr& prog,
   // because an earlier expression already errored there.
   out->resize(bs.ActiveRows());
   *err_row = static_cast<size_t>(-1);
-  BoundEnv benv;
   size_t base = 0;
   for (const RowBatch& b : bs.batches) {
     const size_t nb = b.ActiveRows();
     if (base >= limit) break;
-    if (prog != nullptr) {
-      prog->EvalBatch(b, ctx.cache, scratch);
-      for (size_t k = 0; k < nb; k++) {
-        size_t g = base + k;
-        if (g >= limit) break;
-        switch (scratch->flags[k]) {
-          case ExprProgram::kRowOk:
-            (*out)[g] = std::move(scratch->values[k]);
-            break;
-          case ExprProgram::kRowFallback: {
-            CountRuntimeFallback();
-            benv.BindRow(bs.vars, b, b.RowAt(k), ctx.cache, ctx.params);
-            auto r = evaluator_->Eval(e, benv.env);
-            if (!r.ok()) {
-              *err_row = g;
-              *err = r.status();
-              return;
-            }
-            (*out)[g] = std::move(r).value();
-            break;
-          }
-          case ExprProgram::kRowError:
-            *err_row = g;
-            *err = scratch->errors[k];
-            return;
-        }
+    prog.EvalBatch(b, ctx.cache, scratch);
+    for (size_t k = 0; k < nb; k++) {
+      size_t g = base + k;
+      if (g >= limit) break;
+      if (scratch->flags[k] == ExprProgram::kRowError) {
+        *err_row = g;
+        *err = scratch->errors[k];
+        return;
       }
-    } else {
-      for (size_t k = 0; k < nb; k++) {
-        size_t g = base + k;
-        if (g >= limit) break;
-        benv.BindRow(bs.vars, b, b.RowAt(k), ctx.cache, ctx.params);
-        auto r = evaluator_->Eval(e, benv.env);
-        if (!r.ok()) {
-          *err_row = g;
-          *err = r.status();
-          return;
-        }
-        (*out)[g] = std::move(r).value();
-      }
+      (*out)[g] = std::move(scratch->values[k]);
     }
     base += nb;
   }
 }
 
-Status Executor::EvalColumns(const std::vector<ExprPtr>& exprs,
-                             const std::vector<ExprProgramPtr>& progs,
+Status Executor::EvalColumns(const std::vector<ExprProgramPtr>& progs,
                              const BatchSet& bs, Ctx& ctx,
                              std::vector<std::vector<MoodValue>>* cols) const {
   // The serial loop is row-outer / expression-inner, so the surfaced error is
@@ -967,16 +831,15 @@ Status Executor::EvalColumns(const std::vector<ExprPtr>& exprs,
   // it: each column records its first erroring row; a later column only wins
   // with a strictly smaller row (ties go to the earlier expression), and
   // `limit` keeps later columns from touching rows past the best error.
-  cols->assign(exprs.size(), {});
+  cols->assign(progs.size(), {});
   ExprProgram::BatchScratch scratch;
   scratch.params = ctx.params;
   size_t best_row = static_cast<size_t>(-1);
   Status best;
-  for (size_t i = 0; i < exprs.size(); i++) {
+  for (size_t i = 0; i < progs.size(); i++) {
     size_t err_row;
     Status err;
-    EvalColumn(exprs[i], progs[i], bs, best_row, ctx, &scratch, &(*cols)[i], &err_row,
-               &err);
+    EvalColumn(*progs[i], bs, best_row, ctx, &scratch, &(*cols)[i], &err_row, &err);
     if (err_row < best_row) {
       best_row = err_row;
       best = err;
@@ -989,8 +852,7 @@ Status Executor::EvalColumns(const std::vector<ExprPtr>& exprs,
 Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
                                      Ctx& ctx) const {
   QueryProfile* prof = ctx.profile;
-  // Compile the clause expressions once against the row layout; a null program
-  // (or a runtime fallback) routes that expression through the interpreter.
+  // Compile the clause expressions once against the row layout.
   std::vector<ExprProgramPtr> group_progs(stmt.group_by.size());
   for (size_t g = 0; g < stmt.group_by.size(); g++) {
     group_progs[g] = CompileExpr(stmt.group_by[g], rows.vars, ctx);
@@ -1026,7 +888,7 @@ Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
   if (!stmt.group_by.empty()) {
     StageSpan span = StageSpan::Begin(prof, "GROUP BY", rows.ActiveRows());
     std::vector<std::vector<MoodValue>> keys;
-    MOOD_RETURN_IF_ERROR(EvalColumns(stmt.group_by, group_progs, rows, ctx, &keys));
+    MOOD_RETURN_IF_ERROR(EvalColumns(group_progs, rows, ctx, &keys));
     std::map<std::string, size_t> groups;
     const size_t n = rows.ActiveRows();
     for (size_t i = 0; i < n; i++) {
@@ -1041,10 +903,9 @@ Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
     span.End(rows.ActiveRows());
     if (stmt.having != nullptr) {
       StageSpan hspan = StageSpan::Begin(prof, "HAVING", rows.ActiveRows());
-      std::vector<ExprPtr> preds = {stmt.having};
       std::vector<ExprProgramPtr> progs = {having_prog};
       for (RowBatch& b : rows.batches) {
-        MOOD_RETURN_IF_ERROR(FilterBatch(preds, progs, rows.vars, &b, ctx));
+        MOOD_RETURN_IF_ERROR(FilterBatch(progs, &b, ctx));
       }
       hspan.End(rows.ActiveRows());
     }
@@ -1053,10 +914,8 @@ Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
   // ORDER BY before projection (keys may not be projected).
   if (!stmt.order_by.empty()) {
     StageSpan span = StageSpan::Begin(prof, "ORDER BY", rows.ActiveRows());
-    std::vector<ExprPtr> key_exprs;
-    for (const auto& ob : stmt.order_by) key_exprs.push_back(ob.expr);
     std::vector<std::vector<MoodValue>> keys;
-    MOOD_RETURN_IF_ERROR(EvalColumns(key_exprs, order_progs, rows, ctx, &keys));
+    MOOD_RETURN_IF_ERROR(EvalColumns(order_progs, rows, ctx, &keys));
     std::vector<size_t> order(rows.ActiveRows());
     for (size_t i = 0; i < order.size(); i++) order[i] = i;
     Status cmp_error;
@@ -1082,7 +941,7 @@ Result<QueryResult> Executor::Finish(const SelectStmt& stmt, BatchSet rows,
   QueryResult result;
   for (const auto& p : stmt.projection) result.columns.push_back(p->ToString());
   std::vector<std::vector<MoodValue>> cols;
-  MOOD_RETURN_IF_ERROR(EvalColumns(stmt.projection, proj_progs, rows, ctx, &cols));
+  MOOD_RETURN_IF_ERROR(EvalColumns(proj_progs, rows, ctx, &cols));
   const size_t n = rows.ActiveRows();
   result.rows.reserve(n);
   for (size_t i = 0; i < n; i++) {
@@ -1132,53 +991,6 @@ Result<QueryResult> Executor::ExecuteSelect(const QueryOptimizer::Optimized& opt
   Result<QueryResult> result = Finish(optimized.bound.stmt, std::move(bs).value(), ctx);
   objects_->AccumulateDerefStats(cache.hits(), cache.misses());
   return result;
-}
-
-void Executor::AnnotateCompilation(
-    PlanNode* plan, const std::map<std::string, FromEntry>& bound_vars) const {
-  if (plan == nullptr) return;
-  // Execution compiles against the plan's leaves too (synthetic _tN vars from
-  // path expansion); annotate with the same environment.
-  std::map<std::string, FromEntry> range_vars = bound_vars;
-  CollectRangeVars(*plan, &range_vars);
-  // Dry-run compiles only: no programs are kept and no exec.expr.* counters
-  // move (EXPLAIN must not skew execution metrics).
-  auto annotate = [&](const std::vector<ExprPtr>& exprs,
-                      const std::vector<std::string>& vars) -> std::string {
-    if (exprs.empty()) return "";
-    ExprCompileEnv cenv = CompileEnvOf(vars, &range_vars);
-    ExprCompiler compiler(objects_);
-    size_t ok = 0;
-    for (const auto& e : exprs) {
-      if (compiler.Compile(e, cenv) != nullptr) ok++;
-    }
-    if (ok == exprs.size()) return "exprs: compiled";
-    if (ok == 0) return "exprs: interpreted";
-    return "exprs: mixed";
-  };
-  switch (plan->op) {
-    case PlanOp::kFilter:
-      plan->note = annotate(plan->predicates, plan->child->BoundVars());
-      AnnotateCompilation(plan->child.get(), range_vars);
-      break;
-    case PlanOp::kNestedLoopJoin:
-      if (plan->join_pred != nullptr) {
-        plan->note = annotate({plan->join_pred}, plan->BoundVars());
-      }
-      AnnotateCompilation(plan->left.get(), range_vars);
-      AnnotateCompilation(plan->right.get(), range_vars);
-      break;
-    case PlanOp::kPointerJoin:
-      AnnotateCompilation(plan->left.get(), range_vars);
-      AnnotateCompilation(plan->right.get(), range_vars);
-      break;
-    case PlanOp::kUnion:
-      for (auto& c : plan->children) AnnotateCompilation(c.get(), range_vars);
-      break;
-    case PlanOp::kBindClass:
-    case PlanOp::kIndexSelect:
-      break;
-  }
 }
 
 }  // namespace mood

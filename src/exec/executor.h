@@ -49,10 +49,6 @@ struct ExecOptions {
   /// default) skips every profiling hook behind a single inlined pointer test,
   /// so disabled profiling costs nothing measurable.
   QueryProfile* profile = nullptr;
-  /// Lower WHERE/HAVING/SELECT-list expressions into bytecode programs once
-  /// per operator instead of interpreting the Expr tree per row. Dynamic
-  /// constructs keep the interpreted path regardless (see exec/expr_compile.h).
-  bool compile_expressions = true;
   /// Bound values for `?` positional parameters, in placeholder order (owned
   /// by the caller for the duration of the call; null = none bound).
   const std::vector<MoodValue>* params = nullptr;
@@ -129,12 +125,9 @@ class Executor {
   Result<QueryResult> FinishSelect(const SelectStmt& stmt, BatchSet rows) const;
 
   /// Wires the exec.expr.* counters (registered by Database::Open): programs
-  /// compiled, expressions left to / rows re-routed through the interpreter,
-  /// and constant subtrees folded.
-  void SetExprMetrics(MetricCounter* compiled, MetricCounter* fallback,
-                      MetricCounter* folded) {
+  /// compiled and constant subtrees folded.
+  void SetExprMetrics(MetricCounter* compiled, MetricCounter* folded) {
     expr_compiled_ = compiled;
-    expr_fallback_ = fallback;
     expr_folded_ = folded;
   }
 
@@ -145,12 +138,6 @@ class Executor {
     batch_rows_ = rows;
   }
 
-  /// EXPLAIN VERBOSE support: dry-run compiles each Filter/NestedLoop
-  /// expression and stamps the node's `note` with "exprs: compiled" /
-  /// "exprs: interpreted" (or "exprs: mixed").
-  void AnnotateCompilation(PlanNode* plan,
-                           const std::map<std::string, FromEntry>& range_vars) const;
-
  private:
   /// Per-call state threaded through the operator tree: resolved options plus
   /// the profile node operator children attach under (null = profiling off).
@@ -160,9 +147,8 @@ class Executor {
     DerefCache* cache = nullptr;
     QueryProfile* profile = nullptr;
     BufferPool* pool = nullptr;  ///< sampled for per-operator deltas when profiling
-    bool compile = true;         ///< lower expressions to bytecode programs
     /// Range-variable declarations for plan-time slot/class binding (owned by
-    /// the caller; null disables compilation for lack of static classes).
+    /// the caller; null: every path step goes through Evaluator::Step).
     const std::map<std::string, FromEntry>* range_vars = nullptr;
     /// Bound `?` parameter values for this call (null = none bound).
     const std::vector<MoodValue>* params = nullptr;
@@ -190,29 +176,25 @@ class Executor {
 
   /// Applies one predicate chain to a batch, rewriting its selection vector in
   /// place. Reproduces row-by-row evaluation exactly: predicates run in order
-  /// with short-circuit, fallback rows re-evaluate through a per-batch hoisted
-  /// interpreter env, and the returned status is the error of the smallest row
-  /// index that fails (rows at or past it are dropped from the selection —
+  /// with short-circuit, and the returned status is the error of the smallest
+  /// row index that fails (rows at or past it are dropped from the selection —
   /// row-by-row evaluation never reaches them).
-  Status FilterBatch(const std::vector<ExprPtr>& preds,
-                     const std::vector<ExprProgramPtr>& programs,
-                     const std::vector<std::string>& vars, RowBatch* batch,
+  Status FilterBatch(const std::vector<ExprProgramPtr>& programs, RowBatch* batch,
                      Ctx& ctx) const;
 
   /// Evaluates one clause expression for every live row of `bs` (row order),
   /// appending into `out`. Rows at or past `limit` are skipped (a smaller-row
   /// error in an earlier column already decided the query). On a row error,
   /// records its row index and status instead of filling the value.
-  void EvalColumn(const ExprPtr& e, const ExprProgramPtr& prog, const BatchSet& bs,
-                  size_t limit, Ctx& ctx, ExprProgram::BatchScratch* scratch,
-                  std::vector<MoodValue>* out, size_t* err_row, Status* err) const;
+  void EvalColumn(const ExprProgram& prog, const BatchSet& bs, size_t limit, Ctx& ctx,
+                  ExprProgram::BatchScratch* scratch, std::vector<MoodValue>* out,
+                  size_t* err_row, Status* err) const;
 
   /// Column-wise evaluation of a clause's expression list with the serial
   /// loop's error ordering: the surfaced error is the candidate with the
   /// smallest (row, expression-index) — exactly what the row-outer,
   /// expression-inner serial loop hits first.
-  Status EvalColumns(const std::vector<ExprPtr>& exprs,
-                     const std::vector<ExprProgramPtr>& progs, const BatchSet& bs,
+  Status EvalColumns(const std::vector<ExprProgramPtr>& progs, const BatchSet& bs,
                      Ctx& ctx, std::vector<std::vector<MoodValue>>* cols) const;
 
   /// Resolves ExecOptions inherit-sentinels (threads, profiling pool handle)
@@ -226,13 +208,10 @@ class Executor {
   ExprCompileEnv CompileEnvOf(const std::vector<std::string>& vars,
                               const std::map<std::string, FromEntry>* range_vars) const;
 
-  /// Compiles one expression against `vars`, bumping the exec.expr.* counters.
-  /// Null when compilation is off, the expression is null, or it uses a
-  /// dynamic construct (callers then evaluate through the interpreter).
+  /// Compiles one expression against `vars` (through the plan's memo when it
+  /// has one), bumping the exec.expr.* counters. Null only for a null `expr`.
   ExprProgramPtr CompileExpr(const ExprPtr& expr, const std::vector<std::string>& vars,
                              const Ctx& ctx) const;
-
-  void CountRuntimeFallback() const;
 
   /// Chases a reference path from an object, invoking `fn` for every reached
   /// object identifier (fan-out through set/list-valued reference attributes).
@@ -261,7 +240,6 @@ class Executor {
   size_t deref_cache_capacity_ = 4096;
   size_t batch_size_ = kDefaultBatchRows;
   MetricCounter* expr_compiled_ = nullptr;
-  MetricCounter* expr_fallback_ = nullptr;
   MetricCounter* expr_folded_ = nullptr;
   MetricCounter* batch_batches_ = nullptr;
   MetricCounter* batch_rows_ = nullptr;

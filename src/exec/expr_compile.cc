@@ -93,12 +93,12 @@ std::unique_ptr<ExprProgram> ExprCompiler::Compile(const ExprPtr& expr,
                                                    const ExprCompileEnv& env) const {
   if (expr == nullptr) return nullptr;
   auto prog = std::make_unique<ExprProgram>();
-  prog->objects_ = objects_;
-  if (!Emit(*expr, env, prog.get())) return nullptr;
+  prog->evaluator_ = evaluator_;
+  Emit(*expr, env, prog.get());
   return prog;
 }
 
-bool ExprCompiler::Emit(const Expr& e, const ExprCompileEnv& env,
+void ExprCompiler::Emit(const Expr& e, const ExprCompileEnv& env,
                         ExprProgram* prog) const {
   if (e.kind != ExprKind::kLiteral) {
     MoodValue folded;
@@ -106,24 +106,25 @@ bool ExprCompiler::Emit(const Expr& e, const ExprCompileEnv& env,
       prog->code_.push_back({ExprProgram::OpCode::kPushConst,
                              AddConst(&prog->consts_, std::move(folded)), 0});
       prog->const_folded_++;
-      return true;
+      return;
     }
   }
   switch (e.kind) {
     case ExprKind::kLiteral:
       prog->code_.push_back({ExprProgram::OpCode::kPushConst,
                              AddConst(&prog->consts_, e.literal), 0});
-      return true;
+      return;
     case ExprKind::kPath:
-      return EmitPath(e, env, prog);
+      EmitPath(e, env, prog);
+      return;
     case ExprKind::kParameter:
       prog->code_.push_back({ExprProgram::OpCode::kLoadParam, e.param_index, 0});
-      return true;
+      return;
     case ExprKind::kUnary:
-      if (!Emit(*e.operand, env, prog)) return false;
+      Emit(*e.operand, env, prog);
       prog->code_.push_back(
           {ExprProgram::OpCode::kUnary, static_cast<uint32_t>(e.uop), 0});
-      return true;
+      return;
     case ExprKind::kBinary: {
       if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
         // A constant lhs that does not decide the result still disappears:
@@ -133,37 +134,42 @@ bool ExprCompiler::Emit(const Expr& e, const ExprCompileEnv& env,
         if (TryConstEval(*e.lhs, &lv)) {
           auto lb = OperandDataType::FromValue(lv).AsBool();
           if (lb.ok()) {
-            if (!Emit(*e.rhs, env, prog)) return false;
+            Emit(*e.rhs, env, prog);
             prog->code_.push_back({ExprProgram::OpCode::kCoerceBool, 0, 0});
             if (e.lhs->kind != ExprKind::kLiteral) prog->const_folded_++;
-            return true;
+            return;
           }
         }
-        if (!Emit(*e.lhs, env, prog)) return false;
+        Emit(*e.lhs, env, prog);
         size_t jmp = prog->code_.size();
         prog->code_.push_back({e.op == BinaryOp::kAnd
                                    ? ExprProgram::OpCode::kJumpIfFalse
                                    : ExprProgram::OpCode::kJumpIfTrue,
                                0, 0});
-        if (!Emit(*e.rhs, env, prog)) return false;
+        Emit(*e.rhs, env, prog);
         prog->code_.push_back({ExprProgram::OpCode::kCoerceBool, 0, 0});
         prog->code_[jmp].a = static_cast<uint32_t>(prog->code_.size());
-        return true;
+        return;
       }
-      if (!Emit(*e.lhs, env, prog) || !Emit(*e.rhs, env, prog)) return false;
+      Emit(*e.lhs, env, prog);
+      Emit(*e.rhs, env, prog);
       prog->code_.push_back({IsComparison(e.op) ? ExprProgram::OpCode::kCompare
                                                 : ExprProgram::OpCode::kBinaryArith,
                              static_cast<uint32_t>(e.op), 0});
-      return true;
+      return;
     }
   }
-  return false;
 }
 
-bool ExprCompiler::EmitPath(const Expr& e, const ExprCompileEnv& env,
+void ExprCompiler::EmitPath(const Expr& e, const ExprCompileEnv& env,
                             ExprProgram* prog) const {
   auto it = env.vars.find(e.range_var);
-  if (it == env.vars.end()) return false;  // unbound: the interpreter reports it
+  if (it == env.vars.end()) {
+    prog->code_.push_back({ExprProgram::OpCode::kUnbound,
+                           AddConst(&prog->consts_, MoodValue::String(e.range_var)),
+                           0});
+    return;
+  }
   const ExprCompileEnv::VarInfo& vi = it->second;
   // Leading `self` steps on the root are identities (the slot always holds a
   // valid reference), so they compile away.
@@ -172,188 +178,62 @@ bool ExprCompiler::EmitPath(const Expr& e, const ExprCompileEnv& env,
          e.steps[first].name == "self") {
     first++;
   }
-  if (first == e.steps.size()) {
-    prog->code_.push_back({ExprProgram::OpCode::kLoadSlot, vi.slot, 0});
-    return true;
-  }
-  if (!vi.single_class || vi.class_name.empty()) return false;  // polymorphic root
+  // Static class of the value the next step applies to; empty once a step
+  // leaves the static layouts (a collection, a shared step's result).
   std::string cls = vi.class_name;
+  bool pushed = false;  // false: the value is still the slot's reference
+  auto load_slot = [&] {
+    if (!pushed) prog->code_.push_back({ExprProgram::OpCode::kLoadSlot, vi.slot, 0});
+    pushed = true;
+  };
+  ObjectManager* objects = evaluator_->objects();
   for (size_t i = first; i < e.steps.size(); i++) {
     const PathStep& step = e.steps[i];
-    if (step.is_call) return false;        // method dispatch stays interpreted
-    if (step.name == "self") return false; // non-root self: rare, interpreter's
-    auto layout_r = objects_->LayoutOf(cls);
-    if (!layout_r.ok()) return false;
-    AttributeLayoutPtr layout = std::move(layout_r).value();
-    int ord = layout->OrdinalOf(step.name);
-    if (ord < 0) return false;  // may resolve to a parameterless method
-    const TypeDescPtr& type = layout->attrs[static_cast<size_t>(ord)].type;
+    AttributeLayoutPtr layout;
+    int ord = -1;
+    if (!step.is_call && step.name != "self" && !cls.empty()) {
+      auto layout_r = objects->LayoutOf(cls);
+      if (layout_r.ok()) {
+        layout = std::move(layout_r).value();
+        ord = layout->OrdinalOf(step.name);
+      }
+    }
+    if (ord < 0) {
+      load_slot();
+      EmitCall(step, env, prog);
+      cls.clear();
+      continue;
+    }
     auto attr_idx = static_cast<uint32_t>(prog->attrs_.size());
     prog->attrs_.push_back({layout, static_cast<uint32_t>(ord), step.name});
-    if (i == first) {
-      prog->code_.push_back({ExprProgram::OpCode::kLoadAttr, vi.slot, attr_idx});
-    } else {
+    if (pushed) {
       prog->code_.push_back({ExprProgram::OpCode::kDerefAttr, 0, attr_idx});
+    } else {
+      prog->code_.push_back({ExprProgram::OpCode::kLoadAttr, vi.slot, attr_idx});
+      pushed = true;
     }
-    if (i + 1 < e.steps.size()) {
-      // Non-terminal steps must be single-valued references: a Set/List here
-      // would fan out mid-path (interpreter territory), anything else raises
-      // the interpreter's type error — which kDerefAttr reproduces only for
-      // values, not for the statically-knowable cases we can refuse now.
-      if (type->kind() != ConstructorKind::kReference) return false;
-      cls = type->referenced_class();
-    }
+    const TypeDescPtr& type = layout->attrs[static_cast<size_t>(ord)].type;
+    cls = type->kind() == ConstructorKind::kReference ? type->referenced_class() : "";
   }
-  return true;
+  load_slot();
 }
 
-Result<MoodValue> ExprProgram::Eval(const Oid* slots, DerefCache* cache,
-                                    BatchScratch* scratch, bool* need_fallback) const {
-  *need_fallback = false;
-  auto& st = scratch->row_stack;
-  st.clear();  // keeps capacity: no per-row allocation once warmed up
-  size_t pc = 0;
-  while (pc < code_.size()) {
-    const Instr& ins = code_[pc];
-    switch (ins.op) {
-      case OpCode::kPushConst:
-        st.push_back(consts_[ins.a]);
-        break;
-      case OpCode::kLoadParam: {
-        const std::vector<MoodValue>* params = scratch->params;
-        if (params == nullptr || ins.a >= params->size()) {
-          return Status::InvalidArgument("parameter ?" + std::to_string(ins.a + 1) +
-                                         " not bound");
-        }
-        st.push_back((*params)[ins.a]);
-        break;
-      }
-      case OpCode::kLoadSlot:
-        st.push_back(MoodValue::Reference(slots[ins.a]));
-        break;
-      case OpCode::kLoadAttr: {
-        const AttrRef& ar = attrs_[ins.b];
-        auto r = objects_->GetAttributeByOrdinal(slots[ins.a], *ar.layout, ar.ordinal,
-                                                 cache);
-        if (!r.ok()) {
-          // NotFound: the instance's class lacks the attribute, so the name
-          // may be a parameterless method — the interpreter decides.
-          if (r.status().IsNotFound()) {
-            *need_fallback = true;
-            return MoodValue::Null();
-          }
-          return r.status();
-        }
-        st.push_back(std::move(r).value());
-        break;
-      }
-      case OpCode::kDerefAttr: {
-        const AttrRef& ar = attrs_[ins.b];
-        MoodValue v = std::move(st.back());
-        st.pop_back();
-        if (v.is_null()) {
-          // Null propagates through every remaining step of this path,
-          // matching the interpreter's early Null() return.
-          st.push_back(MoodValue::Null());
-          break;
-        }
-        if (v.IsCollection()) {
-          // Runtime fan-out the static type ruled out (shouldn't happen for
-          // type-checked objects; be safe, not clever).
-          *need_fallback = true;
-          return MoodValue::Null();
-        }
-        if (v.kind() != ValueKind::kReference) {
-          return Status::TypeError("path step '" + ar.name +
-                                   "' applied to a non-reference value");
-        }
-        auto r = objects_->GetAttributeByOrdinal(v.AsReference(), *ar.layout,
-                                                 ar.ordinal, cache);
-        if (!r.ok()) {
-          if (r.status().IsNotFound()) {
-            *need_fallback = true;
-            return MoodValue::Null();
-          }
-          return r.status();
-        }
-        st.push_back(std::move(r).value());
-        break;
-      }
-      case OpCode::kBinaryArith: {
-        MoodValue rv = std::move(st.back());
-        st.pop_back();
-        MoodValue lv = std::move(st.back());
-        st.pop_back();
-        OperandDataType x = OperandDataType::FromValue(lv);
-        OperandDataType y = OperandDataType::FromValue(rv);
-        OperandDataType r(DataTypeCode::kInt32);
-        switch (static_cast<BinaryOp>(ins.a)) {
-          case BinaryOp::kAdd: r = x + y; break;
-          case BinaryOp::kSub: r = x - y; break;
-          case BinaryOp::kMul: r = x * y; break;
-          case BinaryOp::kDiv: r = x / y; break;
-          case BinaryOp::kMod: r = x % y; break;
-          default:
-            return Status::Internal("unhandled binary operator");
-        }
-        MOOD_ASSIGN_OR_RETURN(MoodValue out, r.ToValue());
-        st.push_back(std::move(out));
-        break;
-      }
-      case OpCode::kCompare: {
-        MoodValue rv = std::move(st.back());
-        st.pop_back();
-        MoodValue lv = std::move(st.back());
-        st.pop_back();
-        MOOD_ASSIGN_OR_RETURN(
-            bool b, Evaluator::Compare(static_cast<BinaryOp>(ins.a), lv, rv));
-        st.push_back(MoodValue::Boolean(b));
-        break;
-      }
-      case OpCode::kUnary: {
-        MoodValue v = std::move(st.back());
-        st.pop_back();
-        OperandDataType o = OperandDataType::FromValue(v);
-        auto r = static_cast<UnaryOp>(ins.a) == UnaryOp::kNeg ? (-o).ToValue()
-                                                              : (!o).ToValue();
-        MOOD_RETURN_IF_ERROR(r.status());
-        st.push_back(std::move(r).value());
-        break;
-      }
-      case OpCode::kJumpIfFalse:
-      case OpCode::kJumpIfTrue: {
-        MoodValue v = std::move(st.back());
-        st.pop_back();
-        OperandDataType o = OperandDataType::FromValue(v);
-        MOOD_ASSIGN_OR_RETURN(bool b, o.AsBool());
-        bool jump = ins.op == OpCode::kJumpIfFalse ? !b : b;
-        if (jump) {
-          st.push_back(MoodValue::Boolean(b));
-          pc = ins.a;
-          continue;
-        }
-        break;
-      }
-      case OpCode::kCoerceBool: {
-        MoodValue v = std::move(st.back());
-        st.pop_back();
-        OperandDataType o = OperandDataType::FromValue(v);
-        MOOD_ASSIGN_OR_RETURN(bool b, o.AsBool());
-        st.push_back(MoodValue::Boolean(b));
-        break;
-      }
-    }
-    pc++;
+void ExprCompiler::EmitCall(const PathStep& step, const ExprCompileEnv& env,
+                            ExprProgram* prog) const {
+  auto call_idx = static_cast<uint32_t>(prog->calls_.size());
+  prog->calls_.push_back({step.name, step.is_call});
+  auto argc = static_cast<uint32_t>(step.args.size());
+  if (argc == 0) {
+    prog->code_.push_back({ExprProgram::OpCode::kCall, call_idx, 0});
+    return;
   }
-  if (st.size() != 1) return Status::Internal("expression program stack imbalance");
-  return std::move(st.back());
-}
-
-bool ExprProgram::has_jumps() const {
-  for (const Instr& ins : code_) {
-    if (ins.op == OpCode::kJumpIfFalse || ins.op == OpCode::kJumpIfTrue) return true;
-  }
-  return false;
+  // Arguments run only on rows whose receiver reaches the call, as in
+  // Evaluator::CallMethod (a Null receiver never evaluates them).
+  size_t guard = prog->code_.size();
+  prog->code_.push_back({ExprProgram::OpCode::kGuardCall, 0, call_idx});
+  for (const ExprPtr& arg : step.args) Emit(*arg, env, prog);
+  prog->code_.push_back({ExprProgram::OpCode::kCall, call_idx, argc});
+  prog->code_[guard].a = static_cast<uint32_t>(prog->code_.size());
 }
 
 void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
@@ -365,36 +245,18 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
   s->errors.resize(n);
   if (n == 0) return;
 
-  if (has_jumps()) {
-    // Short-circuit jumps make control flow diverge per row; run the row
-    // machine over a row-major slot gather. Dispatch is not amortized here,
-    // but DNF splitting keeps jumps out of the hot filter predicates.
-    s->rowbuf.resize(batch.nslots);
-    for (size_t k = 0; k < n; k++) {
-      batch.GatherRow(batch.RowAt(k), s->rowbuf.data());
-      bool need_fallback = false;
-      auto r = Eval(s->rowbuf.data(), cache, s, &need_fallback);
-      if (!r.ok()) {
-        s->flags[k] = kRowError;
-        s->errors[k] = r.status();
-      } else if (need_fallback) {
-        s->flags[k] = kRowFallback;
-      } else {
-        s->values[k] = std::move(r).value();
-      }
-    }
-    return;
-  }
-
-  // Columnar path: every opcode runs as one tight loop over the live rows.
-  // The stack holds columns instead of scalars; `live` lists the rows still
-  // executing (a row leaves the moment it errors or needs the interpreter).
-  // The push/pop discipline is row-independent, so all rows agree on the
-  // stack shape at every pc.
+  // Every opcode runs as one tight loop over the live rows. The stack holds
+  // columns instead of scalars; `live` lists the rows still executing, in
+  // ascending order. A row leaves it the moment it errors, or parks when a
+  // jump decides its value early; parked rows rejoin at their target. The
+  // push/pop discipline is row-independent, so all rows agree on the stack
+  // shape at every pc.
   auto& live = s->live;
   live.resize(n);
   for (size_t k = 0; k < n; k++) live[k] = static_cast<uint32_t>(k);
   s->top = 0;
+  s->parked.clear();
+  ObjectManager* objects = evaluator_->objects();
   auto push = [&]() -> BatchScratch::Col& {
     if (s->stack.size() <= s->top) s->stack.emplace_back();
     BatchScratch::Col& c = s->stack[s->top++];
@@ -409,8 +271,46 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
     s->flags[k] = kRowError;
     s->errors[k] = std::move(st);
   };
+  // Parked rows whose target is `pc` write their value into the top column
+  // (materializing a broadcast first) and merge back into `live`.
+  auto rejoin = [&](size_t pc) {
+    size_t first = s->parked.size();
+    while (first > 0 && s->parked[first - 1].target == pc) first--;
+    if (first == s->parked.size()) return;
+    BatchScratch::Col& c = s->stack[s->top - 1];
+    if (c.v.size() < n) c.v.resize(n);
+    if (c.is_const) {
+      for (uint32_t k : live) c.v[k] = c.cval;
+      c.is_const = false;
+    }
+    auto& merged = s->merged;
+    merged.clear();
+    size_t i = 0;
+    for (size_t p = first; p < s->parked.size(); p++) {
+      BatchScratch::Parked& pr = s->parked[p];
+      while (i < live.size() && live[i] < pr.row) merged.push_back(live[i++]);
+      merged.push_back(pr.row);
+      c.v[pr.row] = std::move(pr.value);
+    }
+    merged.insert(merged.end(), live.begin() + static_cast<ptrdiff_t>(i), live.end());
+    live.swap(merged);
+    s->parked.erase(s->parked.begin() + static_cast<ptrdiff_t>(first), s->parked.end());
+  };
+  // The ordinal fast path serves a single reference; anything else (a Null, a
+  // collection to fan out, a non-reference, or an instance whose class lacks
+  // the attribute) takes the shared path step.
+  auto attr_of = [&](const MoodValue& v, const AttrRef& ar) -> Result<MoodValue> {
+    if (v.kind() == ValueKind::kReference) {
+      auto r = objects->GetAttributeByOrdinal(v.AsReference(), *ar.layout, ar.ordinal,
+                                              cache);
+      if (r.ok() || !r.status().IsNotFound()) return r;
+    }
+    return evaluator_->Step(v, ar.name, false, nullptr, cache);
+  };
 
-  for (const Instr& ins : code_) {
+  for (size_t pc = 0; pc < code_.size(); pc++) {
+    rejoin(pc);
+    const Instr& ins = code_[pc];
     switch (ins.op) {
       case OpCode::kPushConst: {
         BatchScratch::Col& c = push();
@@ -433,6 +333,16 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         c.cval = (*s->params)[ins.a];
         break;
       }
+      case OpCode::kUnbound: {
+        BatchScratch::Col& c = push();
+        c.is_const = true;
+        c.cval = MoodValue::Null();
+        Status st = Status::InvalidArgument("unbound range variable '" +
+                                            consts_[ins.a].AsString() + "'");
+        for (uint32_t k : live) fail(k, st);
+        live.clear();
+        break;
+      }
       case OpCode::kLoadSlot: {
         BatchScratch::Col& c = push();
         const Oid* col = batch.col(ins.a);
@@ -445,14 +355,9 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         const Oid* col = batch.col(ins.a);
         size_t w = 0;
         for (uint32_t k : live) {
-          auto r = objects_->GetAttributeByOrdinal(col[batch.RowAt(k)], *ar.layout,
-                                                   ar.ordinal, cache);
+          auto r = attr_of(MoodValue::Reference(col[batch.RowAt(k)]), ar);
           if (!r.ok()) {
-            if (r.status().IsNotFound()) {
-              s->flags[k] = kRowFallback;
-            } else {
-              fail(k, r.status());
-            }
+            fail(k, r.status());
             continue;
           }
           c.v[k] = std::move(r).value();
@@ -467,29 +372,9 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         if (c.v.size() < n) c.v.resize(n);
         size_t w = 0;
         for (uint32_t k : live) {
-          const MoodValue& v = val(c, k);
-          if (v.is_null()) {
-            c.v[k] = MoodValue::Null();
-            live[w++] = k;
-            continue;
-          }
-          if (v.IsCollection()) {
-            s->flags[k] = kRowFallback;
-            continue;
-          }
-          if (v.kind() != ValueKind::kReference) {
-            fail(k, Status::TypeError("path step '" + ar.name +
-                                      "' applied to a non-reference value"));
-            continue;
-          }
-          auto r = objects_->GetAttributeByOrdinal(v.AsReference(), *ar.layout,
-                                                   ar.ordinal, cache);
+          auto r = attr_of(val(c, k), ar);
           if (!r.ok()) {
-            if (r.status().IsNotFound()) {
-              s->flags[k] = kRowFallback;
-            } else {
-              fail(k, r.status());
-            }
+            fail(k, r.status());
             continue;
           }
           c.v[k] = std::move(r).value();
@@ -497,6 +382,65 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         }
         c.is_const = false;
         live.resize(w);
+        break;
+      }
+      case OpCode::kGuardCall: {
+        // Probe the call: a receiver that asks for its arguments reaches the
+        // call; any other outcome (Null, an empty fan-out, a receiver error)
+        // is the row's final value for this step.
+        const CallRef& cr = calls_[ins.b];
+        const BatchScratch::Col& c = s->stack[s->top - 1];
+        bool asked = false;
+        Evaluator::ArgsFn probe = [&asked]() -> Result<std::vector<MoodValue>> {
+          asked = true;
+          return Status::Internal("argument probe");
+        };
+        size_t w = 0;
+        for (uint32_t k : live) {
+          asked = false;
+          auto r = evaluator_->Step(val(c, k), cr.name, true, probe, cache);
+          if (asked) {
+            live[w++] = k;
+          } else if (!r.ok()) {
+            fail(k, r.status());
+          } else {
+            s->parked.push_back({ins.a, k, std::move(r).value()});
+          }
+        }
+        live.resize(w);
+        break;
+      }
+      case OpCode::kCall: {
+        const CallRef& cr = calls_[ins.a];
+        const size_t argc = ins.b;
+        BatchScratch::Col& recv = s->stack[s->top - 1 - argc];
+        if (recv.v.size() < n) recv.v.resize(n);
+        uint32_t row = 0;
+        Evaluator::ArgsFn args;
+        if (argc > 0) {
+          args = [&]() -> Result<std::vector<MoodValue>> {
+            std::vector<MoodValue> values;
+            values.reserve(argc);
+            for (size_t j = s->top - argc; j < s->top; j++) {
+              values.push_back(val(s->stack[j], row));
+            }
+            return values;
+          };
+        }
+        size_t w = 0;
+        for (uint32_t k : live) {
+          row = k;
+          auto r = evaluator_->Step(val(recv, k), cr.name, cr.is_call, args, cache);
+          if (!r.ok()) {
+            fail(k, r.status());
+            continue;
+          }
+          recv.v[k] = std::move(r).value();
+          live[w++] = k;
+        }
+        recv.is_const = false;
+        live.resize(w);
+        s->top -= argc;
         break;
       }
       case OpCode::kBinaryArith: {
@@ -589,11 +533,29 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         break;
       }
       case OpCode::kJumpIfFalse:
-      case OpCode::kJumpIfTrue:
-        // Unreachable: has_jumps() routed jumpful programs to the row machine.
+      case OpCode::kJumpIfTrue: {
+        // A row whose condition decides the AND (false) / OR (true) parks
+        // with that Boolean; the rest go on to the right-hand side.
+        const bool decides = ins.op == OpCode::kJumpIfTrue;
+        const BatchScratch::Col& c = s->stack[s->top - 1];
+        size_t w = 0;
+        for (uint32_t k : live) {
+          auto b = OperandDataType::FromValue(val(c, k)).AsBool();
+          if (!b.ok()) {
+            fail(k, b.status());
+          } else if (b.value() == decides) {
+            s->parked.push_back({ins.a, k, MoodValue::Boolean(decides)});
+          } else {
+            live[w++] = k;
+          }
+        }
+        live.resize(w);
+        s->top--;
         break;
+      }
     }
   }
+  rejoin(code_.size());
 
   if (s->top != 1) {
     Status st = Status::Internal("expression program stack imbalance");
@@ -641,6 +603,9 @@ std::string ExprProgram::ToString() const {
       case OpCode::kJumpIfTrue: return "JumpIfTrue";
       case OpCode::kCoerceBool: return "CoerceBool";
       case OpCode::kLoadParam: return "LoadParam";
+      case OpCode::kGuardCall: return "GuardCall";
+      case OpCode::kCall: return "Call";
+      case OpCode::kUnbound: return "Unbound";
     }
     return "?";
   };
@@ -690,6 +655,20 @@ std::string ExprProgram::ToString() const {
       case OpCode::kLoadParam:
         std::snprintf(buf, sizeof(buf), "?%u", ins.a + 1);
         out += buf;
+        break;
+      case OpCode::kGuardCall:
+        std::snprintf(buf, sizeof(buf), "-> %04u m%u", ins.a, ins.b);
+        out += buf;
+        break;
+      case OpCode::kCall: {
+        const CallRef& cr = calls_[ins.a];
+        std::snprintf(buf, sizeof(buf), "m%u argc=%u ", ins.a, ins.b);
+        out += buf;
+        out += "(" + cr.name + (cr.is_call ? "())" : ")");
+        break;
+      }
+      case OpCode::kUnbound:
+        out += "(" + consts_[ins.a].AsString() + ")";
         break;
       case OpCode::kCoerceBool:
         break;

@@ -9,6 +9,7 @@
 #include "exec/row_batch.h"
 #include "objects/object_manager.h"
 #include "sql/ast.h"
+#include "sql/evaluator.h"
 
 namespace mood {
 
@@ -19,29 +20,32 @@ namespace mood {
 /// attribute steps are plan-time ordinals into per-class AttributeLayouts (no
 /// string-map or catalog lookup per row).
 ///
-/// Semantics contract: a program produces byte-identical MoodValues and
-/// identical error statuses to the interpreted Evaluator for every expression
-/// it accepts — arithmetic runs through the same OperandDataType operators,
-/// comparisons through Evaluator::Compare, AND/OR keep short-circuit order.
-/// Dynamic constructs the compiler cannot pin down statically (method calls,
-/// mid-path collection fan-out, polymorphic roots) are rejected at compile
-/// time; runtime surprises (a subclass instance lacking the bound attribute, a
-/// value that fans out unexpectedly) flag the row kRowFallback so the caller
-/// re-evaluates it with the interpreter.
+/// This is the executor's only expression evaluator. Semantics contract: a
+/// program produces byte-identical MoodValues and identical error statuses to
+/// the interpreted Evaluator — arithmetic runs through the same
+/// OperandDataType operators, comparisons through Evaluator::Compare, path
+/// steps the ordinal fast path cannot serve (methods, names outside the static
+/// layout, collection fan-out, non-root `self`) through Evaluator::Step, and
+/// AND/OR keep short-circuit order.
 class ExprProgram {
  public:
   enum class OpCode : uint8_t {
     kPushConst,    ///< a: consts index
     kLoadSlot,     ///< a: slot; push Reference(slots[a])
     kLoadAttr,     ///< a: slot, b: attrs index; push attribute of slots[a]
-    kDerefAttr,    ///< b: attrs index; pop ref, push its attribute
+    kDerefAttr,    ///< b: attrs index; pop value, push its attribute
+    kGuardCall,    ///< a: target pc, b: calls index; rows whose receiver (top)
+                   ///< never asks for the arguments skip to the target
+    kCall,         ///< a: calls index, b: argc; pop args and receiver, push
+                   ///< Evaluator::Step of the receiver
     kBinaryArith,  ///< a: BinaryOp (+ - * / %); pop rhs, lhs, push result
     kCompare,      ///< a: BinaryOp (= <> < <= > >=); pop rhs, lhs, push Boolean
     kUnary,        ///< a: UnaryOp; pop v, push result
-    kJumpIfFalse,  ///< a: target pc; AND: pop cond, if false push false + jump
-    kJumpIfTrue,   ///< a: target pc; OR: pop cond, if true push true + jump
+    kJumpIfFalse,  ///< a: target pc; AND: pop cond; false rows park with false
+    kJumpIfTrue,   ///< a: target pc; OR: pop cond; true rows park with true
     kCoerceBool,   ///< pop v, push Boolean(AsBool(v))
     kLoadParam,    ///< a: `?` position; push scratch params[a] (broadcast const)
+    kUnbound,      ///< a: consts index of a range variable absent from the row
   };
 
   struct Instr {
@@ -52,18 +56,23 @@ class ExprProgram {
 
   /// One attribute access bound at compile time. `layout` pins the class the
   /// ordinal was resolved against (shared_ptr keeps it alive across DDL);
-  /// `name` feeds interpreter-identical error messages.
+  /// `name` feeds the shared path step and interpreter-identical errors.
   struct AttrRef {
     AttributeLayoutPtr layout;
     uint32_t ordinal = 0;
     std::string name;
   };
 
+  /// One path step evaluated through Evaluator::Step.
+  struct CallRef {
+    std::string name;
+    bool is_call = false;
+  };
+
   /// Per-row outcome of a batch evaluation.
   enum RowFlag : uint8_t {
-    kRowOk = 0,        ///< values[k] (or keep[k]) holds the row's result
-    kRowFallback = 1,  ///< re-evaluate this row through the interpreter
-    kRowError = 2,     ///< errors[k] is the interpreter-identical status
+    kRowOk = 0,     ///< values[k] (or keep[k]) holds the row's result
+    kRowError = 1,  ///< errors[k] is the interpreter-identical status
   };
 
   /// Reusable columnar evaluation state for EvalBatch; one instance per worker,
@@ -84,24 +93,30 @@ class ExprProgram {
       MoodValue cval;
       std::vector<MoodValue> v;
     };
+    /// A row that left `live` at a jump with its result decided; it rejoins
+    /// at `target` with `value` on top of the stack.
+    struct Parked {
+      uint32_t target;
+      uint32_t row;
+      MoodValue value;
+    };
     std::vector<Col> stack;
     size_t top = 0;
     std::vector<uint32_t> live;
-    std::vector<MoodValue> row_stack;  ///< row machine stack (programs with jumps)
-    std::vector<Oid> rowbuf;           ///< row-major slot gather for the row machine
+    std::vector<uint32_t> merged;  ///< rejoin buffer
+    std::vector<Parked> parked;    ///< innermost jump last (regions nest)
     /// Bound `?` parameter values for this execution (null: none bound).
     const std::vector<MoodValue>* params = nullptr;
   };
 
   /// Evaluates the program once per live row of `batch`, amortizing opcode
-  /// dispatch across the batch: jump-free programs (the common case after DNF
-  /// splitting) run every opcode as one tight loop over a columnar operand
-  /// stack; programs with short-circuit jumps diverge per row, so they run the
-  /// row machine internally over a slot gather. A row stops executing the
-  /// moment it errors or needs the interpreter — the other rows keep
-  /// streaming. Never fails as a whole: per-row outcomes land in
-  /// scratch->flags/values/errors, and the caller owns first-error ordering
-  /// (walk the rows in selection order, exactly like the serial loop).
+  /// dispatch across the batch: every opcode runs as one tight loop over a
+  /// columnar operand stack. A row stops executing the moment it errors, and
+  /// a row whose AND/OR or method receiver is decided early parks until the
+  /// jump target — the other rows keep streaming. Never fails as a whole:
+  /// per-row outcomes land in scratch->flags/values/errors, and the caller
+  /// owns first-error ordering (walk the rows in selection order, exactly
+  /// like the serial loop).
   void EvalBatch(const RowBatch& batch, DerefCache* cache, BatchScratch* scratch) const;
 
   /// Predicate form of EvalBatch: scratch->keep[k] is set for kRowOk rows with
@@ -109,11 +124,6 @@ class ExprProgram {
   /// turns the row into kRowError, matching Evaluator::EvalPredicate.
   void EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
                           BatchScratch* scratch) const;
-
-  /// True when the program contains short-circuit jumps (per-row control
-  /// flow); EvalBatch then runs rows through the row machine instead of the
-  /// columnar loops.
-  bool has_jumps() const;
 
   /// Deterministic bytecode dump (golden-tested), e.g.
   ///   0000 LoadAttr    s0 a0 (cylinders)
@@ -127,17 +137,11 @@ class ExprProgram {
  private:
   friend class ExprCompiler;
 
-  /// Row machine for programs with short-circuit jumps: evaluates one row of
-  /// range-variable bindings on s->row_stack. On a dynamic case the compiled
-  /// form cannot express, sets *need_fallback and returns OK(Null); the caller
-  /// must re-evaluate the row through the interpreter.
-  Result<MoodValue> Eval(const Oid* slots, DerefCache* cache, BatchScratch* s,
-                         bool* need_fallback) const;
-
-  ObjectManager* objects_ = nullptr;
+  const Evaluator* evaluator_ = nullptr;
   std::vector<Instr> code_;
   std::vector<MoodValue> consts_;
   std::vector<AttrRef> attrs_;
+  std::vector<CallRef> calls_;
   size_t const_folded_ = 0;
 };
 
@@ -145,19 +149,15 @@ using ExprProgramPtr = std::shared_ptr<const ExprProgram>;
 
 /// Thread-safe memo of compiled programs keyed by expression identity. A cached
 /// plan owns one: repeated executions of the same plan reuse the lowered
-/// bytecode — including negative ("keep the interpreter") outcomes — instead of
-/// re-compiling per call. Keying by Expr pointer is sound because the memo
+/// bytecode instead of re-compiling per call. Keying by Expr pointer is sound because the memo
 /// lives and dies with the plan that owns those expression nodes.
 class ProgramMemo {
  public:
-  /// True when `key` was compiled before; *out receives the program (may be
-  /// null for expressions the compiler rejected).
-  bool Lookup(const Expr* key, ExprProgramPtr* out) const {
+  /// The program compiled for `key` before, or null.
+  ExprProgramPtr Lookup(const Expr* key) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = memo_.find(key);
-    if (it == memo_.end()) return false;
-    *out = it->second;
-    return true;
+    return it == memo_.end() ? nullptr : it->second;
   }
   void Insert(const Expr* key, ExprProgramPtr prog) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -172,36 +172,38 @@ class ProgramMemo {
 using ProgramMemoPtr = std::shared_ptr<ProgramMemo>;
 
 /// Plan-time compilation environment: which slot each range variable occupies
-/// in the executor's row vectors, and the statically-known class of the
-/// objects bound to it (empty / !single_class when the extent is polymorphic).
+/// in the executor's row vectors, and the class its FROM entry names (empty
+/// when unknown). Under EVERY the objects may be subclass instances; ordinals
+/// bound against the named class re-resolve by name for those.
 struct ExprCompileEnv {
   struct VarInfo {
     uint32_t slot = 0;
     std::string class_name;
-    bool single_class = false;
   };
   std::map<std::string, VarInfo> vars;
 };
 
-/// Lowers Expr trees into ExprPrograms. Compile returns null (not an error)
-/// when the expression uses a construct the bytecode cannot reproduce
-/// faithfully — callers keep the interpreter for those:
-///   - method-call steps, or attribute names that may resolve to methods;
-///   - non-terminal Set/List-typed steps (mid-path fan-out);
-///   - `self` steps anywhere but directly on the root variable;
-///   - range variables absent from the env or without a single static class.
+/// Lowers Expr trees into ExprPrograms. Every expression compiles: attribute
+/// steps on a statically known class become ordinal loads, every other path
+/// step (methods, names the layout lacks, non-root `self`, steps past a
+/// collection or another such step) becomes a kCall through Evaluator::Step,
+/// and a range variable absent from the env becomes kUnbound (the
+/// interpreter's error, raised per row).
 class ExprCompiler {
  public:
-  explicit ExprCompiler(ObjectManager* objects) : objects_(objects) {}
+  explicit ExprCompiler(const Evaluator* evaluator) : evaluator_(evaluator) {}
 
+  /// Null only for a null expression.
   std::unique_ptr<ExprProgram> Compile(const ExprPtr& expr,
                                        const ExprCompileEnv& env) const;
 
  private:
-  bool Emit(const Expr& e, const ExprCompileEnv& env, ExprProgram* prog) const;
-  bool EmitPath(const Expr& e, const ExprCompileEnv& env, ExprProgram* prog) const;
+  void Emit(const Expr& e, const ExprCompileEnv& env, ExprProgram* prog) const;
+  void EmitPath(const Expr& e, const ExprCompileEnv& env, ExprProgram* prog) const;
+  void EmitCall(const PathStep& step, const ExprCompileEnv& env,
+                ExprProgram* prog) const;
 
-  ObjectManager* objects_;
+  const Evaluator* evaluator_;
 };
 
 }  // namespace mood

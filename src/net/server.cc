@@ -507,7 +507,6 @@ void MoodServer::HandleFrame(Conn& c, const Frame& f, uint64_t enqueued_ms,
         if (name == "exec_threads") q.exec_threads = static_cast<size_t>(value);
         else if (name == "batch_size") q.batch_size = static_cast<size_t>(value);
         else if (name == "deref_cache_entries") q.deref_cache_entries = static_cast<size_t>(value);
-        else if (name == "compile_expressions") q.compile_expressions = value != 0;
         else if (name == "feedback") q.feedback = value != 0;
         else if (name == "use_cache") q.use_cache = value != 0;
         else if (name == "collect_profile") q.collect_profile = value != 0;

@@ -65,7 +65,7 @@ struct PlanNode {
   double est_rows = 0;
 
   /// Free-form annotation rendered by Explain (e.g. EXPLAIN VERBOSE's
-  /// "exprs: compiled"). Deliberately not part of Describe(): profile labels
+  /// "plan: cached"). Deliberately not part of Describe(): profile labels
   /// must stay identical with and without annotations.
   std::string note;
 

@@ -5,10 +5,9 @@
 namespace mood {
 
 Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
-                                        const std::vector<ExprPtr>& args,
-                                        const Env& env) const {
-  MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(receiver, env.deref));
-  MOOD_ASSIGN_OR_RETURN(MoodValue self_value, objects_->Fetch(receiver, env.deref));
+                                        const ArgsFn& args, DerefCache* deref) const {
+  MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(receiver, deref));
+  MOOD_ASSIGN_OR_RETURN(MoodValue self_value, objects_->Fetch(receiver, deref));
   // The memoized layout supplies the flattened attribute list (and its name
   // vector for the method context) without re-walking the IS-A DAG per call;
   // DDL invalidates it through the catalog's schema epoch.
@@ -23,18 +22,53 @@ Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
   }
 
   std::vector<MoodValue> arg_values;
-  arg_values.reserve(args.size());
-  for (const auto& a : args) {
-    MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(a, env));
-    arg_values.push_back(std::move(v));
+  if (args) {
+    MOOD_ASSIGN_OR_RETURN(arg_values, args());
   }
 
   MethodContext ctx;
   ctx.self = receiver;
   ctx.self_value = &self_value;
   ctx.attr_names = &layout->names;
-  ctx.deref = [this, &env](Oid oid) { return objects_->Fetch(oid, env.deref); };
+  ctx.deref = [this, deref](Oid oid) { return objects_->Fetch(oid, deref); };
   return functions_->Invoke(cls, fname, ctx, std::move(arg_values));
+}
+
+Result<MoodValue> Evaluator::Step(const MoodValue& v, const std::string& name,
+                                  bool is_call, const ArgsFn& args,
+                                  DerefCache* deref) const {
+  auto apply_one = [&](const MoodValue& e) -> Result<MoodValue> {
+    if (e.is_null()) return MoodValue::Null();
+    if (e.kind() != ValueKind::kReference) {
+      return Status::TypeError("path step '" + name +
+                               "' applied to a non-reference value");
+    }
+    Oid oid = e.AsReference();
+    if (is_call) return CallMethod(oid, name, args, deref);
+    if (name == "self") return e;
+    // Attribute access; a name that is not an attribute may be a parameterless
+    // method (the paper allows `s.A` where A is a parameterless method).
+    auto attr = objects_->GetAttribute(oid, name, deref);
+    if (!attr.ok() && attr.status().IsNotFound()) return CallMethod(oid, name, {}, deref);
+    return attr;
+  };
+  if (!v.IsCollection()) return apply_one(v);
+  MoodValue::ValueList results;
+  results.reserve(v.elements().size());
+  for (const auto& e : v.elements()) {
+    MOOD_ASSIGN_OR_RETURN(MoodValue r, apply_one(e));
+    if (r.is_null()) continue;
+    if (r.IsCollection()) {
+      // Flatten by moving: mutable_elements() is copy-on-write, so a
+      // uniquely-owned inner collection moves element-wise without copies.
+      auto& inner = r.mutable_elements();
+      results.reserve(results.size() + inner.size());
+      for (auto& iv : inner) results.push_back(std::move(iv));
+    } else {
+      results.push_back(std::move(r));
+    }
+  }
+  return MoodValue::Set(std::move(results));
 }
 
 Result<MoodValue> Evaluator::EvalPathFrom(Oid root, const std::vector<PathStep>& steps,
@@ -42,47 +76,20 @@ Result<MoodValue> Evaluator::EvalPathFrom(Oid root, const std::vector<PathStep>&
   MoodValue current = MoodValue::Reference(root);
   for (size_t i = 0; i < steps.size(); i++) {
     const PathStep& step = steps[i];
-    // Apply the step to every element if the current value fans out.
-    auto apply_one = [&](const MoodValue& v) -> Result<MoodValue> {
-      if (v.is_null()) return MoodValue::Null();
-      if (v.kind() != ValueKind::kReference) {
-        return Status::TypeError("path step '" + step.name +
-                                 "' applied to a non-reference value");
-      }
-      Oid oid = v.AsReference();
-      if (step.name == "self" && !step.is_call) return v;
-      if (step.is_call) return CallMethod(oid, step.name, step.args, env);
-      // Attribute access; a name that is not an attribute may be a parameterless
-      // method (the paper allows `s.A` where A is a parameterless method).
-      auto attr = objects_->GetAttribute(oid, step.name, env.deref);
-      if (attr.ok()) return attr;
-      if (attr.status().IsNotFound()) {
-        return CallMethod(oid, step.name, {}, env);
-      }
-      return attr;
-    };
-
-    if (current.IsCollection()) {
-      MoodValue::ValueList results;
-      results.reserve(current.elements().size());
-      for (const auto& e : current.elements()) {
-        MOOD_ASSIGN_OR_RETURN(MoodValue r, apply_one(e));
-        if (r.is_null()) continue;
-        if (r.IsCollection()) {
-          // Flatten by moving: mutable_elements() is copy-on-write, so a
-          // uniquely-owned inner collection moves element-wise without copies.
-          auto& inner = r.mutable_elements();
-          results.reserve(results.size() + inner.size());
-          for (auto& iv : inner) results.push_back(std::move(iv));
-        } else {
-          results.push_back(std::move(r));
+    ArgsFn args;
+    if (!step.args.empty()) {
+      args = [&]() -> Result<std::vector<MoodValue>> {
+        std::vector<MoodValue> values;
+        values.reserve(step.args.size());
+        for (const auto& a : step.args) {
+          MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(a, env));
+          values.push_back(std::move(v));
         }
-      }
-      current = MoodValue::Set(std::move(results));
-    } else {
-      MOOD_ASSIGN_OR_RETURN(current, apply_one(current));
-      if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
+        return values;
+      };
     }
+    MOOD_ASSIGN_OR_RETURN(current, Step(current, step.name, step.is_call, args, env.deref));
+    if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
   }
   return current;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,6 +45,21 @@ class Evaluator {
   Result<MoodValue> EvalPathFrom(Oid root, const std::vector<PathStep>& steps,
                                  const Env& env) const;
 
+  /// Supplies a method call's argument values. Asked once per receiver that
+  /// reaches the call, after the receiver's class and value resolve; an empty
+  /// function means "no arguments".
+  using ArgsFn = std::function<Result<std::vector<MoodValue>>()>;
+
+  /// Applies one path step (`name`, a method call when `is_call`) to `v`: the
+  /// single definition of a path step, shared by EvalPathFrom and the compiled
+  /// batch kernels (exec/expr_compile). Null yields Null. A Set/List fans out:
+  /// each element steps, Null results drop and collection results flatten
+  /// into one Set. A reference reads the attribute, or calls the method; an
+  /// attribute name the instance lacks may name a parameterless method.
+  /// Anything else is a TypeError.
+  Result<MoodValue> Step(const MoodValue& v, const std::string& name, bool is_call,
+                         const ArgsFn& args, DerefCache* deref) const;
+
   /// Compares with existential fan-out semantics. Static and public so the
   /// compiled expression programs (exec/expr_compile) share the exact same
   /// comparison code path as the interpreter.
@@ -55,7 +71,7 @@ class Evaluator {
  private:
   Result<MoodValue> EvalBinary(const Expr& e, const Env& env) const;
   Result<MoodValue> CallMethod(Oid receiver, const std::string& fname,
-                               const std::vector<ExprPtr>& args, const Env& env) const;
+                               const ArgsFn& args, DerefCache* deref) const;
 
   ObjectManager* objects_;
   FunctionManager* functions_;

@@ -130,17 +130,21 @@ class BatchExecFixture : public ::testing::Test {
   /// The geometry contract: for every batch size and thread count, execution
   /// returns byte-identical results — or the byte-identical error status — as
   /// the serial one-row-per-batch reference (batch_size = 1, one thread).
+  /// The result cache is off: its key does not include the geometry, so a
+  /// cached reference would answer every later geometry.
   void ExpectBatchMatch(const std::string& sql,
                         std::vector<size_t> batch_sizes = {1, 7, 1024}) {
     QueryOptions oracle_opts;
     oracle_opts.batch_size = 1;
     oracle_opts.exec_threads = 1;
+    oracle_opts.use_cache = false;
     auto oracle = db_.Query(sql, oracle_opts);
     for (size_t batch : batch_sizes) {
       for (size_t threads : TestThreadCounts()) {
         QueryOptions opts;
         opts.batch_size = batch;
         opts.exec_threads = threads;
+        opts.use_cache = false;
         auto batched = db_.Query(sql, opts);
         ASSERT_EQ(oracle.ok(), batched.ok())
             << sql << " batch=" << batch << " threads=" << threads
@@ -217,8 +221,9 @@ TEST_F(BatchExecFixture, ProjectionsAndClausePipeline) {
   ExpectMatch("SELECT DISTINCT e.cylinders FROM VehicleEngine e");
   ExpectMatch(
       "SELECT DISTINCT e.cylinders FROM VehicleEngine e ORDER BY e.cylinders");
-  // Method calls interpret per row inside the batch loop (compile refusal).
+  // Method calls dispatch per row inside the batch kernels (kCall).
   ExpectMatch("SELECT v.weight, v.lbweight() FROM Vehicle v");
+  ExpectMatch("SELECT v FROM Vehicle v WHERE v.lbweight > 3000");
 }
 
 TEST_F(BatchExecFixture, IndexedSelection) {
@@ -356,20 +361,22 @@ TEST_F(BatchExecFixture, OversizedBatchRequestClamps) {
 }
 
 // ---------------------------------------------------------------------------
-// Fallback rows mid-batch (ExprProgram::EvalPredicateBatch unit level)
+// A row the ordinal fast path cannot serve, mid-batch
+// (ExprProgram::EvalPredicateBatch unit level)
 // ---------------------------------------------------------------------------
 
-TEST_F(BatchExecFixture, FallbackRowMidBatch) {
+TEST_F(BatchExecFixture, IntruderRowGetsTheInterpreterStatus) {
   // Compile a predicate against VehicleEngine, then feed it a batch whose
   // middle row is an Employee: attribute re-resolution fails with NotFound,
-  // which must flag kRowFallback for exactly that row — the surrounding rows
+  // the shared path step tries `cylinders` as a method, and exactly that row
+  // gets the interpreter's status as kRowError — the surrounding rows
   // evaluate columnar as usual.
   auto stmt = Parser::Parse("SELECT e FROM VehicleEngine e WHERE e.cylinders > 8");
   MOOD_ASSERT_OK(stmt.status());
   ExprPtr where = std::get<SelectStmt>(stmt.value()).where;
   ExprCompileEnv env;
-  env.vars["e"] = {0, "VehicleEngine", true};
-  auto prog = ExprCompiler(db_.objects()).Compile(where, env);
+  env.vars["e"] = {0, "VehicleEngine"};
+  auto prog = ExprCompiler(db_.evaluator()).Compile(where, env);
   ASSERT_NE(prog, nullptr);
 
   std::vector<Oid> engines;
@@ -395,16 +402,19 @@ TEST_F(BatchExecFixture, FallbackRowMidBatch) {
   prog->EvalPredicateBatch(batch, nullptr, &scratch);
   ASSERT_EQ(scratch.flags.size(), 7u);
   for (size_t k = 0; k < 7; k++) {
-    if (k == 3) {
-      EXPECT_EQ(scratch.flags[k], ExprProgram::kRowFallback) << "row " << k;
-      continue;
-    }
-    EXPECT_EQ(scratch.flags[k], ExprProgram::kRowOk) << "row " << k;
-    // Cross-check against the interpreter.
+    // Cross-check every row against the interpreter.
     Evaluator::Env row_env;
     row_env.vars["e"] = batch.col(0)[batch.RowAt(k)];
-    MOOD_ASSERT_OK_AND_ASSIGN(bool want, db_.evaluator()->EvalPredicate(where, row_env));
-    EXPECT_EQ(scratch.keep[k] != 0, want) << "row " << k;
+    auto want = db_.evaluator()->EvalPredicate(where, row_env);
+    if (k == 3) {
+      ASSERT_FALSE(want.ok());
+      EXPECT_EQ(scratch.flags[k], ExprProgram::kRowError) << "row " << k;
+      EXPECT_EQ(scratch.errors[k].ToString(), want.status().ToString());
+      continue;
+    }
+    MOOD_ASSERT_OK(want.status());
+    EXPECT_EQ(scratch.flags[k], ExprProgram::kRowOk) << "row " << k;
+    EXPECT_EQ(scratch.keep[k] != 0, want.value()) << "row " << k;
   }
 
   // With a selection vector the outputs are indexed by live position, and

@@ -99,63 +99,52 @@ class ParallelExecFixture : public ::testing::Test {
     MOOD_ASSERT_OK(db_.CollectAllStatistics());
   }
 
-  /// Expression-evaluation modes the sweep exercises. MOOD_TEST_COMPILE=on|off
-  /// narrows it to one mode, the same way MOOD_TEST_THREADS bounds the thread
-  /// axis for the sanitizer presets.
-  static std::vector<bool> TestCompileModes() {
-    const char* env = std::getenv("MOOD_TEST_COMPILE");
-    if (env != nullptr && std::string(env) == "on") return {true};
-    if (env != nullptr && std::string(env) == "off") return {false};
-    return {false, true};
-  }
-
   /// Batch sizes the sweep exercises: one row per batch, a small size that
   /// forces many partial batches, and the default. MOOD_TEST_BATCH=<n> narrows
-  /// the axis the same way MOOD_TEST_THREADS does.
+  /// the axis the same way MOOD_TEST_THREADS bounds the thread axis for the
+  /// sanitizer presets.
   static std::vector<size_t> TestBatchSizes() {
     const char* env = std::getenv("MOOD_TEST_BATCH");
     if (env != nullptr) return {static_cast<size_t>(std::atoi(env))};
     return {1, 7, 1024};
   }
 
-  /// Reference: serial, interpreted, one row per batch. Every (batch size,
-  /// compile mode, thread count) combination must match it byte-for-byte —
-  /// rows or error status — and the reference must agree with the naive
-  /// oracle (tests/naive_oracle.h).
+  /// Reference: serial, one row per batch. Every (batch size, thread count)
+  /// combination must match it byte-for-byte — rows or error status — and
+  /// the reference must agree with the naive oracle (tests/naive_oracle.h).
+  /// The result cache is off: its key does not include the geometry, so a
+  /// cached reference would answer every later combination.
   void ExpectDeterministic(const std::string& sql) {
     db_.executor()->set_threads(1);
     QueryOptions oracle_opts;
-    oracle_opts.compile_expressions = false;
     oracle_opts.batch_size = 1;
+    oracle_opts.use_cache = false;
     auto serial = db_.Query(sql, oracle_opts);
     for (size_t batch : TestBatchSizes()) {
-      for (bool compile : TestCompileModes()) {
-        QueryOptions opts;
-        opts.compile_expressions = compile;
-        opts.batch_size = batch;
-        std::vector<size_t> counts = TestThreadCounts();
-        // Every mode but the reference's own also diffs serially against it.
-        if (compile || batch != 1) counts.insert(counts.begin(), 1);
-        for (size_t threads : counts) {
-          db_.executor()->set_threads(threads);
-          auto parallel = db_.Query(sql, opts);
-          ASSERT_EQ(serial.ok(), parallel.ok())
-              << sql << " @" << threads << " threads compile=" << compile
-              << " batch=" << batch << ": serial=" << serial.status().ToString()
-              << " parallel=" << parallel.status().ToString();
-          if (!serial.ok()) {
-            EXPECT_EQ(serial.status().ToString(), parallel.status().ToString())
-                << sql << " @" << threads << " compile=" << compile << " batch=" << batch;
-            continue;
-          }
-          const QueryResult& s = serial.value();
-          const QueryResult& p = parallel.value();
-          EXPECT_EQ(s.columns, p.columns) << sql << " @" << threads;
-          ASSERT_EQ(s.rows.size(), p.rows.size())
-              << sql << " @" << threads << " compile=" << compile << " batch=" << batch;
-          EXPECT_EQ(s.ToString(), p.ToString())
-              << sql << " @" << threads << " compile=" << compile << " batch=" << batch;
+      QueryOptions opts;
+      opts.batch_size = batch;
+      opts.use_cache = false;
+      std::vector<size_t> counts = TestThreadCounts();
+      // Every batch size but the reference's own also diffs serially.
+      if (batch != 1) counts.insert(counts.begin(), 1);
+      for (size_t threads : counts) {
+        db_.executor()->set_threads(threads);
+        auto parallel = db_.Query(sql, opts);
+        ASSERT_EQ(serial.ok(), parallel.ok())
+            << sql << " @" << threads << " threads batch=" << batch
+            << ": serial=" << serial.status().ToString()
+            << " parallel=" << parallel.status().ToString();
+        if (!serial.ok()) {
+          EXPECT_EQ(serial.status().ToString(), parallel.status().ToString())
+              << sql << " @" << threads << " batch=" << batch;
+          continue;
         }
+        const QueryResult& s = serial.value();
+        const QueryResult& p = parallel.value();
+        EXPECT_EQ(s.columns, p.columns) << sql << " @" << threads;
+        ASSERT_EQ(s.rows.size(), p.rows.size())
+            << sql << " @" << threads << " batch=" << batch;
+        EXPECT_EQ(s.ToString(), p.ToString()) << sql << " @" << threads << " batch=" << batch;
       }
     }
     db_.executor()->set_threads(1);

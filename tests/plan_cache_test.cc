@@ -306,7 +306,6 @@ TEST_F(PlanCacheFixture, SetDefaultQueryOptionsInheritChain) {
   EXPECT_TRUE(db_.Resolve({}).use_cache);
   ResolvedQueryOptions r = db_.Resolve({});
   EXPECT_EQ(r.batch_size, ExecOptions::kInheritBatch);
-  EXPECT_TRUE(r.compile_expressions);
 }
 
 // ---------------------------------------------------------------------------
