@@ -72,6 +72,10 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   MOOD_RETURN_IF_ERROR(catalog_->Open(storage_.get()));
   objects_ = std::make_unique<ObjectManager>(storage_.get(), catalog_.get());
   objects_->SetVersionStore(versions_.get());
+  if (txn_manager_ != nullptr) {
+    txn_manager_->SetRollbackHook(
+        [objects = objects_.get()](uint64_t batch) { return objects->UndoIndexWrites(batch); });
+  }
   functions_ = std::make_unique<FunctionManager>(catalog_.get());
   evaluator_ = std::make_unique<Evaluator>(objects_.get(), functions_.get());
   algebra_ = std::make_unique<MoodAlgebra>(objects_.get(), evaluator_.get());
@@ -415,6 +419,11 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
   const ResolvedQueryOptions r = ResolveFor(s, options.query);
   ExplainResult out;
   out.options = options;
+  // Same read physics as ExecSelectCached: outside a write transaction
+  // optimizing (which may read extent pages: calibration, stats refresh) and
+  // the ANALYZE run read under the shared gate, the latter at a snapshot.
+  const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
+  CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
   // EXPLAIN always re-optimizes: its plan copy is annotated (notes below) and
   // must never alias a shared cached plan. The cache is only *probed* to
   // report whether execution would hit it.
@@ -441,10 +450,6 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
     exec.deref_cache_entries = r.deref_cache_entries;
     exec.batch_size = r.batch_size;
     exec.profile = out.profile.get();
-    // Same read physics as ExecSelectCached: outside a write transaction the
-    // ANALYZE run reads a consistent snapshot under the shared gate.
-    const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
-    CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
     std::optional<ReadView> statement_view;
     if (const ReadView* view = ReaderView(s, snapshot_read, &statement_view)) {
       exec.snapshot = view->snapshot();
@@ -604,22 +609,7 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
     key += '\x1f';
     key += r.feedback ? 'F' : '-';
     schema_epoch = catalog_->schema_epoch();
-    entry = plan_cache_->Lookup(key, schema_epoch, stats_->plans_version(),
-                                [this](uint16_t file) { return objects_->WriteEpochOf(file); });
-    if (entry == nullptr) {
-      auto built = std::make_shared<CachedPlan>();
-      built->schema_epoch = schema_epoch;
-      built->plans_version = stats_->plans_version();
-      MOOD_ASSIGN_OR_RETURN(built->optimized, optimizer_->Optimize(stmt, r.feedback));
-      built->programs = std::make_shared<ProgramMemo>();
-      built->param_count = ParamCount(stmt);
-      MOOD_RETURN_IF_ERROR(CollectTouchedExtents(catalog_.get(), objects_.get(),
-                                                 built->optimized.bound,
-                                                 &built->extents,
-                                                 &built->result_cacheable));
-      entry = std::move(built);
-      plan_cache_->Insert(key, entry);
-    }
+    MOOD_ASSIGN_OR_RETURN(entry, CachedPlanFor(key, stmt, r.feedback, schema_epoch));
   }
 
   const QueryOptimizer::Optimized* optimized;
@@ -721,6 +711,26 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   return res;
 }
 
+Result<CachedPlanPtr> Database::CachedPlanFor(const std::string& key,
+                                              const SelectStmt& stmt, bool feedback,
+                                              uint64_t schema_epoch) {
+  CachedPlanPtr entry =
+      plan_cache_->Lookup(key, schema_epoch, stats_->plans_version(),
+                          [this](uint16_t file) { return objects_->WriteEpochOf(file); });
+  if (entry != nullptr) return entry;
+  auto built = std::make_shared<CachedPlan>();
+  built->schema_epoch = schema_epoch;
+  MOOD_ASSIGN_OR_RETURN(built->optimized, optimizer_->Optimize(stmt, feedback));
+  built->plans_version = built->optimized.plans_version;
+  built->programs = std::make_shared<ProgramMemo>();
+  built->param_count = ParamCount(stmt);
+  MOOD_RETURN_IF_ERROR(CollectTouchedExtents(catalog_.get(), objects_.get(),
+                                             built->optimized.bound, &built->extents,
+                                             &built->result_cacheable));
+  plan_cache_->Insert(key, built);
+  return CachedPlanPtr(std::move(built));
+}
+
 Result<ExecResult> Database::ExecExplain(Session& s, const ExplainStmt& stmt,
                                          const QueryOptions& options,
                                          const std::string& cache_sql) {
@@ -801,22 +811,72 @@ Result<ExecResult> Database::ExecNew(Session& s, const NewObjectStmt& stmt) {
   return res;
 }
 
+namespace {
+/// Copies a WHERE clause with each literal that is one side of a comparison
+/// against a path replaced by the next `?` placeholder (its value appended to
+/// `params`), so one cached plan serves every literal, as a prepared SELECT
+/// serves every binding.
+ExprPtr ParameterizeLiterals(const ExprPtr& e, std::vector<MoodValue>* params) {
+  if (e == nullptr) return nullptr;
+  if (e->kind == ExprKind::kUnary) {
+    return Expr::Unary(e->uop, ParameterizeLiterals(e->operand, params));
+  }
+  if (e->kind != ExprKind::kBinary) return e;
+  auto literal_vs_path = [](const ExprPtr& a, const ExprPtr& b) {
+    return a->kind == ExprKind::kLiteral && b->kind == ExprKind::kPath;
+  };
+  if (!IsComparison(e->op) ||
+      !(literal_vs_path(e->lhs, e->rhs) || literal_vs_path(e->rhs, e->lhs))) {
+    ExprPtr lhs = ParameterizeLiterals(e->lhs, params);
+    return Expr::Binary(e->op, lhs, ParameterizeLiterals(e->rhs, params));
+  }
+  auto parameter = [&](const ExprPtr& x) {
+    if (x->kind != ExprKind::kLiteral) return x;
+    params->push_back(x->literal);
+    return Expr::Parameter(static_cast<uint32_t>(params->size() - 1));
+  };
+  ExprPtr lhs = parameter(e->lhs);
+  return Expr::Binary(e->op, lhs, parameter(e->rhs));
+}
+}  // namespace
+
 Result<std::vector<Oid>> Database::MatchingObjects(const std::string& class_name,
                                                    const std::string& var,
                                                    const ExprPtr& where) {
+  std::vector<MoodValue> params;
   SelectStmt select;
   select.projection.push_back(Expr::Path(var, {}));
   FromEntry fe;
   fe.class_name = class_name;
   fe.var = var;
   select.from.push_back(fe);
-  select.where = where;
-  MOOD_ASSIGN_OR_RETURN(auto optimized, optimizer_->Optimize(select));
-  // Shared gate for the row-selection scan: DML reads *latest* state (not a
-  // snapshot — the writer must see current rows), but must still never
-  // observe another writer mid-mutation.
+  select.where = ParameterizeLiterals(where, &params);
+  // Shared gate for planning and the row-selection scan: DML reads *latest*
+  // state (not a snapshot — the writer must see current rows), but must still
+  // never observe another writer mid-mutation.
   CommitGate::SharedGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
-  MOOD_ASSIGN_OR_RETURN(BatchSet rows, executor_->ExecutePlan(optimized.plan));
+  // The plan is cached under the parameterized WHERE and its parameter types,
+  // in a key space no normalized SELECT can reach: `UPDATE ... WHERE v.id = k`
+  // re-plans only when the schema, the statistics or the plans-version move,
+  // whatever k is.
+  ExecOptions exec;
+  exec.params = &params;
+  PlanPtr plan;
+  CachedPlanPtr entry;
+  if (plan_cache_ != nullptr && plan_cache_->capacity() > 0) {
+    std::string key = "\x1e" "DML " + class_name + " " + var;
+    if (select.where != nullptr) key += " WHERE " + select.where->ToString();
+    key += '\x1f';
+    key += ParamTypeSignature(params);
+    MOOD_ASSIGN_OR_RETURN(entry, CachedPlanFor(key, select, /*feedback=*/true,
+                                               catalog_->schema_epoch()));
+    plan = entry->optimized.plan;
+    exec.program_memo = entry->programs.get();
+  } else {
+    MOOD_ASSIGN_OR_RETURN(auto optimized, optimizer_->Optimize(select));
+    plan = optimized.plan;
+  }
+  MOOD_ASSIGN_OR_RETURN(BatchSet rows, executor_->ExecutePlan(plan, exec));
   int idx = rows.VarIndex(var);
   if (idx < 0) return Status::Internal("range variable lost during optimization");
   std::vector<Oid> out = rows.LiveColumn(static_cast<size_t>(idx));

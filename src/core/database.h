@@ -450,6 +450,10 @@ class Database {
                                       const ResolvedQueryOptions& r,
                                       const std::vector<MoodValue>& params,
                                       const std::string& cache_sql);
+  /// The plan-cache probe shared by SELECT and DML row selection: the valid
+  /// cached plan for `key`, or a freshly optimized one inserted under it.
+  Result<CachedPlanPtr> CachedPlanFor(const std::string& key, const SelectStmt& stmt,
+                                      bool feedback, uint64_t schema_epoch);
   /// PreparedStatement's entry point (adds statement accounting + slow log).
   Result<ExecResult> ExecPrepared(Session& s, const SelectStmt& stmt,
                                   const std::string& normalized_sql,
@@ -475,7 +479,8 @@ class Database {
   Result<ExecResult> ExecCreateMatView(const CreateMatViewStmt& stmt);
   Result<ExecResult> ExecDropMatView(const DropMatViewStmt& stmt);
 
-  /// Evaluates the rows a WHERE clause selects for UPDATE/DELETE.
+  /// Evaluates the rows a WHERE clause selects for UPDATE/DELETE, planned
+  /// through the plan cache.
   Result<std::vector<Oid>> MatchingObjects(const std::string& class_name,
                                            const std::string& var, const ExprPtr& where);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,22 +47,6 @@ bool ProbeKeyMatches(const std::string& k, BinaryOp op, const std::string& key) 
     case BinaryOp::kLe: return k <= key;
     default: return false;  // IndSel rejects other operators at plan time
   }
-}
-
-/// Splits a path index's dotted attribute chain ("a.b.c") into steps.
-std::vector<std::string> SplitDottedPath(const std::string& path) {
-  std::vector<std::string> steps;
-  size_t start = 0;
-  while (start <= path.size()) {
-    size_t dot = path.find('.', start);
-    if (dot == std::string::npos) {
-      steps.push_back(path.substr(start));
-      break;
-    }
-    steps.push_back(path.substr(start, dot - start));
-    start = dot + 1;
-  }
-  return steps;
 }
 
 /// Scoped profiling span: null node = profiling off, every hook degenerates to
@@ -218,107 +203,51 @@ Result<bool> Executor::SnapshotScanHasVersions(const FromEntry& from,
   return false;
 }
 
-Result<std::vector<Oid>> Executor::SnapshotProbeScan(const PlanNode& node,
-                                                     Ctx& ctx) const {
-  // Resolve every probe's key once, exactly as RunIndexProbes would.
-  struct ResolvedProbe {
-    const IndexProbe* probe;
-    std::string key;
-    std::vector<std::string> path;  // kPath probes only
-  };
-  std::vector<ResolvedProbe> probes;
-  probes.reserve(node.probes.size());
-  for (const IndexProbe& probe : node.probes) {
-    const MoodValue* key = &probe.constant;
+Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx) const {
+  if (ctx.profile != nullptr) ctx.profile->morsels = node.probes.size();
+  // Parameterized probes resolve their key from the execution's bindings (a
+  // cached plan is reused across values of the same type signature).
+  std::vector<const MoodValue*> keys(node.probes.size());
+  for (size_t p = 0; p < node.probes.size(); p++) {
+    const IndexProbe& probe = node.probes[p];
+    keys[p] = &probe.constant;
     if (probe.param >= 0) {
       if (ctx.params == nullptr ||
           static_cast<size_t>(probe.param) >= ctx.params->size()) {
         return Status::InvalidArgument(
             "parameter ?" + std::to_string(probe.param + 1) + " not bound");
       }
-      key = &(*ctx.params)[static_cast<size_t>(probe.param)];
-    }
-    ResolvedProbe rp{&probe, MakeIndexKey(*key), {}};
-    if (probe.index.kind == IndexKind::kPath) {
-      rp.path = SplitDottedPath(probe.index.attribute);
-    }
-    probes.push_back(std::move(rp));
-  }
-  // An object matches when each probe's comparison holds for its visible
-  // attribute value (any terminal for path probes) — the membership the index
-  // would report if it were versioned. NotFound attributes simply don't match
-  // (they would have no index entry either).
-  auto matches = [&](Oid oid) -> Result<bool> {
-    for (const ResolvedProbe& rp : probes) {
-      bool hit = false;
-      if (rp.probe->index.kind == IndexKind::kPath) {
-        MOOD_RETURN_IF_ERROR(objects_->TraversePath(
-            oid, rp.path, ctx.cache, [&](const MoodValue& terminal) {
-              if (ProbeKeyMatches(MakeIndexKey(terminal), rp.probe->cmp, rp.key)) {
-                hit = true;
-              }
-              return Status::OK();
-            }));
-      } else {
-        Result<MoodValue> v =
-            objects_->GetAttribute(oid, rp.probe->index.attribute, ctx.cache);
-        if (!v.ok()) {
-          if (v.status().IsNotFound()) return false;
-          return v.status();
-        }
-        hit = ProbeKeyMatches(MakeIndexKey(v.value()), rp.probe->cmp, rp.key);
-      }
-      if (!hit) return false;
-    }
-    return true;
-  };
-  std::vector<Oid> out;
-  MOOD_RETURN_IF_ERROR(objects_->ScanExtent(
-      node.from.class_name, node.from.every, node.from.excludes, ctx.snapshot,
-      [&](Oid oid, const MoodValue&) -> Status {
-        MOOD_ASSIGN_OR_RETURN(bool keep, matches(oid));
-        if (keep) out.push_back(oid);
-        return Status::OK();
-      }));
-  return out;
-}
-
-Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx) const {
-  if (ctx.snapshot.active()) {
-    // Indexes reflect the latest committed state, not the snapshot: a key
-    // updated (or an object deleted/created) after the snapshot pins would
-    // make the probe over- or under-report. While version chains exist on any
-    // scanned extent file, answer from the snapshot-visible extent instead;
-    // in steady state (no chains) the index path below stays untouched.
-    MOOD_ASSIGN_OR_RETURN(bool compensate,
-                          SnapshotScanHasVersions(node.from, ctx.snapshot));
-    if (compensate) {
-      if (ctx.profile != nullptr) ctx.profile->morsels = node.probes.size();
-      return SnapshotProbeScan(node, ctx);
+      keys[p] = &(*ctx.params)[static_cast<size_t>(probe.param)];
     }
   }
-  if (ctx.profile != nullptr) ctx.profile->morsels = node.probes.size();
+  // An index covers one class's extent, so a range over several extents
+  // (EVERY, `-`) probes each class's index on the same attribute; the
+  // optimizer plans such a probe only when every one of them exists.
+  MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
+                        objects_->ScanClasses(node.from.class_name, node.from.every,
+                                              node.from.excludes));
   // Probes run in parallel (each is an independent index lookup); the
   // intersection then folds them in probe order, preserving the first probe's
   // oid order exactly as the serial loop does.
   std::vector<std::vector<Oid>> selected(node.probes.size());
   MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, node.probes.size(), [&](size_t p) {
     const IndexProbe& probe = node.probes[p];
-    // Parameterized probes resolve their key from the execution's bindings (a
-    // cached plan is reused across values of the same type signature).
-    const MoodValue* key = &probe.constant;
-    if (probe.param >= 0) {
-      if (ctx.params == nullptr ||
-          static_cast<size_t>(probe.param) >= ctx.params->size()) {
-        return Status::InvalidArgument(
-            "parameter ?" + std::to_string(probe.param + 1) + " not bound");
+    for (const std::string& cls : classes) {
+      std::optional<IndexDesc> index = probe.index;
+      if (cls != probe.index.class_name) {
+        index = objects_->catalog()->FindIndex(cls, probe.index.attribute,
+                                               probe.index.kind);
+        if (!index.has_value()) {
+          return Status::NotFound("class '" + cls + "' has no " +
+                                  std::string(IndexKindName(probe.index.kind)) +
+                                  " index on '" +
+                                  probe.index.attribute + "'");
+        }
       }
-      key = &(*ctx.params)[static_cast<size_t>(probe.param)];
+      MOOD_ASSIGN_OR_RETURN(Collection sel,
+                            algebra_->IndSel(cls, *index, probe.cmp, *keys[p]));
+      selected[p].insert(selected[p].end(), sel.oids().begin(), sel.oids().end());
     }
-    MOOD_ASSIGN_OR_RETURN(
-        Collection sel,
-        algebra_->IndSel(node.from.class_name, probe.index, probe.cmp, *key));
-    selected[p] = sel.oids();
     return Status::OK();
   }));
   std::vector<Oid> current;
@@ -335,6 +264,50 @@ Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx
       current = std::move(next);
     }
   }
+  if (!ctx.snapshot.active()) return current;
+
+  // Indexes reflect the latest state, not the snapshot. An object's index
+  // entries can disagree with what the snapshot sees only if the object was
+  // written since some pinned snapshot, and every such object has a version
+  // chain. So the index answers for all other objects, and each chained
+  // object of the scanned files is re-tested against the probes at its
+  // snapshot-visible value (read through the snapshot-bound cache): one
+  // deleted after the pin comes back, one created after it reads NotFound
+  // and stays out. This is sound because the statement holds the commit
+  // gate shared, so no writer moves the heap, the indexes or the chains
+  // between the probe above and this pass.
+  std::vector<Oid> chained;
+  for (const std::string& cls : classes) {
+    MOOD_ASSIGN_OR_RETURN(const MoodsType* type, objects_->catalog()->Lookup(cls));
+    const uint16_t file = static_cast<uint16_t>(type->extent_file);
+    if (!ctx.snapshot.versions->FileHasVersions(file)) continue;
+    std::vector<Oid> oids = ctx.snapshot.versions->TrackedOids(file);
+    chained.insert(chained.end(), oids.begin(), oids.end());
+  }
+  if (chained.empty()) return current;
+  std::unordered_set<uint64_t> drop;
+  for (Oid o : chained) drop.insert(o.Pack());
+  current.erase(std::remove_if(current.begin(), current.end(),
+                               [&](Oid o) { return drop.count(o.Pack()) > 0; }),
+                current.end());
+  std::vector<std::string> encoded;
+  encoded.reserve(keys.size());
+  for (const MoodValue* key : keys) encoded.push_back(MakeIndexKey(*key));
+  for (Oid oid : chained) {
+    bool keep = true;
+    for (size_t p = 0; p < node.probes.size() && keep; p++) {
+      const IndexProbe& probe = node.probes[p];
+      Result<MoodValue> v = objects_->GetAttribute(oid, probe.index.attribute, ctx.cache);
+      if (!v.ok()) {
+        if (!v.status().IsNotFound()) return v.status();
+        keep = false;
+      } else {
+        keep = ProbeKeyMatches(MakeIndexKey(v.value()), probe.cmp, encoded[p]);
+      }
+    }
+    if (keep) current.push_back(oid);
+  }
+  ctx.snapshot.versions->NoteProbeCompensation(chained.size());
   return current;
 }
 

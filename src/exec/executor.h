@@ -218,20 +218,16 @@ class Executor {
   Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
                    const std::function<Status(Oid)>& fn) const;
 
-  /// Probe/intersect step of kIndexSelect.
+  /// Probe/intersect step of kIndexSelect. Under a reader snapshot the
+  /// index hits are compensated with the scanned files' version chains, so
+  /// the answer is the snapshot's at the cost of the probe plus the chains.
   Result<std::vector<Oid>> RunIndexProbes(const PlanNode& node, Ctx& ctx) const;
 
   /// True when any extent file a scan over `from` visits currently has live
-  /// version chains — the trigger for snapshot compensation of index-backed
-  /// operators (indexes always reflect the latest state, not the snapshot).
+  /// version chains — the trigger for the binary join index's snapshot
+  /// fallback (the index maps the latest references, not the snapshot's).
   Result<bool> SnapshotScanHasVersions(const FromEntry& from,
                                        const SnapshotView& snap) const;
-
-  /// Snapshot-mode kIndexSelect fallback: scans the snapshot-visible extent
-  /// and applies the probe predicates through the index key codec (identical
-  /// comparison semantics to MoodAlgebra::IndSel), instead of consulting the
-  /// latest-state index. Row order is scan order, not index order.
-  Result<std::vector<Oid>> SnapshotProbeScan(const PlanNode& node, Ctx& ctx) const;
 
   ObjectManager* objects_;
   Evaluator* evaluator_;

@@ -1,6 +1,7 @@
 #include "objects/object_manager.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/coding.h"
@@ -606,6 +607,34 @@ Result<bool> ObjectManager::DeepEqualsRec(
     default:
       return a.Equals(b);
   }
+}
+
+Status ObjectManager::UndoIndexWrites(uint64_t batch) {
+  if (versions_ == nullptr) return Status::OK();
+  Status first;
+  for (const auto& [oid, pre] : versions_->PendingOf(batch)) {
+    std::optional<MoodValue> current;
+    std::string class_name = pre.absent ? "" : catalog_->typeName(pre.type_id);
+    Result<std::string> cls = ClassOf(oid);
+    if (!cls.ok() && !cls.status().IsNotFound()) {
+      if (first.ok()) first = cls.status();
+      continue;
+    }
+    if (cls.ok()) {
+      class_name = cls.value();
+      Result<MoodValue> tuple = Fetch(oid);
+      if (!tuple.ok()) {
+        if (first.ok()) first = tuple.status();
+        continue;
+      }
+      current = std::move(tuple.value());
+    }
+    if (class_name.empty()) continue;  // created and deleted by the batch
+    Status st = MaintainIndexes(class_name, oid, current ? &*current : nullptr,
+                                pre.absent ? nullptr : pre.tuple.get());
+    if (!st.ok() && first.ok()) first = st;
+  }
+  return first;
 }
 
 Status ObjectManager::MaintainIndexes(const std::string& class_name, Oid oid,

@@ -309,6 +309,14 @@ class ObjectManager {
   Catalog* catalog() const { return catalog_; }
   StorageManager* storage() const { return storage_; }
 
+  /// Puts back the index entries of every object version batch `batch`
+  /// wrote: entries for each object's current heap state out, entries for its
+  /// pre-batch state in. Indexes are maintained outside the WAL, so aborting
+  /// a transaction must run this before its heap pages are restored
+  /// (TransactionManager::SetRollbackHook); the caller holds the gate
+  /// exclusively.
+  Status UndoIndexWrites(uint64_t batch);
+
   /// Folds one finished query's DerefCache hit/miss counts into the
   /// engine-wide totals (called by the Executor when the per-query cache
   /// dies); `objects.deref_cache.*` in the metrics registry.

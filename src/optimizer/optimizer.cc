@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "stats/approx.h"
@@ -281,6 +282,9 @@ Result<QueryOptimizer::VarPlan> QueryOptimizer::BuildVarLeaf(
   const FromEntry& from = query.range_vars.at(var);
   MOOD_ASSIGN_OR_RETURN(ClassStats cls, ClassStatsOrLive(from.class_name));
   const double seq = SeqCost(cls.nbpages, active_disk_);
+  MOOD_ASSIGN_OR_RETURN(
+      std::vector<std::string> scan_classes,
+      objects_->ScanClasses(from.class_name, from.every, from.excludes));
 
   // Fill in selectivities and access costs (Table 11 columns).
   for (ImmSelEntry* e : imm) {
@@ -293,12 +297,19 @@ Result<QueryOptimizer::VarPlan> QueryOptimizer::BuildVarLeaf(
     if (e->param >= 0) {
       // Parameterized comparison: the value is unknown until execution, so the
       // estimate must be value-independent (the plan may be cached and reused
-      // for any value of the same type). Textbook defaults; no feedback
-      // signature, because a measured selectivity for one binding would
-      // mispredict the next.
+      // for any value of the same type). After ANALYZE, (in)equality follows
+      // uniformity, 1/dist(attr), which holds for every binding; otherwise
+      // textbook defaults. No feedback signature, because a measured
+      // selectivity for one binding would mispredict the next.
       e->selectivity = e->op == BinaryOp::kEq   ? 0.1
                        : e->op == BinaryOp::kNe ? 0.9
                                                 : options_.default_selectivity;
+      auto attr = stats_->Attribute(from.class_name, e->attribute);
+      if (attr.ok() && attr.value().dist > 0 &&
+          (e->op == BinaryOp::kEq || e->op == BinaryOp::kNe)) {
+        const double eq = 1.0 / static_cast<double>(attr.value().dist);
+        e->selectivity = e->op == BinaryOp::kEq ? eq : 1.0 - eq;
+      }
     } else {
       e->feedback_sig = ImmSig(from.class_name, e->attribute, e->op, e->constant);
       double measured = 0;
@@ -321,9 +332,17 @@ Result<QueryOptimizer::VarPlan> QueryOptimizer::BuildVarLeaf(
         }
       }
     }
-    // Usable index?
-    auto btree = catalog_->FindIndex(from.class_name, e->attribute, IndexKind::kBTree);
-    auto hash = catalog_->FindIndex(from.class_name, e->attribute, IndexKind::kHash);
+    // Usable index? One index covers one extent, so a range over several
+    // (EVERY, `-`) may probe only when each scanned class has its own.
+    auto covering = [&](IndexKind kind) -> std::optional<IndexDesc> {
+      for (const std::string& c : scan_classes) {
+        if (!catalog_->FindIndex(c, e->attribute, kind).has_value()) return std::nullopt;
+      }
+      return catalog_->FindIndex(from.class_name, e->attribute, kind);
+    };
+    const double probes_per_key = static_cast<double>(scan_classes.size());
+    auto btree = covering(IndexKind::kBTree);
+    auto hash = covering(IndexKind::kHash);
     if (btree.has_value()) {
       auto tree = objects_->OpenBTree(*btree);
       if (tree.ok()) {
@@ -334,15 +353,23 @@ Result<QueryOptimizer::VarPlan> QueryOptimizer::BuildVarLeaf(
         bt.leaves = std::max<uint64_t>(ts.leaves, 1);
         bt.keysize = ts.keysize;
         bt.unique = ts.unique;
-        e->indexed_access_cost = e->op == BinaryOp::kEq
-                                     ? IndCost(1, bt, active_disk_)
-                                     : RngxCost(e->selectivity, bt, active_disk_);
+        e->indexed_access_cost = probes_per_key *
+                                 (e->op == BinaryOp::kEq
+                                      ? IndCost(1, bt, active_disk_)
+                                      : RngxCost(e->selectivity, bt, active_disk_));
         e->index = btree;
       }
     } else if (hash.has_value() && e->op == BinaryOp::kEq) {
       // Bucket page + object page.
-      e->indexed_access_cost = RndCost(2, active_disk_);
+      e->indexed_access_cost = probes_per_key * RndCost(2, active_disk_);
       e->index = hash;
+    }
+    if (e->param >= 0 && e->op == BinaryOp::kEq && e->index.has_value() &&
+        e->index->unique) {
+      // A unique key names at most one object per probed extent, whatever
+      // its value.
+      e->selectivity = std::min(
+          1.0, probes_per_key / std::max(1.0, static_cast<double>(cls.cardinality)));
     }
   }
 
@@ -675,8 +702,21 @@ Result<QueryOptimizer::Optimized> QueryOptimizer::Optimize(const SelectStmt& stm
   use_feedback_ = use_feedback;
   calibrated_ = false;
   active_disk_ = options_.disk;
+
+  Optimized result;
+  MOOD_ASSIGN_OR_RETURN(result.bound, binder_.Bind(stmt));
+  const BoundQuery& bound = result.bound;
+
   if (use_feedback_) {
     CostCalibration& cal = stats_->calibration();
+    if (!cal.Valid()) {
+      // No profiled run has measured this hardware yet: time one bounded
+      // pass over the first non-empty extent the query names (a no-op once
+      // it has run).
+      for (const auto& var : bound.var_order) {
+        if (stats_->ProbeCalibration(bound.range_vars.at(var).class_name)) break;
+      }
+    }
     if (cal.Valid()) {
       // Measured per-operation costs replace the paper's 1994 disk constants:
       // no seek/rotation term, one "block transfer" = one object dereference,
@@ -693,10 +733,7 @@ Result<QueryOptimizer::Optimized> QueryOptimizer::Optimize(const SelectStmt& stm
       calibrated_ = true;
     }
   }
-
-  Optimized result;
-  MOOD_ASSIGN_OR_RETURN(result.bound, binder_.Bind(stmt));
-  const BoundQuery& bound = result.bound;
+  result.plans_version = stats_->plans_version();
 
   if (use_feedback_) {
     // Stats gone stale from write churn? Refresh before estimating.

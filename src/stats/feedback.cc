@@ -44,10 +44,18 @@ double CostCalibration::MsPerPredicate() const {
   return pred_ms_;
 }
 
+bool CostCalibration::ClaimProbe() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (probed_) return false;
+  probed_ = true;
+  return true;
+}
+
 void CostCalibration::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   page_ms_ = deref_ms_ = pred_ms_ = 0;
   pages_ = derefs_ = preds_ = 0;
+  probed_ = false;
 }
 
 void FeedbackStore::Configure(const FeedbackOptions& opts) {

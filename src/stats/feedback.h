@@ -14,10 +14,13 @@ struct FeedbackOptions {
   uint64_t refresh_epoch_delta = 256; ///< write-epoch churn before invalidation
 };
 
-/// Running means of measured per-operation costs, sampled from profiled
-/// executions (BIND wall-time / pages, join wall-time / derefs, filter
-/// wall-time / predicate evaluations). Once Valid(), the optimizer swaps the
-/// paper's 1994 disk parameters for these — which is what lets it see that a
+/// Running means of measured per-operation costs (ms per extent page, per
+/// dereference, per predicate evaluation). The first samples come from one
+/// bounded probe (StatisticsManager::ProbeCalibration), and profiled
+/// executions keep refining them (BIND wall-time / pages, join wall-time /
+/// derefs, filter wall-time / predicate evaluations). Once Valid(), the
+/// optimizer swaps the paper's 1994 disk parameters for these — which is what
+/// lets it see that a one-row index probe beats a full scan, and that a
 /// residual filter over an already-bound extent is cheaper than expanding a
 /// pointer-join chain on modern hardware.
 class CostCalibration {
@@ -31,12 +34,16 @@ class CostCalibration {
   double MsPerPage() const;
   double MsPerDeref() const;
   double MsPerPredicate() const;
+  /// True exactly once per calibration lifetime (until Reset): the caller
+  /// that gets true runs the calibration probe.
+  bool ClaimProbe();
   void Reset();
 
  private:
   mutable std::mutex mu_;
   double page_ms_ = 0, deref_ms_ = 0, pred_ms_ = 0;  ///< running means
   uint64_t pages_ = 0, derefs_ = 0, preds_ = 0;      ///< sample counts
+  bool probed_ = false;
 };
 
 /// Bounded LRU of measured selectivities keyed by normalized predicate

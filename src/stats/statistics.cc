@@ -1,10 +1,55 @@
 #include "stats/statistics.h"
 
+#include <algorithm>
 #include <unordered_set>
 
+#include "obs/query_profile.h"
+#include "sql/evaluator.h"
 #include "stats/sketch.h"
 
 namespace mood {
+
+bool StatisticsManager::ProbeCalibration(const std::string& cls) {
+  auto count = objects_->ExtentCount(cls, false);
+  if (!count.ok() || count.value() == 0 || !calibration_.ClaimProbe()) return false;
+  auto pages = objects_->ExtentPageIds(cls);
+  if (!pages.ok()) return false;
+  struct Row {
+    Oid oid;
+    MoodValue first;  ///< the object's first attribute (Null when it has none)
+  };
+  std::vector<Row> rows;
+  const size_t npages = std::min(kCalibrationPages, pages.value().size());
+  for (size_t i = 0; i < npages; i++) {
+    const uint64_t start = ProfileNowNs();
+    Status st = objects_->ScanExtentPage(
+        cls, pages.value()[i], /*cursor=*/nullptr, SnapshotView{},
+        [&](Oid oid, const MoodValue& tuple) {
+          rows.push_back(Row{oid, tuple.size() > 0 ? tuple.elements()[0] : MoodValue()});
+          return Status::OK();
+        });
+    if (!st.ok()) break;
+    calibration_.AddPage(static_cast<double>(ProfileNowNs() - start) / 1e6);
+  }
+  if (!rows.empty()) {
+    const uint64_t start = ProfileNowNs();
+    for (const Row& r : rows) {
+      (void)Evaluator::Compare(BinaryOp::kEq, r.first, rows[0].first);
+    }
+    calibration_.AddPredicate(static_cast<double>(ProfileNowNs() - start) / 1e6 /
+                              static_cast<double>(rows.size()));
+    const size_t nderefs = std::min(kCalibrationDerefs, rows.size());
+    const uint64_t deref_start = ProfileNowNs();
+    size_t fetched = 0;
+    for (size_t i = 0; i < nderefs; i++) fetched += objects_->Fetch(rows[i].oid).ok() ? 1 : 0;
+    if (fetched > 0) {
+      calibration_.AddDeref(static_cast<double>(ProfileNowNs() - deref_start) / 1e6 /
+                            static_cast<double>(fetched));
+    }
+  }
+  BumpPlansVersion();
+  return true;
+}
 
 Status StatisticsManager::Collect(const std::string& class_name) {
   Catalog* catalog = objects_->catalog();

@@ -73,6 +73,17 @@ class StatisticsManager {
   FeedbackStore& feedback() { return feedback_; }
   CostCalibration& calibration() { return calibration_; }
 
+  /// Seeds the cost calibration from one bounded pass over `cls`'s extent
+  /// through the buffer pool: it times at most kCalibrationPages extent pages
+  /// (no readahead), one comparison per object read, and at most
+  /// kCalibrationDerefs object fetches, then bumps plans_version. Runs at
+  /// most once per calibration lifetime, on the first non-empty extent it is
+  /// asked about; returns true when it ran. The caller holds the commit gate
+  /// shared (the pass reads heap pages).
+  static constexpr size_t kCalibrationPages = 4;
+  static constexpr size_t kCalibrationDerefs = 32;
+  bool ProbeCalibration(const std::string& cls);
+
   /// Monotone counter bumped whenever anything that shapes plans changes:
   /// collected/injected statistics, a recorded feedback selectivity, or the
   /// measured cost calibration. Cached plans stamp it and re-optimize on

@@ -60,6 +60,11 @@ Status TransactionManager::RollbackInBuffer(Transaction* txn) {
     // Exclusive gate section: snapshot readers must see the page restores as
     // one atomic step, never a half-rolled-back heap.
     CommitGate::ExclusiveGuard gate(versions_ ? &versions_->gate() : nullptr);
+    // Index entries first, while the heap still holds the transaction's
+    // final state of every object it wrote.
+    if (rollback_hook_ && versions_ != nullptr && txn->version_batch_ != 0) {
+      first = rollback_hook_(txn->version_batch_);
+    }
     for (auto it = txn->undo_.rbegin(); it != txn->undo_.rend(); ++it) {
       auto page = pool_->FetchPage(it->page);
       if (!page.ok()) {

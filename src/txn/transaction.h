@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,6 +70,15 @@ class TransactionManager {
   /// CommitGate so snapshot readers never see half-restored pages.
   void SetVersionStore(VersionStore* versions) { versions_ = versions; }
 
+  /// Logical undo for what the page-image undo does not cover: secondary
+  /// indexes are maintained outside the WAL, so an abort hands the
+  /// transaction's version batch to this hook (ObjectManager::UndoIndexWrites,
+  /// wired by Database::Open) before the heap pages are restored, inside the
+  /// same exclusive gate section.
+  void SetRollbackHook(std::function<Status(uint64_t batch)> hook) {
+    rollback_hook_ = std::move(hook);
+  }
+
   /// Begins a transaction; the returned object stays owned by the manager until
   /// Commit/Abort.
   Result<Transaction*> Begin();
@@ -108,6 +118,7 @@ class TransactionManager {
   LogManager* log_;
   LockManager* locks_;
   VersionStore* versions_ = nullptr;
+  std::function<Status(uint64_t batch)> rollback_hook_;
   uint64_t next_txn_id_ = 1;
   std::vector<std::unique_ptr<Transaction>> live_;
   mutable std::mutex mu_;

@@ -19,6 +19,7 @@ void VersionStore::CapturePending(uint64_t batch, Oid oid, bool absent_before,
   auto [it, inserted] = chains_.try_emplace(packed);
   Chain& chain = it->second;
   if (inserted) {
+    file_oids_[oid.file].insert(oid);
     file_counts_[FileSlot(oid.file)].fetch_add(1, std::memory_order_release);
   }
   // The heap-liveness flag always tracks the latest physical state, even when
@@ -80,13 +81,27 @@ void VersionStore::AbortBatch(uint64_t batch) {
         ++eit;
       }
     }
-    if (chain.entries.empty()) {
-      chains_.erase(cit);
-      file_counts_[FileSlot(Oid::Unpack(packed).file)].fetch_sub(
-          1, std::memory_order_release);
-    }
+    if (chain.entries.empty()) EraseChainLocked(cit);
   }
   batch_oids_.erase(it);
+}
+
+std::vector<std::pair<Oid, VersionStore::Version>> VersionStore::PendingOf(
+    uint64_t batch) const {
+  std::lock_guard<std::mutex> l(mu_);
+  std::vector<std::pair<Oid, Version>> out;
+  auto it = batch_oids_.find(batch);
+  if (it == batch_oids_.end()) return out;
+  for (uint64_t packed : it->second) {
+    auto cit = chains_.find(packed);
+    if (cit == chains_.end()) continue;
+    for (const Entry& e : cit->second.entries) {
+      if (e.superseded_csn == kPendingCsn && e.batch == batch) {
+        out.emplace_back(Oid::Unpack(packed), Version{e.absent, e.type_id, e.tuple});
+      }
+    }
+  }
+  return out;
 }
 
 uint64_t VersionStore::PinSnapshot(PendingSlots* pending_slots) {
@@ -129,24 +144,29 @@ bool VersionStore::VisibleVersion(Oid oid, uint64_t snap, Version* out) const {
 std::vector<Oid> VersionStore::HeapAbsentOids(uint16_t file) const {
   std::lock_guard<std::mutex> l(mu_);
   std::vector<Oid> out;
-  for (const auto& [packed, chain] : chains_) {
-    if (chain.live_in_heap) continue;
-    Oid oid = Oid::Unpack(packed);
-    if (oid.file == file) out.push_back(oid);
+  auto fit = file_oids_.find(file);
+  if (fit == file_oids_.end()) return out;
+  for (Oid oid : fit->second) {
+    if (!chains_.at(oid.Pack()).live_in_heap) out.push_back(oid);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<Oid> VersionStore::TrackedOids(uint16_t file) const {
   std::lock_guard<std::mutex> l(mu_);
-  std::vector<Oid> out;
-  for (const auto& [packed, chain] : chains_) {
-    Oid oid = Oid::Unpack(packed);
-    if (oid.file == file) out.push_back(oid);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  auto fit = file_oids_.find(file);
+  if (fit == file_oids_.end()) return {};
+  return std::vector<Oid>(fit->second.begin(), fit->second.end());
+}
+
+std::unordered_map<uint64_t, VersionStore::Chain>::iterator
+VersionStore::EraseChainLocked(std::unordered_map<uint64_t, Chain>::iterator it) {
+  const Oid oid = Oid::Unpack(it->first);
+  auto fit = file_oids_.find(oid.file);
+  fit->second.erase(oid);
+  if (fit->second.empty()) file_oids_.erase(fit);
+  file_counts_[FileSlot(oid.file)].fetch_sub(1, std::memory_order_release);
+  return chains_.erase(it);
 }
 
 void VersionStore::CollectGarbageLocked() {
@@ -163,9 +183,7 @@ void VersionStore::CollectGarbageLocked() {
         chain.entries.end());
     gc_dropped_.fetch_add(before - chain.entries.size(), std::memory_order_relaxed);
     if (chain.entries.empty()) {
-      file_counts_[FileSlot(Oid::Unpack(it->first).file)].fetch_sub(
-          1, std::memory_order_release);
-      it = chains_.erase(it);
+      it = EraseChainLocked(it);
     } else {
       ++it;
     }
@@ -190,6 +208,12 @@ void VersionStore::RegisterMetrics(MetricsRegistry* registry) {
                       static_cast<double>(gc_dropped_.load(std::memory_order_relaxed)));
     out->emplace_back("txn.snapshot.injected",
                       static_cast<double>(injected_.load(std::memory_order_relaxed)));
+    out->emplace_back(
+        "txn.snapshot.probe_compensations",
+        static_cast<double>(probe_compensations_.load(std::memory_order_relaxed)));
+    out->emplace_back(
+        "txn.snapshot.probe_chain_oids",
+        static_cast<double>(probe_chain_oids_.load(std::memory_order_relaxed)));
     out->emplace_back("txn.snapshot.pinned", static_cast<double>(pinned));
     out->emplace_back("txn.snapshot.chains", static_cast<double>(chains));
     out->emplace_back("txn.snapshot.entries", static_cast<double>(entries));

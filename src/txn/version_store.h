@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "types/oid.h"
@@ -170,6 +171,10 @@ class VersionStore {
   /// flags (the caller is about to undo the physical writes).
   void AbortBatch(uint64_t batch);
 
+  /// The objects `batch` wrote, each with the committed state it had before
+  /// the batch (absent: the batch created it) — what an abort restores.
+  std::vector<std::pair<Oid, Version>> PendingOf(uint64_t batch) const;
+
   // --- reader side ----------------------------------------------------------
 
   /// Pins the current CSN as a snapshot; entries it can see survive GC until
@@ -201,10 +206,12 @@ class VersionStore {
   /// Oids of `file` whose heap record is currently gone but whose chain may
   /// still make them visible at some snapshot — the candidates a snapshot scan
   /// must inject because the page walk cannot surface them. Sorted by oid.
+  /// Costs the file's chain count, not the whole store's.
   std::vector<Oid> HeapAbsentOids(uint16_t file) const;
 
   /// Every oid of `file` with any chain entry, sorted — index-probe
   /// compensation candidates (their indexed keys may differ at the snapshot).
+  /// Costs the file's chain count, not the whole store's.
   std::vector<Oid> TrackedOids(uint16_t file) const;
 
   /// Executor-reported count of objects injected into snapshot scans
@@ -214,10 +221,19 @@ class VersionStore {
     injected_.fetch_add(n, std::memory_order_relaxed);
   }
 
+  /// Executor-reported compensated index probe: one snapshot probe that
+  /// re-tested `chain_oids` chained objects instead of trusting the index
+  /// for them (txn.snapshot.probe_compensations / probe_chain_oids).
+  void NoteProbeCompensation(uint64_t chain_oids) const {
+    probe_compensations_.fetch_add(1, std::memory_order_relaxed);
+    probe_chain_oids_.fetch_add(chain_oids, std::memory_order_relaxed);
+  }
+
   CommitGate& gate() { return gate_; }
 
   /// Registers the txn.snapshot.* probe: captures, commits, gc_dropped,
-  /// injected, pinned (current), chains/entries (current).
+  /// injected, probe_compensations, probe_chain_oids, pinned (current),
+  /// chains/entries (current).
   void RegisterMetrics(MetricsRegistry* registry);
 
  private:
@@ -239,9 +255,15 @@ class VersionStore {
   }
   /// Drops entries no pinned snapshot can select; erases drained chains.
   void CollectGarbageLocked();
+  /// Erases a drained chain and its per-file bookkeeping (callers hold mu_).
+  std::unordered_map<uint64_t, Chain>::iterator EraseChainLocked(
+      std::unordered_map<uint64_t, Chain>::iterator it);
 
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Chain> chains_;  // key: Oid::Pack()
+  /// The oids of chains_, per exact extent file (no slot aliasing), ordered:
+  /// TrackedOids/HeapAbsentOids walk one file's chains, never the whole map.
+  std::unordered_map<uint16_t, std::set<Oid>> file_oids_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> batch_oids_;
   std::multiset<uint64_t> pins_;
   std::atomic<uint64_t> last_csn_{0};
@@ -256,6 +278,8 @@ class VersionStore {
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> gc_dropped_{0};
   mutable std::atomic<uint64_t> injected_{0};
+  mutable std::atomic<uint64_t> probe_compensations_{0};
+  mutable std::atomic<uint64_t> probe_chain_oids_{0};
 };
 
 }  // namespace mood

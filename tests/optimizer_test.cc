@@ -13,9 +13,13 @@ namespace {
 
 using testing::TempDir;
 
-/// Plan-only optimization through the consolidated Explain API.
+/// Plan-only optimization through the consolidated Explain API, in paper
+/// mode (feedback off): the paper's cost model with its Table 10 constants,
+/// never a calibration measured on the host.
 Result<QueryOptimizer::Optimized> Optimize(Database& db, const std::string& sql) {
-  MOOD_ASSIGN_OR_RETURN(ExplainResult res, db.Explain(sql, {}));
+  ExplainOptions paper;
+  paper.query.feedback = false;
+  MOOD_ASSIGN_OR_RETURN(ExplainResult res, db.Explain(sql, paper));
   return std::move(res.optimized);
 }
 
@@ -262,6 +266,132 @@ TEST_F(IndexChoiceFixture, UnindexedPredicateStaysResidual) {
   EXPECT_EQ(optimized.plan->child->op, PlanOp::kIndexSelect);
   ASSERT_EQ(optimized.plan->predicates.size(), 1u);
   EXPECT_NE(optimized.plan->predicates[0]->ToString().find("grade"), std::string::npos);
+}
+
+TEST_F(IndexChoiceFixture, ParameterEqualityEstimatesFromStatistics) {
+  // After ANALYZE a `?` equality estimates 1/dist(attr) whatever the value
+  // binds to: grade has 10 distinct values over 2500 items.
+  MOOD_ASSERT_OK_AND_ASSIGN(auto grade,
+                            Optimize(db_, "SELECT i FROM Item i WHERE i.grade = ?"));
+  ASSERT_EQ(grade.terms[0].imm.size(), 1u);
+  EXPECT_DOUBLE_EQ(grade.terms[0].imm[0].selectivity, 0.1);
+  EXPECT_DOUBLE_EQ(grade.plan->est_rows, 250);
+  MOOD_ASSERT_OK_AND_ASSIGN(auto ne,
+                            Optimize(db_, "SELECT i FROM Item i WHERE i.grade <> ?"));
+  EXPECT_DOUBLE_EQ(ne.terms[0].imm[0].selectivity, 0.9);
+  // id is a key in fact (2500 distinct values): one row, an index probe.
+  MOOD_ASSERT_OK_AND_ASSIGN(auto id, Optimize(db_, "SELECT i FROM Item i WHERE i.id = ?"));
+  EXPECT_DOUBLE_EQ(id.plan->est_rows, 1);
+  EXPECT_EQ(id.plan->op, PlanOp::kIndexSelect);
+  ExplainOptions paper;
+  paper.query.feedback = false;
+  MOOD_ASSERT_OK_AND_ASSIGN(ExplainResult explain,
+                            db_.Explain("SELECT i FROM Item i WHERE i.grade = ?", paper));
+  EXPECT_NE(explain.Render().find("rows=250.00"), std::string::npos) << explain.Render();
+}
+
+TEST(ParameterEstimateTest, UniqueIndexEstimatesOneRowWithoutStatistics) {
+  TempDir dir;
+  Database db;
+  MOOD_ASSERT_OK(db.Open(dir.Path("mood")));
+  MOOD_ASSERT_OK(db.Execute("CREATE CLASS Key TUPLE (k Integer, v Integer)").status());
+  for (int i = 0; i < 500; i++) {
+    MOOD_ASSERT_OK(db.Execute("NEW Key <" + std::to_string(i) + ", 0>").status());
+  }
+  MOOD_ASSERT_OK(db.Execute("CREATE UNIQUE INDEX key_k ON Key(k) USING BTREE").status());
+  // No ANALYZE: the textbook default (0.1) would estimate 50 rows.
+  MOOD_ASSERT_OK_AND_ASSIGN(auto optimized,
+                            Optimize(db, "SELECT x FROM Key x WHERE x.k = ?"));
+  ASSERT_EQ(optimized.terms[0].imm.size(), 1u);
+  EXPECT_DOUBLE_EQ(optimized.plan->est_rows, 1);
+}
+
+/// An index covers one class's extent: an EVERY range probes only when each
+/// scanned class has its own index on the attribute, and then probes them all.
+TEST(PointLookupPlanTest, EveryRangeProbesOnlyWhenEveryClassIsIndexed) {
+  TempDir dir;
+  Database db;
+  MOOD_ASSERT_OK(db.Open(dir.Path("mood")));
+  MOOD_ASSERT_OK(db.ExecuteScript("CREATE CLASS Item TUPLE (k Integer, pad String(64));"
+                                  "CREATE CLASS SubItem INHERITS FROM Item;")
+                     .status());
+  for (int i = 0; i < 3000; i++) {
+    for (const char* cls : {"Item", "SubItem"}) {
+      MOOD_ASSERT_OK(db.Execute(std::string("NEW ") + cls + " <" + std::to_string(i) +
+                                ", 'padding-padding-padding'>")
+                         .status());
+    }
+  }
+  MOOD_ASSERT_OK(db.Execute("CREATE INDEX item_k ON Item(k) USING BTREE").status());
+  MOOD_ASSERT_OK(db.CollectAllStatistics());
+  const std::string sql = "SELECT x FROM EVERY Item x WHERE x.k = 5";
+  QueryOptions paper;
+  paper.feedback = false;
+  MOOD_ASSERT_OK_AND_ASSIGN(auto scan, Optimize(db, sql));
+  EXPECT_NE(scan.plan->op, PlanOp::kIndexSelect) << scan.plan->Describe();
+  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult both, db.Query(sql, paper));
+  EXPECT_EQ(both.rows.size(), 2u);
+
+  MOOD_ASSERT_OK(db.Execute("CREATE INDEX sub_k ON SubItem(k) USING BTREE").status());
+  MOOD_ASSERT_OK(db.CollectAllStatistics());
+  MOOD_ASSERT_OK_AND_ASSIGN(auto probe, Optimize(db, sql));
+  EXPECT_EQ(probe.plan->op, PlanOp::kIndexSelect) << probe.plan->Describe();
+  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult probed, db.Query(sql, paper));
+  EXPECT_EQ(probed.rows.size(), 2u);
+}
+
+/// moodbench's set-up: populate, index, no ANALYZE, no profiled query. The
+/// first feedback-mode plan runs the calibration probe, and the prepared
+/// point lookup then probes the index instead of scanning 667 Vehicles.
+TEST(PointLookupPlanTest, FreshDatabasePlansIndexProbeWithoutProfiling) {
+  TempDir dir;
+  Database db;
+  MOOD_ASSERT_OK(db.Open(dir.Path("mood")));
+  MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db));
+  MOOD_ASSERT_OK(paperdb::PopulatePaperData(&db, 2000).status());
+  MOOD_ASSERT_OK(db.Execute("CREATE INDEX veh_id ON Vehicle(id) USING BTREE").status());
+  ASSERT_FALSE(db.stats()->calibration().Valid());
+
+  const std::string sql = "SELECT v.id, v.weight FROM Vehicle v WHERE v.id = ?";
+  MOOD_ASSERT_OK_AND_ASSIGN(PreparedStatement ps, db.Prepare(sql));
+  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult qr, ps.Query({MoodValue::Integer(300)}));
+  ASSERT_EQ(qr.rows.size(), 1u);
+  EXPECT_EQ(qr.rows[0][0].AsInteger(), 300);
+  EXPECT_TRUE(db.stats()->calibration().Valid());
+
+  ExplainOptions verbose;
+  verbose.verbose = true;
+  MOOD_ASSERT_OK_AND_ASSIGN(ExplainResult explain, db.Explain(sql, verbose));
+  EXPECT_EQ(explain.optimized.plan->op, PlanOp::kIndexSelect) << explain.Render();
+  EXPECT_NE(explain.Render().find("plan: cached"), std::string::npos);
+}
+
+/// Plan choices follow the calibration constants, not the wall clock: with
+/// seeded constants the same lookup flips between probe and scan.
+TEST(PointLookupPlanTest, SeededCalibrationDecidesIndexVsScan) {
+  TempDir dir;
+  Database db;
+  MOOD_ASSERT_OK(db.Open(dir.Path("mood")));
+  MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db));
+  MOOD_ASSERT_OK(paperdb::PopulatePaperData(&db, 2000).status());
+  MOOD_ASSERT_OK(db.Execute("CREATE INDEX veh_id ON Vehicle(id) USING BTREE").status());
+  const std::string sql = "SELECT v FROM Vehicle v WHERE v.id = ?";
+  CostCalibration& cal = db.stats()->calibration();
+
+  // Pages dear, dereferences cheap: the probe wins.
+  cal.AddPage(1.0);
+  cal.AddDeref(0.001);
+  db.stats()->BumpPlansVersion();
+  MOOD_ASSERT_OK_AND_ASSIGN(ExplainResult probe, db.Explain(sql, {}));
+  EXPECT_EQ(probe.optimized.plan->op, PlanOp::kIndexSelect);
+
+  // Dereferences dearer than whole pages: the scan wins.
+  cal.Reset();
+  cal.AddPage(0.001);
+  cal.AddDeref(1.0);
+  db.stats()->BumpPlansVersion();
+  MOOD_ASSERT_OK_AND_ASSIGN(ExplainResult scan, db.Explain(sql, {}));
+  EXPECT_NE(scan.optimized.plan->op, PlanOp::kIndexSelect) << scan.Render();
 }
 
 }  // namespace

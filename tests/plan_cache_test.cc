@@ -231,6 +231,39 @@ TEST_F(PlanCacheFixture, WriteInvalidatesResultCacheBeforeNextRead) {
   EXPECT_EQ(after.rows[0][0].AsInteger(), 2);
 }
 
+TEST_F(PlanCacheFixture, DmlRowSelectionReusesOnePlanAcrossLiterals) {
+  MOOD_ASSERT_OK(db_.Execute("CREATE INDEX veh_id ON Vehicle(id) USING BTREE").status());
+  // Statistics newer than the DDL, so no auto-refresh re-plans mid-test.
+  MOOD_ASSERT_OK(db_.CollectStatistics("Vehicle"));
+  const double miss0 = CounterOf(&db_, "cache.plan.misses");
+  const double hit0 = CounterOf(&db_, "cache.plan.hits");
+  // Vehicle-class ids are multiples of 3; each statement updates one object.
+  for (int id : {0, 3, 6, 9}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(
+        ExecResult r, db_.Execute("UPDATE Vehicle v SET weight = 1111 WHERE v.id = " +
+                                  std::to_string(id)));
+    EXPECT_EQ(r.affected, 1u) << id;
+  }
+  EXPECT_EQ(CounterOf(&db_, "cache.plan.misses"), miss0 + 1);
+  EXPECT_EQ(CounterOf(&db_, "cache.plan.hits"), hit0 + 3);
+  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult heavy,
+                            db_.Query("SELECT v FROM Vehicle v WHERE v.weight = 1111"));
+  EXPECT_EQ(heavy.rows.size(), 4u);
+
+  // A statistics change re-plans once; so does a literal of another type.
+  const double miss1 = CounterOf(&db_, "cache.plan.misses");
+  MOOD_ASSERT_OK(db_.Execute("ANALYZE Vehicle").status());
+  MOOD_ASSERT_OK(db_.Execute("DELETE FROM Vehicle v WHERE v.id = 0").status());
+  MOOD_ASSERT_OK(db_.Execute("DELETE FROM Vehicle v WHERE v.id = 3").status());
+  MOOD_ASSERT_OK_AND_ASSIGN(ExecResult none,
+                            db_.Execute("DELETE FROM Vehicle v WHERE v.id = 6.5"));
+  EXPECT_EQ(none.affected, 0u);
+  EXPECT_EQ(CounterOf(&db_, "cache.plan.misses"), miss1 + 2);
+  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult left,
+                            db_.Query("SELECT v FROM Vehicle v WHERE v.weight = 1111"));
+  EXPECT_EQ(left.rows.size(), 2u);
+}
+
 TEST_F(PlanCacheFixture, ExplainVerboseReportsCachedVsFresh) {
   const std::string sql = "SELECT e FROM VehicleEngine e WHERE e.cylinders > 4";
   ExplainOptions verbose;

@@ -187,7 +187,8 @@ TEST_F(RegressionFixture, EsmRegimeChangesIndexChoice) {
   auto stmt = Parser::Parse("SELECT e FROM VehicleEngine e WHERE e.size = 1001");
   MOOD_ASSERT_OK(stmt.status());
   MOOD_ASSERT_OK_AND_ASSIGN(auto optimized,
-                            esm_opt.Optimize(std::get<SelectStmt>(stmt.value())));
+                            esm_opt.Optimize(std::get<SelectStmt>(stmt.value()),
+                                             /*use_feedback=*/false));
   // With only ~30 engines over a couple of pages both choices are legal, but
   // the inequality must be computed with SEQCOST == RNDCOST.
   ASSERT_EQ(optimized.terms[0].imm.size(), 1u);

@@ -195,6 +195,42 @@ class FeedbackFixture : public ::testing::Test {
   Database db_;
 };
 
+TEST_F(FeedbackFixture, CalibrationProbeRunsOnceAndStaysBounded) {
+  MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db_));
+  MOOD_ASSERT_OK(paperdb::PopulatePaperData(&db_, /*scale=*/2000).status());
+  const std::string sql = "SELECT v FROM Vehicle v WHERE v.weight > 1000";
+  CostCalibration& cal = db_.stats()->calibration();
+  ASSERT_FALSE(cal.Valid());
+  const uint64_t v0 = db_.stats()->plans_version();
+
+  // Paper mode never measures the host.
+  ExplainOptions paper;
+  paper.query.feedback = false;
+  MOOD_ASSERT_OK(db_.Explain(sql, paper).status());
+  EXPECT_FALSE(cal.Valid());
+  EXPECT_EQ(db_.stats()->plans_version(), v0);
+
+  // The first feedback-mode plan probes: a few pages and fetches, one bump.
+  const double pages0 = Metric("storage.scan_pages");
+  const double reads0 = Metric("storage.record_reads");
+  MOOD_ASSERT_OK(db_.Explain(sql, {}).status());
+  EXPECT_TRUE(cal.Valid());
+  EXPECT_GT(cal.MsPerPage(), 0);
+  EXPECT_GT(cal.MsPerDeref(), 0);
+  EXPECT_EQ(db_.stats()->plans_version(), v0 + 1);
+  EXPECT_LE(Metric("storage.scan_pages") - pages0, StatisticsManager::kCalibrationPages);
+  EXPECT_LE(Metric("storage.record_reads") - reads0, StatisticsManager::kCalibrationDerefs);
+
+  // Never again, and profiled runs still refine the constants.
+  MOOD_ASSERT_OK(db_.Explain(sql, {}).status());
+  EXPECT_EQ(db_.stats()->plans_version(), v0 + 1);
+  EXPECT_EQ(Metric("storage.scan_pages") - pages0, StatisticsManager::kCalibrationPages);
+  ExplainOptions analyze;
+  analyze.analyze = true;
+  MOOD_ASSERT_OK(db_.Explain(sql, analyze).status());
+  EXPECT_GT(db_.stats()->plans_version(), v0 + 1);
+}
+
 TEST_F(FeedbackFixture, AnalyzeStatementCollectsStatistics) {
   MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db_));
   MOOD_ASSERT_OK(paperdb::PopulatePaperData(&db_, /*scale=*/64).status());
