@@ -1,7 +1,7 @@
-// Compiled batch kernels vs the interpreted Evaluator: runs filter-heavy
-// single-extent queries through the engine (the compiled ExprPrograms are its
-// only evaluator) and through a plan-free loop that scans the FROM extent and
-// applies Evaluator::EvalPredicate / Eval per object — the loop
+// Compiled batch kernels vs the interpreter: runs filter-heavy single-extent
+// queries through the engine (the compiled ExprPrograms are its only
+// evaluator) and through a plan-free loop that scans the FROM extent and
+// applies the test oracle's interpreter (tests/naive_oracle.h) per object — the loop
 // bench_query_e2e times as naive_ms. Reports per-query medians, speedups and
 // result parity. Every timed run has the plan and result caches off, so each
 // one parses, optimizes, compiles and executes. Separates pure scalar
@@ -13,6 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "sql/parser.h"
+#include "tests/naive_oracle.h"
 
 using namespace mood;
 using namespace mood::bench;
@@ -37,19 +38,20 @@ Result<std::vector<std::string>> InterpretedRows(Database* db, const std::string
   const FromEntry& fe = select.from[0];
   const Evaluator& ev = *db->evaluator();
   DerefCache cache(db->executor()->deref_cache_capacity());
-  Evaluator::Env env;
+  mood::testing::NaiveEnv env;
   env.deref = &cache;
   std::vector<std::string> rows;
   MOOD_RETURN_IF_ERROR(db->objects()->ScanExtent(
       fe.class_name, fe.every, fe.excludes, [&](Oid oid, const MoodValue&) -> Status {
         env.vars[fe.var] = oid;
         if (select.where != nullptr) {
-          MOOD_ASSIGN_OR_RETURN(bool keep, ev.EvalPredicate(select.where, env));
+          MOOD_ASSIGN_OR_RETURN(bool keep,
+                                mood::testing::NaiveEvalPredicate(ev, select.where, env));
           if (!keep) return Status::OK();
         }
         std::string line;
         for (const ExprPtr& p : select.projection) {
-          MOOD_ASSIGN_OR_RETURN(MoodValue v, ev.Eval(p, env));
+          MOOD_ASSIGN_OR_RETURN(MoodValue v, mood::testing::NaiveEval(ev, p, env));
           line += v.ToString() + " | ";
         }
         rows.push_back(std::move(line));
@@ -155,7 +157,7 @@ int main(int argc, char** argv) {
   }
   t.Print();
   std::printf(
-      "interpreted = Evaluator over the scanned extent, no plan (the\n"
+      "interpreted = the oracle interpreter over the scanned extent, no plan (the\n"
       "bench_query_e2e naive loop, with the engine's deref-cache capacity);\n"
       "compiled = the whole uncached engine path, parse through projection.\n"
       "Scalar filters isolate the eval loop (slot load + arithmetic per row).\n"

@@ -6,13 +6,16 @@
 // objects are in memory), hash-partition wins at large k_c, the binary join
 // index wins in between when present, and backward traversal only pays off when
 // the D side is tiny and CPU is cheap.
-// A measured section executes the same join through the storage engine and
-// reports actual page reads per strategy.
+// A measured section forces each strategy on the optimizer's plan for the same
+// join, runs it through the executor on a cold buffer pool smaller than the
+// data, and reports actual page reads per strategy.
 
 #include <chrono>
+#include <functional>
 
 #include "bench/bench_util.h"
 #include "cost/join_costs.h"
+#include "sql/parser.h"
 
 using namespace mood;
 using namespace mood::bench;
@@ -57,6 +60,19 @@ void ModelSweep(StatisticsManager* stats, const DiskParameters& disk,
               winner});
   }
   t.Print();
+}
+
+/// The first pointer-join node of a plan (null when the plan has none).
+PlanNode* FindPointerJoin(const PlanPtr& node) {
+  if (node == nullptr) return nullptr;
+  if (node->op == PlanOp::kPointerJoin) return node.get();
+  for (const PlanPtr& c : {node->child, node->left, node->right}) {
+    if (PlanNode* found = FindPointerJoin(c)) return found;
+  }
+  for (const PlanPtr& c : node->children) {
+    if (PlanNode* found = FindPointerJoin(c)) return found;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -111,47 +127,86 @@ int main() {
     checks.Expect(crossover, "a forward/hash crossover exists as k_c grows");
   }
 
-  // Measured: actual page reads through the executor's pointer join.
-  Banner("Measured page reads (scale = 400, buffer pool 64 pages)");
+  // Measured: each JoinMethod forced on the optimizer's plan and run through
+  // Executor::ExecutePlan. Every strategy starts from a freshly opened
+  // database, so its buffer pool is cold, and the pool is smaller than the two
+  // joined extents, so the join has to read pages from disk.
+  const std::string join_sql =
+      "SELECT v FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d";
+  constexpr uint64_t kScale = 4000;
+  constexpr size_t kPoolPages = 16;
+  Banner("Measured page reads (scale = " + std::to_string(kScale) +
+         ", cold buffer pool of " + std::to_string(kPoolPages) + " pages per strategy)");
   {
     BenchDb scratch2("join_measured");
-    Database mdb;
+    const std::string path = scratch2.Path("mood");
     DatabaseOptions opts;
-    opts.pool_pages = 64;  // small pool so I/O differences show
-    Check(mdb.Open(scratch2.Path("mood"), opts), "open measured");
-    Check(paperdb::CreatePaperSchema(&mdb), "schema");
-    Check(paperdb::PopulatePaperData(&mdb, 400).status(), "populate");
-    Check(mdb.CollectAllStatistics(), "collect");
-    Check(mdb.objects()->CreateBinaryJoinIndex("v_dt", "Vehicle", "drivetrain"),
-          "bji");
+    opts.pool_pages = kPoolPages;
+    size_t data_pages = 0;
+    {
+      Database mdb;
+      Check(mdb.Open(path, opts), "open measured");
+      Check(paperdb::CreatePaperSchema(&mdb), "schema");
+      Check(paperdb::PopulatePaperData(&mdb, kScale).status(), "populate");
+      Check(mdb.CollectAllStatistics(), "collect");
+      Check(mdb.objects()->CreateBinaryJoinIndex("v_dt", "Vehicle", "drivetrain"),
+            "bji");
+      for (const char* cls : {"Vehicle", "VehicleDriveTrain"}) {
+        data_pages += CheckV(mdb.objects()->ExtentPageIds(cls), "pages").size();
+      }
+      Check(mdb.Close(), "close measured");
+    }
+    std::printf("joined extents: %zu pages; buffer pool: %zu pages\n", data_pages,
+                kPoolPages);
+    checks.Expect(data_pages > kPoolPages, "the joined extents do not fit in the pool");
+    Statement parsed = CheckV(Parser::Parse(join_sql), "parse");
+    const auto& select = std::get<SelectStmt>(parsed);
 
     Table t({"strategy", "pairs", "disk reads", "pool hits", "pool misses"});
+    size_t pairs0 = 0;
     for (JoinMethod m : {JoinMethod::kForwardTraversal, JoinMethod::kHashPartition,
                          JoinMethod::kBackwardTraversal, JoinMethod::kIndexed}) {
-      auto vehicles = CheckV(mdb.algebra()->BindClass("Vehicle", false), "bind v");
-      auto dts = CheckV(mdb.algebra()->BindClass("VehicleDriveTrain", false), "bind d");
+      Database mdb;
+      Check(mdb.Open(path, opts), "reopen measured");
+      auto optimized = CheckV(mdb.optimizer()->Optimize(select, false), "optimize");
+      PlanNode* join = FindPointerJoin(optimized.plan);
+      checks.Expect(join != nullptr, "the optimizer plans a pointer join");
+      if (join == nullptr) break;
+      join->method = m;
       mdb.storage()->disk()->ResetStats();
       mdb.storage()->buffer_pool()->ResetStats();
-      auto joined = CheckV(
-          mdb.algebra()->Join(vehicles, dts, m, nullptr, "v", "d", "drivetrain"),
-          "join");
-      t.AddRow({std::string(JoinMethodName(m)), std::to_string(joined.size()),
-                std::to_string(mdb.storage()->disk()->stats().reads),
+      BatchSet rows = CheckV(mdb.executor()->ExecutePlan(optimized.plan), "execute");
+      const uint64_t reads = mdb.storage()->disk()->stats().reads;
+      t.AddRow({std::string(JoinMethodName(m)), std::to_string(rows.ActiveRows()),
+                std::to_string(reads),
                 std::to_string(mdb.storage()->buffer_pool()->stats().hits),
                 std::to_string(mdb.storage()->buffer_pool()->stats().misses)});
+      if (pairs0 == 0) pairs0 = rows.ActiveRows();
+      checks.Expect(rows.ActiveRows() == pairs0 && pairs0 > 0,
+                    std::string(JoinMethodName(m)) + " returns the same pairs");
+      checks.Expect(reads > 0, std::string(JoinMethodName(m)) + " reads pages from disk");
     }
     t.Print();
     std::printf(
-        "note: the in-memory executor realizes all pointer strategies by chasing\n"
-        "stored references; the modeled costs above price the 1994 disk behaviour\n"
-        "(Section 6), which is what the optimizer decides on.\n");
+        "note: forward traversal, backward traversal and hash partitioning run\n"
+        "one reference chase in the executor, so they read the same pages; only\n"
+        "the binary join index probes differently. The modeled costs above price\n"
+        "the three access patterns of Section 6, which is what the optimizer\n"
+        "decides on.\n");
+  }
+
+  {
+    BenchDb scratch3("join_parallel");
+    Database mdb;
+    Check(mdb.Open(scratch3.Path("mood")), "open parallel");
+    Check(paperdb::CreatePaperSchema(&mdb), "schema");
+    Check(paperdb::PopulatePaperData(&mdb, 400).status(), "populate");
+    Check(mdb.CollectAllStatistics(), "collect");
 
     // Probe-side parallelism: the same implicit join end-to-end through the
     // executor at 1/2/4 worker threads. The probe (reference-chasing) side
     // partitions into row morsels; results must match serial exactly.
     Banner("Parallel probe scaling (implicit join via executor)");
-    const std::string join_sql =
-        "SELECT v FROM Vehicle v, VehicleDriveTrain d WHERE v.drivetrain = d";
     QueryOptions serial_opts;
     serial_opts.exec_threads = 1;
     auto serial = CheckV(mdb.Query(join_sql, serial_opts), "serial join");

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "optimizer/optimizer.h"
 #include "sql/parser.h"
+#include "tests/naive_oracle.h"
 
 using namespace mood;
 using namespace mood::bench;
@@ -72,16 +73,16 @@ int main() {
       Check(db.objects()->ScanExtent(
                 "Vehicle", false, {},
                 [&](Oid oid, const MoodValue&) -> Status {
-                  Evaluator::Env env;
+                  mood::testing::NaiveEnv env;
                   env.vars["v"] = oid;
                   work++;  // first predicate traversal
                   auto p1 = Parser::ParseExpression(first).value();
-                  auto r1 = db.evaluator()->EvalPredicate(p1, env);
+                  auto r1 = mood::testing::NaiveEvalPredicate(*db.evaluator(), p1, env);
                   MOOD_RETURN_IF_ERROR(r1.status());
                   if (!r1.value()) return Status::OK();
                   work++;  // second predicate traversal
                   auto p2 = Parser::ParseExpression(second).value();
-                  auto r2 = db.evaluator()->EvalPredicate(p2, env);
+                  auto r2 = mood::testing::NaiveEvalPredicate(*db.evaluator(), p2, env);
                   MOOD_RETURN_IF_ERROR(r2.status());
                   if (r2.value()) result++;
                   return Status::OK();

@@ -10,6 +10,7 @@
 #include "core/session.h"
 #include "exec/parallel.h"
 #include "sql/parser.h"
+#include "tests/naive_oracle.h"
 
 using namespace mood;
 using namespace mood::bench;
@@ -39,11 +40,12 @@ Result<size_t> NaiveCount(Database* db, const std::string& sql) {
   }
   size_t count = 0;
   std::vector<size_t> idx(extents.size(), 0);
-  std::function<Result<size_t>(size_t, Evaluator::Env&)> rec =
-      [&](size_t depth, Evaluator::Env& env) -> Result<size_t> {
+  std::function<Result<size_t>(size_t, mood::testing::NaiveEnv&)> rec =
+      [&](size_t depth, mood::testing::NaiveEnv& env) -> Result<size_t> {
     if (depth == extents.size()) {
       if (select.where == nullptr) return size_t{1};
-      MOOD_ASSIGN_OR_RETURN(bool keep, db->evaluator()->EvalPredicate(select.where, env));
+      MOOD_ASSIGN_OR_RETURN(
+          bool keep, mood::testing::NaiveEvalPredicate(*db->evaluator(), select.where, env));
       return keep ? size_t{1} : size_t{0};
     }
     size_t sub = 0;
@@ -54,7 +56,7 @@ Result<size_t> NaiveCount(Database* db, const std::string& sql) {
     }
     return sub;
   };
-  Evaluator::Env env;
+  mood::testing::NaiveEnv env;
   MOOD_ASSIGN_OR_RETURN(count, rec(0, env));
   return count;
 }

@@ -1,13 +1,102 @@
 #include "algebra/operators.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "exec/expr_compile.h"
+#include "exec/parallel.h"
 #include "index/key_codec.h"
 
 namespace mood {
+
+namespace {
+
+/// Streams candidate rows through one compiled predicate a batch at a time and
+/// hands every row it holds for to `keep`, in row order. The first row that
+/// errors ends the stream with its status: the row a row-at-a-time loop would
+/// have stopped at.
+class PredicateStream {
+ public:
+  PredicateStream(const ExprProgram& pred, size_t nslots,
+                  std::function<void(const Oid*)> keep)
+      : pred_(pred), batch_(nslots, kDefaultBatchRows), row_(nslots),
+        keep_(std::move(keep)) {}
+
+  Status Push(const Oid* row) {
+    batch_.PushRow(row, batch_.nslots);
+    return batch_.Full() ? Flush() : Status::OK();
+  }
+
+  Status Flush() {
+    if (batch_.nrows == 0) return Status::OK();
+    pred_.EvalPredicateBatch(batch_, nullptr, &scratch_);
+    for (size_t k = 0; k < batch_.ActiveRows(); k++) {
+      if (scratch_.flags[k] == ExprProgram::kRowError) return scratch_.errors[k];
+      if (scratch_.keep[k] == 0) continue;
+      batch_.GatherRow(batch_.RowAt(k), row_.data());
+      keep_(row_.data());
+    }
+    batch_.Clear();
+    return Status::OK();
+  }
+
+ private:
+  const ExprProgram& pred_;
+  RowBatch batch_;
+  std::vector<Oid> row_;
+  std::function<void(const Oid*)> keep_;
+  ExprProgram::BatchScratch scratch_;
+};
+
+struct PairHash {
+  size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
+    return std::hash<uint64_t>()(p.first * 0x9E3779B97F4A7C15ull ^ p.second);
+  }
+};
+
+/// Hash of a value's top-level atomic fields. Deep-equal values have equal
+/// atomic fields (compared with MoodValue::Equals, which Hash agrees with), so
+/// they hash alike; references and nested values are left to DeepEquals.
+uint64_t AtomicFieldsHash(const MoodValue& v) {
+  auto atomic_hash = [](const MoodValue& f) -> uint64_t {
+    switch (f.kind()) {
+      case ValueKind::kTuple:
+      case ValueKind::kSet:
+      case ValueKind::kList:
+      case ValueKind::kReference:
+        return 0;
+      default:
+        return f.Hash();
+    }
+  };
+  if (v.kind() != ValueKind::kTuple) return atomic_hash(v);
+  uint64_t h = v.size();
+  for (const MoodValue& f : v.elements()) h = h * 1000003 + atomic_hash(f);
+  return h;
+}
+
+/// MoodAlgebra::ChaseRefs from path step `depth` on.
+Status ChaseFrom(ObjectManager* objects, Oid oid, const std::vector<std::string>& path,
+                 size_t depth, DerefCache* cache, const std::function<Status(Oid)>& fn) {
+  if (depth == path.size()) return fn(oid);
+  MOOD_ASSIGN_OR_RETURN(MoodValue v, objects->GetAttribute(oid, path[depth], cache));
+  auto handle = [&](const MoodValue& r) -> Status {
+    if (r.is_null()) return Status::OK();
+    if (r.kind() != ValueKind::kReference) {
+      return Status::TypeError("reference path step '" + path[depth] +
+                               "' reached a non-reference value");
+    }
+    return ChaseFrom(objects, r.AsReference(), path, depth + 1, cache, fn);
+  };
+  if (v.IsCollection()) {
+    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
+    return Status::OK();
+  }
+  return handle(v);
+}
+
+}  // namespace
 
 std::string_view JoinMethodName(JoinMethod m) {
   switch (m) {
@@ -185,13 +274,13 @@ Result<Collection> MoodAlgebra::Select(const Collection& arg, const ExprPtr& pre
   if (arg.materialized()) {
     return Status::NotSupported("Select over materialized value extents");
   }
+  ExprCompileEnv env;
+  env.vars[var] = {0, arg.class_name()};
+  std::unique_ptr<ExprProgram> program = ExprCompiler(evaluator_).Compile(pred, env);
   std::vector<Oid> kept;
-  for (Oid oid : arg.oids()) {
-    Evaluator::Env env;
-    env.vars[var] = oid;
-    MOOD_ASSIGN_OR_RETURN(bool keep, evaluator_->EvalPredicate(pred, env));
-    if (keep) kept.push_back(oid);
-  }
+  PredicateStream stream(*program, 1, [&](const Oid* row) { kept.push_back(row[0]); });
+  for (Oid oid : arg.oids()) MOOD_RETURN_IF_ERROR(stream.Push(&oid));
+  MOOD_RETURN_IF_ERROR(stream.Flush());
   CollKind out = SelectReturnKind(arg.kind(), extent_as_set);
   switch (out) {
     case CollKind::kExtent: return Collection::Extent(arg.class_name(), std::move(kept));
@@ -272,98 +361,79 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
   }
   CollKind out_kind = JoinReturnKind(arg1.kind(), arg2.kind());
   std::vector<MoodValue> pairs;
-
+  // Set semantics: each <left, right> pair once.
+  std::unordered_set<std::pair<uint64_t, uint64_t>, PairHash> seen;
   auto emit = [&](Oid left, Oid right) {
+    if (out_kind == CollKind::kSet && !seen.insert({left.Pack(), right.Pack()}).second) {
+      return;
+    }
     pairs.push_back(MoodValue::Tuple(
         {MoodValue::Reference(left), MoodValue::Reference(right)}));
   };
 
-  const bool pointer_join = !ref_attr.empty() && method != JoinMethod::kNestedLoop;
-  if (pointer_join) {
-    // Membership structure over the inner collection.
+  if (!ref_attr.empty() && method == JoinMethod::kIndexed) {
+    // Probe a registered binary join index from the inner side.
+    auto desc =
+        objects_->catalog()->FindIndex(arg1.class_name(), ref_attr, IndexKind::kBinaryJoin);
+    if (!desc.has_value()) {
+      return Status::NotFound("no binary join index on " + arg1.class_name() + "." +
+                              ref_attr);
+    }
+    std::unordered_set<uint64_t> outer;
+    for (Oid o : arg1.oids()) outer.insert(o.Pack());
+    MOOD_RETURN_IF_ERROR(ProbeJoinIndex(*desc, arg2.oids(), [&](Oid left, size_t r) {
+      if (outer.count(left.Pack()) > 0) emit(left, arg2.oids()[r]);
+      return Status::OK();
+    }));
+  } else if (!ref_attr.empty() && method != JoinMethod::kNestedLoop) {
+    // Forward traversal, backward traversal and hash partitioning produce the
+    // same pairs; they differ in the I/O pattern the cost model prices
+    // (Section 6). All three run the one reference chase for now.
     std::unordered_set<uint64_t> inner;
     inner.reserve(arg2.size());
     for (Oid o : arg2.oids()) inner.insert(o.Pack());
-
-    auto chase = [&](Oid left) -> Status {
-      MOOD_ASSIGN_OR_RETURN(MoodValue v, objects_->GetAttribute(left, ref_attr));
-      auto probe = [&](const MoodValue& r) {
-        if (r.kind() == ValueKind::kReference &&
-            inner.count(r.AsReference().Pack()) > 0) {
-          emit(left, r.AsReference());
-        }
-      };
-      if (v.kind() == ValueKind::kReference) {
-        probe(v);
-      } else if (v.IsCollection()) {
-        for (const auto& e : v.elements()) probe(e);
-      }
-      return Status::OK();
-    };
-
-    switch (method) {
-      case JoinMethod::kForwardTraversal:
-      case JoinMethod::kHashPartition:
-      case JoinMethod::kBackwardTraversal: {
-        // All three produce the same pairs in memory; they differ in the I/O
-        // pattern the cost model prices (Section 6). Backward traversal iterates
-        // the referencing side too — the stored direction of the scan is what
-        // the disk-level bench measures, not this in-memory loop.
-        for (Oid left : arg1.oids()) MOOD_RETURN_IF_ERROR(chase(left));
-        break;
-      }
-      case JoinMethod::kIndexed: {
-        // Probe a registered binary join index from the inner side.
-        auto desc = objects_->catalog()->FindIndex(arg1.class_name(), ref_attr,
-                                                   IndexKind::kBinaryJoin);
-        if (!desc.has_value()) {
-          return Status::NotFound("no binary join index on " + arg1.class_name() +
-                                  "." + ref_attr);
-        }
-        MOOD_ASSIGN_OR_RETURN(BinaryJoinIndex * bji, objects_->OpenJoinIndex(*desc));
-        std::unordered_set<uint64_t> outer;
-        for (Oid o : arg1.oids()) outer.insert(o.Pack());
-        for (Oid right : arg2.oids()) {
-          MOOD_ASSIGN_OR_RETURN(auto sources, bji->Sources(right));
-          for (Oid left : sources) {
-            if (outer.count(left.Pack())) emit(left, right);
-          }
-        }
-        break;
-      }
-      case JoinMethod::kNestedLoop:
-        break;  // unreachable
+    const std::vector<std::string> path = {ref_attr};
+    for (Oid left : arg1.oids()) {
+      MOOD_RETURN_IF_ERROR(ChaseRefs(left, path, nullptr, [&](Oid right) {
+        if (inner.count(right.Pack()) > 0) emit(left, right);
+        return Status::OK();
+      }));
     }
   } else {
     if (pred == nullptr) {
       return Status::InvalidArgument("nested-loop join requires a predicate");
     }
+    ExprCompileEnv env;
+    env.vars[var1] = {0, arg1.class_name()};
+    env.vars[var2] = {1, arg2.class_name()};
+    std::unique_ptr<ExprProgram> program = ExprCompiler(evaluator_).Compile(pred, env);
+    PredicateStream stream(*program, 2, [&](const Oid* row) { emit(row[0], row[1]); });
     for (Oid left : arg1.oids()) {
       for (Oid right : arg2.oids()) {
-        Evaluator::Env env;
-        env.vars[var1] = left;
-        env.vars[var2] = right;
-        MOOD_ASSIGN_OR_RETURN(bool match, evaluator_->EvalPredicate(pred, env));
-        if (match) emit(left, right);
+        const Oid row[2] = {left, right};
+        MOOD_RETURN_IF_ERROR(stream.Push(row));
       }
     }
-  }
-  if (out_kind == CollKind::kSet) {
-    // Set semantics: deduplicate pairs.
-    std::vector<MoodValue> dedup;
-    for (auto& pv : pairs) {
-      bool seen = false;
-      for (const auto& d : dedup) {
-        if (d.Equals(pv)) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) dedup.push_back(std::move(pv));
-    }
-    pairs = std::move(dedup);
+    MOOD_RETURN_IF_ERROR(stream.Flush());
   }
   return Collection::Pairs(out_kind, std::move(pairs));
+}
+
+Status MoodAlgebra::ChaseRefs(Oid from, const std::vector<std::string>& path,
+                              DerefCache* cache,
+                              const std::function<Status(Oid)>& fn) const {
+  return ChaseFrom(objects_, from, path, 0, cache, fn);
+}
+
+Status MoodAlgebra::ProbeJoinIndex(const IndexDesc& index,
+                                   const std::vector<Oid>& targets,
+                                   const std::function<Status(Oid, size_t)>& fn) const {
+  MOOD_ASSIGN_OR_RETURN(BinaryJoinIndex * bji, objects_->OpenJoinIndex(index));
+  for (size_t i = 0; i < targets.size(); i++) {
+    MOOD_ASSIGN_OR_RETURN(std::vector<Oid> sources, bji->Sources(targets[i]));
+    for (Oid source : sources) MOOD_RETURN_IF_ERROR(fn(source, i));
+  }
+  return Status::OK();
 }
 
 Result<std::vector<MoodValue>> MoodAlgebra::KeyOf(
@@ -467,29 +537,29 @@ Result<Collection> MoodAlgebra::DupElim(const Collection& arg) const {
     return Status::InvalidArgument("DupElim is not applicable to " +
                                    std::string(CollKindName(arg.kind())));
   }
+  std::vector<Oid> distinct;
   if (arg.kind() == CollKind::kList) {
-    std::vector<Oid> distinct;
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(arg.size());
     for (Oid o : arg.oids()) {
-      if (std::find(distinct.begin(), distinct.end(), o) == distinct.end()) {
-        distinct.push_back(o);
-      }
+      if (seen.insert(o.Pack()).second) distinct.push_back(o);
     }
     return Collection::List(std::move(distinct));
   }
-  // Extent: deep equality over object values.
-  std::vector<Oid> distinct;
+  // Extent: deep equality over object values, compared only within the bucket
+  // of values whose top-level atomic fields hash alike.
   std::vector<MoodValue> distinct_values;
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
   for (Oid o : arg.oids()) {
     MOOD_ASSIGN_OR_RETURN(MoodValue v, objects_->Fetch(o));
+    std::vector<size_t>& bucket = buckets[AtomicFieldsHash(v)];
     bool dup = false;
-    for (const auto& d : distinct_values) {
-      MOOD_ASSIGN_OR_RETURN(bool eq, objects_->DeepEquals(v, d));
-      if (eq) {
-        dup = true;
-        break;
-      }
+    for (size_t d : bucket) {
+      MOOD_ASSIGN_OR_RETURN(dup, objects_->DeepEquals(v, distinct_values[d]));
+      if (dup) break;
     }
     if (!dup) {
+      bucket.push_back(distinct_values.size());
       distinct.push_back(o);
       distinct_values.push_back(std::move(v));
     }

@@ -16,7 +16,7 @@ namespace mood {
 /// Join strategies of the Join operator (Section 3.2 / Section 8.3).
 enum class JoinMethod : uint8_t {
   kForwardTraversal = 0,
-  kIndexed = 1,          ///< B+-tree / binary join index / path index
+  kIndexed = 1,          ///< binary join index
   kBackwardTraversal = 2,
   kHashPartition = 3,    ///< pointer-based hash-partition join
   kNestedLoop = 4,       ///< general fallback for explicit (value) joins
@@ -51,7 +51,10 @@ bool UnnestAccepts(CollKind arg, bool tuple_object);
 
 /// The MOOD algebra: every operator of Section 3.2 as executable code over the
 /// object manager. Predicates are MOODSQL expressions evaluated with the
-/// element bound to `var`.
+/// element bound to `var`; they compile once (ExprCompiler) and run through the
+/// executor's batch kernels. The reference chase and the binary-join-index
+/// probe live here and the executor calls them too, so each join strategy has
+/// one implementation.
 ///
 /// Thread safety: the const operators the parallel executor fans out (IndSel,
 /// Deref and friends) are concurrent-read safe — they read through the object
@@ -111,6 +114,19 @@ class MoodAlgebra {
                           JoinMethod method, const ExprPtr& pred,
                           const std::string& var1, const std::string& var2,
                           const std::string& ref_attr = "") const;
+
+  /// The reference chase of the pointer-join strategies: follows `path` from
+  /// `from`, calling `fn` for every object reached. Set/List-valued reference
+  /// attributes fan out, a Null stops the branch, and any other non-reference
+  /// value is a TypeError.
+  Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
+                   const std::function<Status(Oid)>& fn) const;
+
+  /// The Indexed strategy's probe: looks every `targets[i]` up in the binary
+  /// join index `index`, in order, calling `fn(source, i)` for each object the
+  /// index lists as referencing it.
+  Status ProbeJoinIndex(const IndexDesc& index, const std::vector<Oid>& targets,
+                        const std::function<Status(Oid, size_t)>& fn) const;
 
   /// Partition(aTupleCollection, attribute_list): groups of objects with equal
   /// values on the attributes.

@@ -17,6 +17,8 @@ constexpr char kTagIndexes = 'X';
 constexpr char kTagNames = 'N';
 constexpr char kTagViews = 'V';
 constexpr FileId kCatalogFileId = 1;
+/// IndexKind value of the removed path index (kept out of the enum).
+constexpr uint32_t kRemovedPathKind = 3;
 
 }  // namespace
 
@@ -25,7 +27,6 @@ std::string_view IndexKindName(IndexKind k) {
     case IndexKind::kBTree: return "BTree";
     case IndexKind::kHash: return "Hash";
     case IndexKind::kRTree: return "RTree";
-    case IndexKind::kPath: return "Path";
     case IndexKind::kBinaryJoin: return "BinaryJoin";
   }
   return "?";
@@ -179,6 +180,12 @@ Status Catalog::LoadAll() {
           MOOD_RETURN_IF_ERROR(dec.GetFixed32(&uniq));
           MOOD_RETURN_IF_ERROR(dec.GetFixed32(&d.meta1));
           MOOD_RETURN_IF_ERROR(dec.GetFixed32(&d.meta2));
+          if (kind == kRemovedPathKind) {
+            return Status::NotSupported(
+                "catalog holds path index '" + d.name +
+                "'; path indexes are not supported (store path results with "
+                "CREATE MATERIALIZED VIEW)");
+          }
           d.kind = static_cast<IndexKind>(kind);
           d.unique = uniq != 0;
           indexes_[d.name] = std::move(d);

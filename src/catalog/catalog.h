@@ -47,7 +47,8 @@ enum class IndexKind : uint8_t {
   kBTree = 0,
   kHash = 1,
   kRTree = 2,
-  kPath = 3,
+  // 3 is reserved: it tagged the removed path index, and a catalog that still
+  // holds one fails to open.
   kBinaryJoin = 4,
 };
 
@@ -57,12 +58,11 @@ std::string_view IndexKindName(IndexKind k);
 struct IndexDesc {
   std::string name;
   std::string class_name;
-  /// Attribute name for kBTree/kHash/kRTree; dotted path (e.g.
-  /// "drivetrain.engine.cylinders") for kPath; reference attribute for kBinaryJoin.
+  /// Attribute name for kBTree/kHash/kRTree; reference attribute for kBinaryJoin.
   std::string attribute;
   IndexKind kind = IndexKind::kBTree;
   bool unique = false;
-  PageId meta1 = kInvalidPageId;  // tree/hash/rtree/path meta page; BJI forward
+  PageId meta1 = kInvalidPageId;  // tree/hash/rtree meta page; BJI forward
   PageId meta2 = kInvalidPageId;  // BJI backward tree meta page
 };
 

@@ -86,12 +86,10 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   stats_->Configure(options.stats_histogram_buckets, fopts);
   optimizer_ = std::make_unique<QueryOptimizer>(catalog_.get(), objects_.get(),
                                                 stats_.get(), options.optimizer);
-  executor_ =
-      std::make_unique<Executor>(objects_.get(), evaluator_.get(), algebra_.get());
-  executor_->set_threads(options.exec_threads == 0 ? DefaultExecThreads()
-                                                   : options.exec_threads);
-  executor_->set_deref_cache_capacity(options.deref_cache_entries);
-  executor_->set_batch_size(options.batch_size);
+  executor_ = std::make_unique<Executor>(
+      objects_.get(), evaluator_.get(), algebra_.get(),
+      options.exec_threads == 0 ? DefaultExecThreads() : options.exec_threads,
+      options.deref_cache_entries, options.batch_size);
   schema_browser_ = std::make_unique<SchemaBrowser>(catalog_.get());
   object_browser_ = std::make_unique<ObjectBrowser>(objects_.get());
   plan_cache_ = std::make_unique<PlanCache>();
@@ -791,10 +789,17 @@ Result<ExecResult> Database::ExecNew(Session& s, const NewObjectStmt& stmt) {
     MOOD_RETURN_IF_ERROR(s.txn_->Lock(
         LockKey{/*space=*/1, type->extent_file}, LockMode::kExclusive));
   }
-  Evaluator::Env empty;
+  // Values bind no range variable, so a well-formed one is a constant and
+  // folds; any other runs once, with nothing bound, to raise its error.
   MoodValue::ValueList values;
   for (const auto& e : stmt.values) {
-    MOOD_ASSIGN_OR_RETURN(MoodValue v, evaluator_->Eval(e, empty));
+    MoodValue v;
+    if (!TryConstEval(*e, &v)) {
+      ExprProgram::BatchScratch scratch;
+      MOOD_ASSIGN_OR_RETURN(v, ExprCompiler(evaluator_.get())
+                                   .Compile(e, ExprCompileEnv{})
+                                   ->EvalRow(nullptr, 0, nullptr, &scratch));
+    }
     values.push_back(std::move(v));
   }
   MOOD_ASSIGN_OR_RETURN(
@@ -896,25 +901,38 @@ Result<ExecResult> Database::ExecUpdate(Session& s, const UpdateStmt& stmt) {
         LockKey{/*space=*/1, type->extent_file}, LockMode::kExclusive));
   }
   MOOD_ASSIGN_OR_RETURN(auto oids, MatchingObjects(stmt.class_name, stmt.var, stmt.where));
+  // One program per assignment, compiled once for the statement (a literal
+  // folds to a constant) and run per object at batch size 1 without a Deref
+  // cache, so a later assignment reads what an earlier one wrote.
+  std::vector<std::unique_ptr<ExprProgram>> programs;
+  {
+    CommitGate::SharedGuard compile_gate(versions_ != nullptr ? &versions_->gate()
+                                                              : nullptr);
+    ExprCompileEnv env;
+    env.vars[stmt.var] = {0, stmt.class_name};
+    ExprCompiler compiler(evaluator_.get());
+    for (const auto& assignment : stmt.assignments) {
+      programs.push_back(compiler.Compile(assignment.second, env));
+    }
+  }
+  ExprProgram::BatchScratch scratch;
   for (Oid oid : oids) {
     if (s.txn_ != nullptr) {
       MOOD_RETURN_IF_ERROR(s.txn_->Lock(LockKey{/*space=*/2, oid.Pack()},
                                         LockMode::kExclusive));
     }
-    Evaluator::Env env;
-    env.vars[stmt.var] = oid;
-    for (const auto& [attr, expr] : stmt.assignments) {
+    for (size_t a = 0; a < programs.size(); a++) {
       // Assignment expressions read heap objects; shared gate per evaluation
       // (released before SetAttribute's exclusive section — the gate never
       // nests on one thread).
       Result<MoodValue> v = [&]() -> Result<MoodValue> {
         CommitGate::SharedGuard eval_gate(versions_ != nullptr ? &versions_->gate()
                                                                : nullptr);
-        return evaluator_->Eval(expr, env);
+        return programs[a]->EvalRow(&oid, 1, nullptr, &scratch);
       }();
       if (!v.ok()) return v.status();
-      MOOD_RETURN_IF_ERROR(
-          objects_->SetAttribute(oid, attr, std::move(v.value()), s.txn_));
+      MOOD_RETURN_IF_ERROR(objects_->SetAttribute(oid, stmt.assignments[a].first,
+                                                  std::move(v.value()), s.txn_));
     }
   }
   ExecResult res;
@@ -955,10 +973,6 @@ Result<ExecResult> Database::ExecCreateIndex(const CreateIndexStmt& stmt) {
     case IndexKind::kHash:
       MOOD_RETURN_IF_ERROR(objects_->CreateAttributeIndex(
           stmt.index_name, stmt.class_name, stmt.attribute, stmt.kind, stmt.unique));
-      break;
-    case IndexKind::kPath:
-      MOOD_RETURN_IF_ERROR(
-          objects_->CreatePathIndex(stmt.index_name, stmt.class_name, stmt.attribute));
       break;
     case IndexKind::kBinaryJoin:
       MOOD_RETURN_IF_ERROR(objects_->CreateBinaryJoinIndex(stmt.index_name,

@@ -91,8 +91,7 @@ struct DatabaseOptions {
 /// unset field falls back to the session defaults installed with
 /// Database::SetDefaultQueryOptions, then to the behavior configured by the
 /// DatabaseOptions the database was opened with — so `QueryOptions{}`
-/// reproduces the plain Execute/Query behavior exactly. Replaces mutating
-/// Executor::set_threads between queries.
+/// reproduces the plain Execute/Query behavior exactly.
 struct QueryOptions {
   /// Worker threads for this call. 0 (and unset everywhere) = the database
   /// default (DatabaseOptions::exec_threads).

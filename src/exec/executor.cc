@@ -166,27 +166,6 @@ ExprProgramPtr Executor::CompileExpr(const ExprPtr& expr,
   return prog;
 }
 
-Status Executor::ChaseRefs(Oid from, const std::vector<std::string>& path,
-                           DerefCache* cache,
-                           const std::function<Status(Oid)>& fn) const {
-  if (path.empty()) return fn(from);
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, objects_->GetAttribute(from, path[0], cache));
-  std::vector<std::string> rest(path.begin() + 1, path.end());
-  auto handle = [&](const MoodValue& r) -> Status {
-    if (r.is_null()) return Status::OK();
-    if (r.kind() != ValueKind::kReference) {
-      return Status::TypeError("reference path step '" + path[0] +
-                               "' reached a non-reference value");
-    }
-    return ChaseRefs(r.AsReference(), rest, cache, fn);
-  };
-  if (v.IsCollection()) {
-    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
-    return Status::OK();
-  }
-  return handle(v);
-}
-
 Result<bool> Executor::SnapshotScanHasVersions(const FromEntry& from,
                                                const SnapshotView& snap) const {
   if (!snap.active()) return false;
@@ -506,7 +485,6 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     // Fall through to chasing when the index is missing (plans stay executable
     // even if an index was dropped after optimization).
     if (desc.has_value()) {
-      MOOD_ASSIGN_OR_RETURN(BinaryJoinIndex * bji, objects_->OpenJoinIndex(*desc));
       std::vector<std::pair<uint32_t, uint32_t>> lidx = left.LiveIndex();
       std::unordered_map<uint64_t, std::vector<size_t>> left_by_ref;
       for (size_t i = 0; i < lidx.size(); i++) {
@@ -517,28 +495,25 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
       BatchAppender out(&bs, ncols, ctx.batch);
       std::vector<Oid> rowbuf(ncols);
       std::set<std::pair<size_t, size_t>> emitted;
-      for (size_t r = 0; r < ridx.size(); r++) {
-        Oid target =
-            right.batches[ridx[r].first].col(static_cast<size_t>(tgt_idx))[ridx[r].second];
-        MOOD_ASSIGN_OR_RETURN(auto sources, bji->Sources(target));
-        for (Oid src : sources) {
-          auto it = left_by_ref.find(src.Pack());
-          if (it == left_by_ref.end()) continue;
-          for (size_t l : it->second) {
-            if (!emitted.insert({l, r}).second) continue;
-            left.batches[lidx[l].first].GatherRow(lidx[l].second, rowbuf.data());
-            gather_right(r, rowbuf.data());
-            out.Push(rowbuf.data(), ncols);
-          }
+      std::vector<Oid> targets = right.LiveColumn(static_cast<size_t>(tgt_idx));
+      MOOD_RETURN_IF_ERROR(algebra_->ProbeJoinIndex(*desc, targets, [&](Oid src, size_t r) {
+        auto it = left_by_ref.find(src.Pack());
+        if (it == left_by_ref.end()) return Status::OK();
+        for (size_t l : it->second) {
+          if (!emitted.insert({l, r}).second) continue;
+          left.batches[lidx[l].first].GatherRow(lidx[l].second, rowbuf.data());
+          gather_right(r, rowbuf.data());
+          out.Push(rowbuf.data(), ncols);
         }
-      }
+        return Status::OK();
+      }));
       return bs;
     }
   }
 
-  // Forward / backward / hash-partition: in memory they all chase the stored
-  // references and probe the inner side; the strategies differ in the disk
-  // access pattern the cost model prices (Section 6). The chase side fans out
+  // Forward / backward / hash-partition: all three run the algebra's one
+  // reference chase and probe the inner side; the strategies differ in the
+  // disk access pattern the cost model prices (Section 6). The chase side fans out
   // one task per left batch. Output batches are ragged at task boundaries —
   // deterministic, because the input batch decomposition is.
   if (ctx.profile != nullptr) ctx.profile->morsels = left.batches.size();
@@ -547,19 +522,20 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     const RowBatch& lb = left.batches[m];
     BatchAppender out(&partial[m], ncols, ctx.batch);
     std::vector<Oid> rowbuf(ncols);
+    auto probe = [&](Oid reached) {
+      auto it = right_by_oid.find(reached.Pack());
+      if (it != right_by_oid.end()) {
+        for (size_t r : it->second) {
+          gather_right(r, rowbuf.data());
+          out.Push(rowbuf.data(), ncols);
+        }
+      }
+      return Status::OK();
+    };
     for (size_t k = 0; k < lb.ActiveRows(); k++) {
       lb.GatherRow(lb.RowAt(k), rowbuf.data());
       Oid from = rowbuf[static_cast<size_t>(ref_idx)];
-      MOOD_RETURN_IF_ERROR(ChaseRefs(from, node.ref_path, ctx.cache, [&](Oid reached) {
-        auto it = right_by_oid.find(reached.Pack());
-        if (it != right_by_oid.end()) {
-          for (size_t r : it->second) {
-            gather_right(r, rowbuf.data());
-            out.Push(rowbuf.data(), ncols);
-          }
-        }
-        return Status::OK();
-      }));
+      MOOD_RETURN_IF_ERROR(algebra_->ChaseRefs(from, node.ref_path, ctx.cache, probe));
     }
     return Status::OK();
   }));

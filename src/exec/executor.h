@@ -36,7 +36,7 @@ struct ExecOptions {
   /// Sentinel: use the executor's configured batch size.
   static constexpr size_t kInheritBatch = static_cast<size_t>(-1);
 
-  /// Worker threads for this call; 0 = the executor default (set_threads).
+  /// Worker threads for this call; 0 = the executor default.
   size_t threads = 0;
   /// Per-query Deref cache capacity in entries; kInheritCache = the executor
   /// default, 0 disables the cache for this call.
@@ -91,26 +91,22 @@ struct ExecOptions {
 /// mutated during a query (see DESIGN.md "Parallel query execution").
 class Executor {
  public:
-  Executor(ObjectManager* objects, Evaluator* evaluator, MoodAlgebra* algebra)
-      : objects_(objects), evaluator_(evaluator), algebra_(algebra) {}
+  /// `threads` (0 is treated as 1), `deref_cache_entries` (0 disables the
+  /// cache) and `batch_size` (0 is treated as 1) are the defaults for calls
+  /// that do not override them through ExecOptions. One Deref cache lives for
+  /// the duration of each ExecutePlan / ExecuteSelect call and is shared by
+  /// all of that query's morsel workers.
+  Executor(ObjectManager* objects, Evaluator* evaluator, MoodAlgebra* algebra,
+           size_t threads, size_t deref_cache_entries, size_t batch_size)
+      : objects_(objects),
+        evaluator_(evaluator),
+        algebra_(algebra),
+        threads_(threads == 0 ? 1 : threads),
+        deref_cache_capacity_(deref_cache_entries),
+        batch_size_(ClampBatchSize(batch_size)) {}
 
-  /// Default worker-thread count for calls that do not pass ExecOptions;
-  /// 1 reproduces the serial executor exactly, including its error behavior.
-  /// Deprecated as a per-query knob: pass ExecOptions::threads instead of
-  /// mutating this shared default mid-stream.
-  void set_threads(size_t threads) { threads_ = threads == 0 ? 1 : threads; }
   size_t threads() const { return threads_; }
-
-  /// Default capacity of the per-query Deref cache (entries); 0 disables it.
-  /// One cache instance lives for the duration of each ExecutePlan /
-  /// ExecuteSelect call and is shared by all of that query's morsel workers.
-  /// Deprecated as a per-query knob: pass ExecOptions::deref_cache_entries.
-  void set_deref_cache_capacity(size_t entries) { deref_cache_capacity_ = entries; }
   size_t deref_cache_capacity() const { return deref_cache_capacity_; }
-
-  /// Default rows per execution batch (0 is treated as 1).
-  /// Deprecated as a per-query knob: pass ExecOptions::batch_size.
-  void set_batch_size(size_t rows) { batch_size_ = ClampBatchSize(rows); }
   size_t batch_size() const { return batch_size_; }
 
   Result<BatchSet> ExecutePlan(const PlanPtr& plan) const;
@@ -213,11 +209,6 @@ class Executor {
   ExprProgramPtr CompileExpr(const ExprPtr& expr, const std::vector<std::string>& vars,
                              const Ctx& ctx) const;
 
-  /// Chases a reference path from an object, invoking `fn` for every reached
-  /// object identifier (fan-out through set/list-valued reference attributes).
-  Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
-                   const std::function<Status(Oid)>& fn) const;
-
   /// Probe/intersect step of kIndexSelect. Under a reader snapshot the
   /// index hits are compensated with the scanned files' version chains, so
   /// the answer is the snapshot's at the cost of the probe plus the chains.
@@ -232,9 +223,9 @@ class Executor {
   ObjectManager* objects_;
   Evaluator* evaluator_;
   MoodAlgebra* algebra_;
-  size_t threads_ = 1;
-  size_t deref_cache_capacity_ = 4096;
-  size_t batch_size_ = kDefaultBatchRows;
+  const size_t threads_;
+  const size_t deref_cache_capacity_;
+  const size_t batch_size_;
   MetricCounter* expr_compiled_ = nullptr;
   MetricCounter* expr_folded_ = nullptr;
   MetricCounter* batch_batches_ = nullptr;

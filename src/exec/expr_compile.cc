@@ -7,12 +7,6 @@
 
 namespace mood {
 
-namespace {
-
-/// Bottom-up constant evaluation with the interpreter's exact semantics.
-/// Returns false for non-constant subtrees AND for constant subtrees whose
-/// evaluation errors: an erroring subtree is left in bytecode form so the
-/// identical error surfaces at run time.
 bool TryConstEval(const Expr& e, MoodValue* out) {
   switch (e.kind) {
     case ExprKind::kLiteral:
@@ -81,6 +75,8 @@ bool TryConstEval(const Expr& e, MoodValue* out) {
   }
   return false;
 }
+
+namespace {
 
 uint32_t AddConst(std::vector<MoodValue>* consts, MoodValue v) {
   consts->push_back(std::move(v));
@@ -568,6 +564,15 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
   }
 }
 
+Result<MoodValue> ExprProgram::EvalRow(const Oid* row, size_t nslots, DerefCache* cache,
+                                       BatchScratch* scratch) const {
+  RowBatch batch(nslots, 1);
+  batch.PushRow(row, nslots);
+  EvalBatch(batch, cache, scratch);
+  if (scratch->flags[0] == kRowError) return scratch->errors[0];
+  return std::move(scratch->values[0]);
+}
+
 void ExprProgram::EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
                                      BatchScratch* s) const {
   EvalBatch(batch, cache, s);
@@ -576,7 +581,7 @@ void ExprProgram::EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
   for (size_t k = 0; k < n; k++) {
     if (s->flags[k] != kRowOk) continue;
     const MoodValue& v = s->values[k];
-    if (v.is_null()) continue;  // null => false, as in Evaluator::EvalPredicate
+    if (v.is_null()) continue;  // null => false
     auto b = OperandDataType::FromValue(v).AsBool();
     if (!b.ok()) {
       s->flags[k] = kRowError;

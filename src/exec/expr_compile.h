@@ -20,9 +20,10 @@ namespace mood {
 /// attribute steps are plan-time ordinals into per-class AttributeLayouts (no
 /// string-map or catalog lookup per row).
 ///
-/// This is the executor's only expression evaluator. Semantics contract: a
-/// program produces byte-identical MoodValues and identical error statuses to
-/// the interpreted Evaluator — arithmetic runs through the same
+/// This is the engine's only expression evaluator: the executor, the algebra
+/// and DML all run it. Semantics contract: a program produces byte-identical
+/// MoodValues and identical error statuses to the recursive interpreter in
+/// tests/naive_oracle.h — arithmetic runs through the same
 /// OperandDataType operators, comparisons through Evaluator::Compare, path
 /// steps the ordinal fast path cannot serve (methods, names outside the static
 /// layout, collection fan-out, non-root `self`) through Evaluator::Step, and
@@ -119,9 +120,14 @@ class ExprProgram {
   /// like the serial loop).
   void EvalBatch(const RowBatch& batch, DerefCache* cache, BatchScratch* scratch) const;
 
+  /// EvalBatch over the single row `row[0..nslots)` (batch size 1): the row's
+  /// value or its error.
+  Result<MoodValue> EvalRow(const Oid* row, size_t nslots, DerefCache* cache,
+                            BatchScratch* scratch) const;
+
   /// Predicate form of EvalBatch: scratch->keep[k] is set for kRowOk rows with
   /// the interpreter's truth rules (null => false); a value AsBool() rejects
-  /// turns the row into kRowError, matching Evaluator::EvalPredicate.
+  /// turns the row into kRowError, matching the interpreter oracle.
   void EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
                           BatchScratch* scratch) const;
 
@@ -182,6 +188,12 @@ struct ExprCompileEnv {
   };
   std::map<std::string, VarInfo> vars;
 };
+
+/// Bottom-up constant evaluation with the interpreter's exact semantics.
+/// Returns false for non-constant subtrees AND for constant subtrees whose
+/// evaluation errors: an erroring subtree is left in bytecode form so the
+/// identical error surfaces at run time.
+bool TryConstEval(const Expr& e, MoodValue* out);
 
 /// Lowers Expr trees into ExprPrograms. Every expression compiles: attribute
 /// steps on a statically known class become ordinal loads, every other path

@@ -55,41 +55,4 @@ Result<std::vector<Oid>> BinaryJoinIndex::Sources(Oid to) const {
   return out;
 }
 
-Result<std::unique_ptr<PathIndex>> PathIndex::Create(BufferPool* pool,
-                                                     FileDirectory* alloc) {
-  MOOD_ASSIGN_OR_RETURN(auto tree, BPlusTree::Create(pool, alloc, /*unique=*/false));
-  return std::unique_ptr<PathIndex>(new PathIndex(std::move(tree)));
-}
-
-Result<std::unique_ptr<PathIndex>> PathIndex::Open(BufferPool* pool,
-                                                   FileDirectory* alloc,
-                                                   PageId meta_page) {
-  MOOD_ASSIGN_OR_RETURN(auto tree, BPlusTree::Open(pool, alloc, meta_page));
-  return std::unique_ptr<PathIndex>(new PathIndex(std::move(tree)));
-}
-
-Status PathIndex::Add(Slice key, Oid root) { return tree_->Insert(key, root.Pack()); }
-
-Status PathIndex::Remove(Slice key, Oid root) {
-  return tree_->Delete(key, root.Pack());
-}
-
-Result<std::vector<Oid>> PathIndex::Lookup(Slice key) const {
-  MOOD_ASSIGN_OR_RETURN(auto raw, tree_->SearchEqual(key));
-  std::vector<Oid> out;
-  out.reserve(raw.size());
-  for (uint64_t v : raw) out.push_back(Oid::Unpack(v));
-  return out;
-}
-
-Result<std::vector<Oid>> PathIndex::LookupRange(const std::string* lo,
-                                                const std::string* hi) const {
-  std::vector<Oid> out;
-  MOOD_RETURN_IF_ERROR(tree_->Scan(lo, hi, [&](Slice, uint64_t v) {
-    out.push_back(Oid::Unpack(v));
-    return Status::OK();
-  }));
-  return out;
-}
-
 }  // namespace mood

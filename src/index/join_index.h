@@ -47,33 +47,4 @@ class BinaryJoinIndex {
   std::unique_ptr<BPlusTree> backward_;
 };
 
-/// Path index (Kemper/Moerkotte access support): maps the atomic value at the end
-/// of a path C1.A1...Am directly to the Oids of the C1 root objects, collapsing
-/// the whole chain of implicit joins into one lookup.
-class PathIndex {
- public:
-  static Result<std::unique_ptr<PathIndex>> Create(BufferPool* pool,
-                                                   FileDirectory* alloc);
-  static Result<std::unique_ptr<PathIndex>> Open(BufferPool* pool, FileDirectory* alloc,
-                                                 PageId meta_page);
-
-  PageId meta_page() const { return tree_->meta_page(); }
-
-  /// Registers that root object `root` reaches terminal value `key` (encoded with
-  /// key_codec).
-  Status Add(Slice key, Oid root);
-  Status Remove(Slice key, Oid root);
-
-  Result<std::vector<Oid>> Lookup(Slice key) const;
-  /// Range lookup [lo, hi]; null bound = unbounded.
-  Result<std::vector<Oid>> LookupRange(const std::string* lo, const std::string* hi) const;
-
-  const BPlusTree& tree() const { return *tree_; }
-
- private:
-  explicit PathIndex(std::unique_ptr<BPlusTree> tree) : tree_(std::move(tree)) {}
-
-  std::unique_ptr<BPlusTree> tree_;
-};
-
 }  // namespace mood

@@ -705,9 +705,8 @@ Status ObjectManager::MaintainIndexes(const std::string& class_name, Oid oid,
         break;
       }
       case IndexKind::kRTree:
-      case IndexKind::kPath:
-        // Spatial and path indexes are maintained by their builders / the
-        // application layer (matching the paper's standalone indexing tools).
+        // Spatial indexes are maintained by their builders (matching the
+        // paper's standalone indexing tools).
         break;
     }
   }
@@ -783,40 +782,6 @@ Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
   });
 }
 
-Status ObjectManager::CreatePathIndex(const std::string& index_name,
-                                      const std::string& class_name,
-                                      const std::string& path) {
-  // Split the dotted path.
-  std::vector<std::string> steps;
-  size_t start = 0;
-  while (start <= path.size()) {
-    size_t dot = path.find('.', start);
-    if (dot == std::string::npos) {
-      steps.push_back(path.substr(start));
-      break;
-    }
-    steps.push_back(path.substr(start, dot - start));
-    start = dot + 1;
-  }
-  if (steps.empty()) return Status::InvalidArgument("empty path");
-
-  MOOD_ASSIGN_OR_RETURN(auto pidx, PathIndex::Create(storage_->buffer_pool(), storage_));
-  IndexDesc desc;
-  desc.name = index_name;
-  desc.class_name = class_name;
-  desc.attribute = path;
-  desc.kind = IndexKind::kPath;
-  desc.meta1 = pidx->meta_page();
-  PathIndex* raw = pidx.get();
-  path_indexes_[index_name] = std::move(pidx);
-  MOOD_RETURN_IF_ERROR(catalog_->RegisterIndex(desc));
-  return ScanExtent(class_name, false, {}, [&](Oid oid, const MoodValue&) {
-    return TraversePath(oid, steps, [&](const MoodValue& terminal) {
-      return raw->Add(MakeIndexKey(terminal), oid);
-    });
-  });
-}
-
 Status ObjectManager::TraversePath(
     Oid root, const std::vector<std::string>& path, DerefCache* cache,
     const std::function<Status(const MoodValue&)>& fn) const {
@@ -873,17 +838,6 @@ Result<BinaryJoinIndex*> ObjectManager::OpenJoinIndex(const IndexDesc& desc) {
   return raw;
 }
 
-Result<PathIndex*> ObjectManager::OpenPathIndex(const IndexDesc& desc) {
-  std::lock_guard<std::mutex> lock(index_cache_mu_);
-  auto it = path_indexes_.find(desc.name);
-  if (it != path_indexes_.end()) return it->second.get();
-  MOOD_ASSIGN_OR_RETURN(auto pidx,
-                        PathIndex::Open(storage_->buffer_pool(), storage_, desc.meta1));
-  PathIndex* raw = pidx.get();
-  path_indexes_[desc.name] = std::move(pidx);
-  return raw;
-}
-
 void ObjectManager::RegisterMetrics(MetricsRegistry* registry) const {
   registry->RegisterProbe(
       "objects", [this](std::vector<std::pair<std::string, double>>* out) {
@@ -908,7 +862,7 @@ void ObjectManager::RegisterMetrics(MetricsRegistry* registry) const {
           std::lock_guard<std::mutex> lock(index_cache_mu_);
           out->emplace_back("objects.open_indexes",
                             static_cast<double>(btrees_.size() + hashes_.size() +
-                                                bjis_.size() + path_indexes_.size()));
+                                                bjis_.size()));
         }
       });
 }

@@ -285,16 +285,10 @@ class ObjectManager {
                                const std::string& class_name,
                                const std::string& attribute);
 
-  /// Builds a path index for `path` (dotted attribute chain from `class_name`
-  /// ending in an atomic attribute).
-  Status CreatePathIndex(const std::string& index_name, const std::string& class_name,
-                         const std::string& path);
-
   /// Opens (cached) handles to registered indexes.
   Result<BPlusTree*> OpenBTree(const IndexDesc& desc);
   Result<HashIndex*> OpenHash(const IndexDesc& desc);
   Result<BinaryJoinIndex*> OpenJoinIndex(const IndexDesc& desc);
-  Result<PathIndex*> OpenPathIndex(const IndexDesc& desc);
 
   /// Follows a dotted path from a root object to its terminal values. Set/list
   /// valued reference attributes fan out. The callback receives each terminal
@@ -378,7 +372,6 @@ class ObjectManager {
   mutable std::unordered_map<std::string, std::unique_ptr<BPlusTree>> btrees_;
   mutable std::unordered_map<std::string, std::unique_ptr<HashIndex>> hashes_;
   mutable std::unordered_map<std::string, std::unique_ptr<BinaryJoinIndex>> bjis_;
-  mutable std::unordered_map<std::string, std::unique_ptr<PathIndex>> path_indexes_;
   /// Memoized per-class attribute layouts (see LayoutOf), validated against
   /// Catalog::schema_epoch(): any DDL clears the whole map on next use.
   mutable std::mutex layout_mu_;

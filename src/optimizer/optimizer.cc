@@ -733,14 +733,15 @@ Result<QueryOptimizer::Optimized> QueryOptimizer::Optimize(const SelectStmt& stm
       calibrated_ = true;
     }
   }
-  result.plans_version = stats_->plans_version();
-
   if (use_feedback_) {
     // Stats gone stale from write churn? Refresh before estimating.
     for (const auto& [var, fe] : bound.range_vars) {
       stats_->MaybeAutoRefresh(fe.class_name);
     }
   }
+  // Stamped after the refresh: a refresh bumps the version, and a plan built
+  // on the refreshed statistics is current, not stale.
+  result.plans_version = stats_->plans_version();
 
   std::vector<AndTerm> terms = bound.where_dnf;
   if (terms.empty()) terms.push_back(AndTerm{});

@@ -43,8 +43,9 @@ class QueryOptimizer {
     PlanPtr plan;
     std::vector<AndTermInfo> terms;
     /// StatisticsManager::plans_version() read once the cost constants were
-    /// fixed (after any calibration probe this call ran): the version a plan
-    /// cache stamps, so a probe does not invalidate the plan it priced.
+    /// fixed and stale statistics refreshed (after any calibration probe or
+    /// auto-refresh this call ran): the version a plan cache stamps, so
+    /// neither invalidates the plan it priced.
     uint64_t plans_version = 0;
 
     std::string Explain() const;

@@ -129,11 +129,11 @@ struct DeleteStmt {
   ExprPtr where;
 };
 
-/// CREATE [UNIQUE] INDEX name ON Class(attr-or-path) USING BTREE|HASH|PATH|JOININDEX
+/// CREATE [UNIQUE] INDEX name ON Class(attr) USING BTREE|HASH|JOININDEX
 struct CreateIndexStmt {
   std::string index_name;
   std::string class_name;
-  std::string attribute;  // dotted path for USING PATH
+  std::string attribute;
   IndexKind kind = IndexKind::kBTree;
   bool unique = false;
 };

@@ -1,7 +1,5 @@
 #include "sql/evaluator.h"
 
-#include "types/operand.h"
-
 namespace mood {
 
 Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
@@ -71,62 +69,6 @@ Result<MoodValue> Evaluator::Step(const MoodValue& v, const std::string& name,
   return MoodValue::Set(std::move(results));
 }
 
-Result<MoodValue> Evaluator::EvalPathFrom(Oid root, const std::vector<PathStep>& steps,
-                                          const Env& env) const {
-  MoodValue current = MoodValue::Reference(root);
-  for (size_t i = 0; i < steps.size(); i++) {
-    const PathStep& step = steps[i];
-    ArgsFn args;
-    if (!step.args.empty()) {
-      args = [&]() -> Result<std::vector<MoodValue>> {
-        std::vector<MoodValue> values;
-        values.reserve(step.args.size());
-        for (const auto& a : step.args) {
-          MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(a, env));
-          values.push_back(std::move(v));
-        }
-        return values;
-      };
-    }
-    MOOD_ASSIGN_OR_RETURN(current, Step(current, step.name, step.is_call, args, env.deref));
-    if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
-  }
-  return current;
-}
-
-Result<MoodValue> Evaluator::Eval(const ExprPtr& expr, const Env& env) const {
-  switch (expr->kind) {
-    case ExprKind::kLiteral:
-      return expr->literal;
-    case ExprKind::kPath: {
-      auto it = env.vars.find(expr->range_var);
-      if (it == env.vars.end()) {
-        return Status::InvalidArgument("unbound range variable '" + expr->range_var +
-                                       "'");
-      }
-      if (expr->steps.empty()) return MoodValue::Reference(it->second);
-      return EvalPathFrom(it->second, expr->steps, env);
-    }
-    case ExprKind::kUnary: {
-      MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(expr->operand, env));
-      OperandDataType o = OperandDataType::FromValue(v);
-      if (expr->uop == UnaryOp::kNeg) return (-o).ToValue();
-      return (!o).ToValue();
-    }
-    case ExprKind::kBinary:
-      return EvalBinary(*expr, env);
-    case ExprKind::kParameter: {
-      if (env.params == nullptr || expr->param_index >= env.params->size()) {
-        return Status::InvalidArgument("parameter ?" +
-                                       std::to_string(expr->param_index + 1) +
-                                       " not bound");
-      }
-      return (*env.params)[expr->param_index];
-    }
-  }
-  return Status::Internal("unhandled expression kind");
-}
-
 Result<bool> Evaluator::Compare(BinaryOp op, const MoodValue& lhs,
                                 const MoodValue& rhs) {
   // Existential fan-out: if either side is a collection, the comparison holds if
@@ -167,48 +109,6 @@ Result<bool> Evaluator::Compare(BinaryOp op, const MoodValue& lhs,
     default:
       return Status::Internal("not a comparison");
   }
-}
-
-Result<MoodValue> Evaluator::EvalBinary(const Expr& e, const Env& env) const {
-  if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
-    // Short-circuit evaluation (the optimizer orders predicates to exploit it).
-    MOOD_ASSIGN_OR_RETURN(MoodValue lv, Eval(e.lhs, env));
-    OperandDataType lo = OperandDataType::FromValue(lv);
-    MOOD_ASSIGN_OR_RETURN(bool lb, lo.AsBool());
-    if (e.op == BinaryOp::kAnd && !lb) return MoodValue::Boolean(false);
-    if (e.op == BinaryOp::kOr && lb) return MoodValue::Boolean(true);
-    MOOD_ASSIGN_OR_RETURN(MoodValue rv, Eval(e.rhs, env));
-    OperandDataType ro = OperandDataType::FromValue(rv);
-    MOOD_ASSIGN_OR_RETURN(bool rb, ro.AsBool());
-    return MoodValue::Boolean(rb);
-  }
-  MOOD_ASSIGN_OR_RETURN(MoodValue lv, Eval(e.lhs, env));
-  MOOD_ASSIGN_OR_RETURN(MoodValue rv, Eval(e.rhs, env));
-  if (IsComparison(e.op)) {
-    MOOD_ASSIGN_OR_RETURN(bool r, Compare(e.op, lv, rv));
-    return MoodValue::Boolean(r);
-  }
-  // Arithmetic through the run-time-typed interpreter.
-  OperandDataType x = OperandDataType::FromValue(lv);
-  OperandDataType y = OperandDataType::FromValue(rv);
-  OperandDataType r(DataTypeCode::kInt32);
-  switch (e.op) {
-    case BinaryOp::kAdd: r = x + y; break;
-    case BinaryOp::kSub: r = x - y; break;
-    case BinaryOp::kMul: r = x * y; break;
-    case BinaryOp::kDiv: r = x / y; break;
-    case BinaryOp::kMod: r = x % y; break;
-    default:
-      return Status::Internal("unhandled binary operator");
-  }
-  return r.ToValue();
-}
-
-Result<bool> Evaluator::EvalPredicate(const ExprPtr& expr, const Env& env) const {
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, Eval(expr, env));
-  if (v.is_null()) return false;
-  OperandDataType o = OperandDataType::FromValue(v);
-  return o.AsBool();
 }
 
 }  // namespace mood

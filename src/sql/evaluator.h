@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -12,38 +11,16 @@
 
 namespace mood {
 
-/// Interprets MOODSQL expressions at run time over bound range variables. This is
-/// the kernel's interpreted half: arithmetic and Boolean expressions run through
-/// OperandDataType (Section 2), while method steps dispatch into compiled bodies
-/// through the Function Manager.
+/// The run-time pieces every expression evaluator shares: one path step
+/// (attribute read or method dispatch into compiled bodies through the
+/// Function Manager) and one comparison. The batch kernels (exec/expr_compile)
+/// are the engine's only evaluator; the recursive interpreter is the test
+/// oracle (tests/naive_oracle.h). Both reach objects and methods only through
+/// this class.
 class Evaluator {
  public:
   Evaluator(ObjectManager* objects, FunctionManager* functions)
       : objects_(objects), functions_(functions) {}
-
-  /// Bindings of range variables to objects for the current row, plus the
-  /// query's Deref cache (null disables caching). Every dereference in a path
-  /// step or method call goes through `deref`, so repeated hops over the same
-  /// objects within one query hit memory.
-  struct Env {
-    std::map<std::string, Oid> vars;
-    DerefCache* deref = nullptr;
-    /// Bound values for `?` positional parameters, in placeholder order.
-    const std::vector<MoodValue>* params = nullptr;
-  };
-
-  /// Evaluates an expression to a value. A path through a Set/List-valued
-  /// reference attribute fans out and yields a Set of terminal values; a
-  /// comparison against such a Set uses existential semantics (true if any
-  /// element satisfies it).
-  Result<MoodValue> Eval(const ExprPtr& expr, const Env& env) const;
-
-  /// Evaluates a predicate to a Boolean (null/absent values make it false).
-  Result<bool> EvalPredicate(const ExprPtr& expr, const Env& env) const;
-
-  /// Evaluates a path expression rooted at a concrete object.
-  Result<MoodValue> EvalPathFrom(Oid root, const std::vector<PathStep>& steps,
-                                 const Env& env) const;
 
   /// Supplies a method call's argument values. Asked once per receiver that
   /// reaches the call, after the receiver's class and value resolve; an empty
@@ -51,8 +28,8 @@ class Evaluator {
   using ArgsFn = std::function<Result<std::vector<MoodValue>>()>;
 
   /// Applies one path step (`name`, a method call when `is_call`) to `v`: the
-  /// single definition of a path step, shared by EvalPathFrom and the compiled
-  /// batch kernels (exec/expr_compile). Null yields Null. A Set/List fans out:
+  /// single definition of a path step, shared by the compiled batch kernels
+  /// (exec/expr_compile) and the test oracle. Null yields Null. A Set/List fans out:
   /// each element steps, Null results drop and collection results flatten
   /// into one Set. A reference reads the attribute, or calls the method; an
   /// attribute name the instance lacks may name a parameterless method.
@@ -60,16 +37,15 @@ class Evaluator {
   Result<MoodValue> Step(const MoodValue& v, const std::string& name, bool is_call,
                          const ArgsFn& args, DerefCache* deref) const;
 
-  /// Compares with existential fan-out semantics. Static and public so the
-  /// compiled expression programs (exec/expr_compile) share the exact same
-  /// comparison code path as the interpreter.
+  /// Compares with existential fan-out semantics: if either side is a
+  /// collection, the comparison holds if any element pair does. Static so the
+  /// constant folder, the batch kernels and the test oracle share it.
   static Result<bool> Compare(BinaryOp op, const MoodValue& lhs, const MoodValue& rhs);
 
   ObjectManager* objects() const { return objects_; }
   FunctionManager* functions() const { return functions_; }
 
  private:
-  Result<MoodValue> EvalBinary(const Expr& e, const Env& env) const;
   Result<MoodValue> CallMethod(Oid receiver, const std::string& fname,
                                const ArgsFn& args, DerefCache* deref) const;
 

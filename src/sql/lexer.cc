@@ -12,7 +12,7 @@ bool IsKeyword(const std::string& upper) {
       "CREATE", "CLASS",   "TUPLE",   "METHODS", "INHERITS", "NEW",   "SET",
       "LIST",   "REFERENCE", "INTEGER", "FLOAT", "LONGINTEGER", "STRING",
       "CHAR",   "BOOLEAN", "TRUE",    "FALSE",   "NULL",   "UPDATE",  "DELETE",
-      "INDEX",  "ON",      "USING",   "BTREE",   "HASH",   "PATH",    "UNIQUE",
+      "INDEX",  "ON",      "USING",   "BTREE",   "HASH",   "UNIQUE",
       "DROP",   "AS",      "BIND",    "TO",      "DISTINCT", "TYPE",  "RTREE",
       "JOININDEX", "EXPLAIN", "ANALYZE", "VERBOSE", "MATERIALIZED", "VIEW"};
   return kKeywords.count(upper) > 0;

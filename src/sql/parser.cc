@@ -387,9 +387,10 @@ Result<CreateIndexStmt> Parser::ParseCreateIndex(bool unique) {
   MOOD_ASSIGN_OR_RETURN(stmt.class_name, ExpectIdentifier("class name"));
   MOOD_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
   MOOD_ASSIGN_OR_RETURN(stmt.attribute, ExpectIdentifier("attribute"));
-  while (Match(TokenType::kDot)) {
-    MOOD_ASSIGN_OR_RETURN(std::string step, ExpectIdentifier("path step"));
-    stmt.attribute += "." + step;
+  if (Check(TokenType::kDot)) {
+    return Status::ParseError(
+        "CREATE INDEX takes one attribute, not a path starting at '" + stmt.attribute +
+        "'; store path results with CREATE MATERIALIZED VIEW");
   }
   MOOD_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
   if (MatchKeyword("USING")) {
@@ -397,8 +398,6 @@ Result<CreateIndexStmt> Parser::ParseCreateIndex(bool unique) {
       stmt.kind = IndexKind::kBTree;
     } else if (MatchKeyword("HASH")) {
       stmt.kind = IndexKind::kHash;
-    } else if (MatchKeyword("PATH")) {
-      stmt.kind = IndexKind::kPath;
     } else if (MatchKeyword("JOININDEX")) {
       stmt.kind = IndexKind::kBinaryJoin;
     } else if (MatchKeyword("RTREE")) {
@@ -406,8 +405,6 @@ Result<CreateIndexStmt> Parser::ParseCreateIndex(bool unique) {
     } else {
       return Status::ParseError("unknown index method '" + Peek().text + "'");
     }
-  } else if (stmt.attribute.find('.') != std::string::npos) {
-    stmt.kind = IndexKind::kPath;
   }
   return stmt;
 }

@@ -247,5 +247,27 @@ TEST_F(CatalogFixture, PersistsEverythingAcrossReopen) {
   EXPECT_GT(id2, id);
 }
 
+TEST_F(CatalogFixture, CatalogHoldingRemovedPathIndexFailsToOpen) {
+  // Index kind 3 was the path index. It stays reserved: a catalog written
+  // with one fails to open with an error that names the replacement.
+  MOOD_ASSERT_OK(catalog_.Define(SimpleClass("C")).status());
+  IndexDesc desc;
+  desc.name = "old_path";
+  desc.class_name = "C";
+  desc.attribute = "C_attr.x";
+  desc.kind = static_cast<IndexKind>(3);
+  MOOD_ASSERT_OK(catalog_.RegisterIndex(desc));
+  MOOD_ASSERT_OK(storage_.Close());
+
+  StorageManager storage2;
+  MOOD_ASSERT_OK(storage2.Open(dir_.Path("db")));
+  Catalog catalog2;
+  Status st = catalog2.Open(&storage2);
+  ASSERT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.ToString().find("old_path"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("CREATE MATERIALIZED VIEW"), std::string::npos)
+      << st.ToString();
+}
+
 }  // namespace
 }  // namespace mood

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/database.h"
 #include "core/paper_example.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace mood {
 namespace {
 
+using testing::NaiveEnv;
+using testing::NaiveEval;
+using testing::NaiveEvalPredicate;
 using testing::TempDir;
 
 /// End-to-end MOODSQL execution over a populated paper database.
@@ -213,26 +218,220 @@ TEST_F(ExecFixture, IndexAndScanAgree) {
 }
 
 TEST_F(ExecFixture, NewUpdateDeleteStatements) {
+  // NEW folds an arithmetic constant and stores the folded value.
   MOOD_ASSERT_OK_AND_ASSIGN(
       ExecResult created,
-      db_.Execute("NEW Employee <999, 'Test Person', 33> AS tester"));
+      db_.Execute("NEW Employee <999, 'Test Person', 30 + 3> AS tester"));
   ASSERT_TRUE(created.created_oid.has_value());
   EXPECT_TRUE(created.created_oid->valid());
   MOOD_ASSERT_OK_AND_ASSIGN(Oid bound, db_.catalog()->LookupName("tester"));
   EXPECT_EQ(bound, *created.created_oid);
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue made_age,
+                            db_.objects()->GetAttribute(*created.created_oid, "age"));
+  EXPECT_EQ(made_age.kind(), ValueKind::kInteger);
+  EXPECT_EQ(made_age.AsInteger(), 33);
+  // A value that is not a constant fails with the interpreter's error.
+  for (const char* value : {"2 * 'a'", "x.age", "?"}) {
+    Result<ExecResult> bad =
+        db_.Execute(std::string("NEW Employee <1, 'Bad', ") + value + ">");
+    MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr expr, Parser::ParseExpression(value));
+    Result<MoodValue> want = NaiveEval(*db_.evaluator(), expr, NaiveEnv{});
+    ASSERT_FALSE(want.ok()) << value;
+    ASSERT_FALSE(bad.ok()) << value;
+    EXPECT_EQ(bad.status().ToString(), want.status().ToString()) << value;
+  }
 
+  // A later assignment sees what an earlier one wrote.
   MOOD_ASSERT_OK_AND_ASSIGN(
       ExecResult updated,
-      db_.Execute("UPDATE Employee e SET age = e.age + 1 WHERE e.ssno = 999"));
+      db_.Execute("UPDATE Employee e SET age = e.age + 1, ssno = e.age * 1000 "
+                  "WHERE e.ssno = 999"));
   EXPECT_EQ(updated.affected, 1u);
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue age,
                             db_.objects()->GetAttribute(*created.created_oid, "age"));
   EXPECT_EQ(age.AsInteger(), 34);
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue ssno,
+                            db_.objects()->GetAttribute(*created.created_oid, "ssno"));
+  EXPECT_EQ(ssno.AsInteger(), 34000);
 
   MOOD_ASSERT_OK_AND_ASSIGN(ExecResult deleted,
-                            db_.Execute("DELETE FROM Employee e WHERE e.ssno = 999"));
+                            db_.Execute("DELETE FROM Employee e WHERE e.ssno = 34000"));
   EXPECT_EQ(deleted.affected, 1u);
   EXPECT_FALSE(db_.objects()->Fetch(*created.created_oid).ok());
+}
+
+/// <left, right> identifiers of a Join result's pair tuples, in result order.
+std::vector<std::pair<Oid, Oid>> PairsOf(const Collection& c) {
+  std::vector<std::pair<Oid, Oid>> out;
+  for (const MoodValue& t : c.values()) {
+    out.emplace_back(t.elements()[0].AsReference(), t.elements()[1].AsReference());
+  }
+  return out;
+}
+
+// The algebra runs the executor's kernels; each operator must return what a
+// row-at-a-time loop over the test oracle's interpreter returns, including
+// the first error in row order.
+TEST_F(ExecFixture, AlgebraOperatorsMatchNaiveOracle) {
+  MoodAlgebra* algebra = db_.algebra();
+  const Evaluator& ev = *db_.evaluator();
+  MOOD_ASSERT_OK_AND_ASSIGN(Collection vehicles, algebra->BindClass("Vehicle", false));
+  MOOD_ASSERT_OK_AND_ASSIGN(Collection drivetrains,
+                            algebra->BindClass("VehicleDriveTrain", false));
+  MOOD_ASSERT_OK_AND_ASSIGN(Collection engines, algebra->BindClass("VehicleEngine", false));
+  MOOD_ASSERT_OK_AND_ASSIGN(Collection companies, algebra->BindClass("Company", false));
+  ASSERT_GT(vehicles.size(), 20u);
+
+  // Select: a path, a method call, and a predicate whose rows fail with two
+  // different errors partway through the extent.
+  bool saw_error = false;
+  for (const char* text :
+       {"v.drivetrain.engine.cylinders >= 4", "v.lbweight() > 2000",
+        "100 / (v.id - 30) + 100 % (v.id - 60) > 0"}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr pred, Parser::ParseExpression(text));
+    std::vector<Oid> want;
+    Status want_status;
+    for (Oid o : vehicles.oids()) {
+      NaiveEnv env;
+      env.vars["v"] = o;
+      Result<bool> keep = NaiveEvalPredicate(ev, pred, env);
+      if (!keep.ok()) {
+        want_status = keep.status();
+        break;
+      }
+      if (keep.value()) want.push_back(o);
+    }
+    Result<Collection> got = algebra->Select(vehicles, pred, "v");
+    ASSERT_EQ(got.ok(), want_status.ok()) << text << ": " << got.status().ToString();
+    if (!got.ok()) {
+      saw_error = true;
+      EXPECT_EQ(got.status().ToString(), want_status.ToString()) << text;
+      continue;
+    }
+    EXPECT_EQ(got.value().oids(), want) << text;
+  }
+  EXPECT_TRUE(saw_error);
+
+  // Nested-loop Join: a reference comparison with a method call, and a
+  // predicate that fails on the first pair whose inner engine has 4 cylinders.
+  struct JoinCase {
+    const Collection* left;
+    const Collection* right;
+    const char* pred;
+  };
+  for (const JoinCase& jc :
+       {JoinCase{&vehicles, &companies, "v.company = c AND v.lbweight() > 1000"},
+        JoinCase{&engines, &engines, "v.cylinders / (c.cylinders - 4) > v.size"}}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(ExprPtr pred, Parser::ParseExpression(jc.pred));
+    std::vector<std::pair<Oid, Oid>> want;
+    Status want_status;
+    for (Oid l : jc.left->oids()) {
+      for (Oid r : jc.right->oids()) {
+        NaiveEnv env;
+        env.vars["v"] = l;
+        env.vars["c"] = r;
+        Result<bool> keep = NaiveEvalPredicate(ev, pred, env);
+        if (!keep.ok()) {
+          want_status = keep.status();
+          break;
+        }
+        if (keep.value()) want.emplace_back(l, r);
+      }
+      if (!want_status.ok()) break;
+    }
+    Result<Collection> got =
+        algebra->Join(*jc.left, *jc.right, JoinMethod::kNestedLoop, pred, "v", "c");
+    ASSERT_EQ(got.ok(), want_status.ok()) << jc.pred << ": " << got.status().ToString();
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().ToString(), want_status.ToString()) << jc.pred;
+      continue;
+    }
+    EXPECT_FALSE(want.empty()) << jc.pred;
+    EXPECT_EQ(PairsOf(got.value()), want) << jc.pred;
+  }
+
+  // Pointer joins: every strategy, over an extent and over a list that
+  // repeats objects (List x Set joins to a Set, so repeated pairs collapse).
+  MOOD_ASSERT_OK(db_.objects()->CreateBinaryJoinIndex("v_dt", "Vehicle", "drivetrain"));
+  std::vector<Oid> repeated = vehicles.oids();
+  repeated.insert(repeated.end(), vehicles.oids().begin(), vehicles.oids().begin() + 5);
+  Collection vehicle_list = Collection::List(repeated);
+  Collection drivetrain_set = Collection::Set(drivetrains.oids());
+  for (const Collection* left : {&vehicles, &vehicle_list}) {
+    const Collection& right = left == &vehicles ? drivetrains : drivetrain_set;
+    std::set<uint64_t> inner;
+    for (Oid o : right.oids()) inner.insert(o.Pack());
+    std::vector<std::pair<Oid, Oid>> want;
+    for (Oid l : left->oids()) {
+      MOOD_ASSERT_OK_AND_ASSIGN(MoodValue ref, db_.objects()->GetAttribute(l, "drivetrain"));
+      if (ref.kind() != ValueKind::kReference || inner.count(ref.AsReference().Pack()) == 0) {
+        continue;
+      }
+      std::pair<Oid, Oid> pair(l, ref.AsReference());
+      const bool set_result = JoinReturnKind(left->kind(), right.kind()) == CollKind::kSet;
+      if (set_result && std::find(want.begin(), want.end(), pair) != want.end()) continue;
+      want.push_back(pair);
+    }
+    ASSERT_FALSE(want.empty());
+    for (JoinMethod m : {JoinMethod::kForwardTraversal, JoinMethod::kBackwardTraversal,
+                         JoinMethod::kHashPartition, JoinMethod::kIndexed}) {
+      // The index is found through the extent's class; a list has none.
+      if (m == JoinMethod::kIndexed && left != &vehicles) continue;
+      MOOD_ASSERT_OK_AND_ASSIGN(
+          Collection got, algebra->Join(*left, right, m, nullptr, "v", "d", "drivetrain"));
+      std::vector<std::pair<Oid, Oid>> pairs = PairsOf(got);
+      std::vector<std::pair<Oid, Oid>> expected = want;
+      if (m == JoinMethod::kIndexed) {
+        // The index answers in target order.
+        std::sort(pairs.begin(), pairs.end());
+        std::sort(expected.begin(), expected.end());
+      }
+      EXPECT_EQ(pairs, expected) << JoinMethodName(m);
+    }
+  }
+
+  // DupElim: a list keeps first occurrences; an extent drops deep-equal
+  // objects, here twins and companies whose presidents are distinct but
+  // deep-equal twins.
+  MOOD_ASSERT_OK_AND_ASSIGN(Collection listed, algebra->DupElim(vehicle_list));
+  EXPECT_EQ(listed.oids(), vehicles.oids());
+  MOOD_ASSERT_OK_AND_ASSIGN(
+      Oid twin1, db_.objects()->CreateObject("Employee", MoodValue::Tuple({
+                                                 MoodValue::Integer(7001),
+                                                 MoodValue::String("Twin"),
+                                                 MoodValue::Integer(40)})));
+  MOOD_ASSERT_OK_AND_ASSIGN(
+      Oid twin2, db_.objects()->CreateObject("Employee", MoodValue::Tuple({
+                                                 MoodValue::Integer(7001),
+                                                 MoodValue::String("Twin"),
+                                                 MoodValue::Integer(40)})));
+  for (Oid president : {twin1, twin2, twin1}) {
+    MOOD_ASSERT_OK(db_.objects()
+                       ->CreateObject("Company", MoodValue::Tuple({
+                                          MoodValue::String("Twin Co"),
+                                          MoodValue::String("Ankara"),
+                                          MoodValue::Reference(president)}))
+                       .status());
+  }
+  for (const char* cls : {"Employee", "Company"}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(Collection extent, algebra->BindClass(cls, false));
+    std::vector<Oid> want;
+    std::vector<MoodValue> kept;
+    for (Oid o : extent.oids()) {
+      MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v, db_.objects()->Fetch(o));
+      bool dup = false;
+      for (const MoodValue& k : kept) {
+        MOOD_ASSERT_OK_AND_ASSIGN(dup, db_.objects()->DeepEquals(v, k));
+        if (dup) break;
+      }
+      if (dup) continue;
+      want.push_back(o);
+      kept.push_back(std::move(v));
+    }
+    MOOD_ASSERT_OK_AND_ASSIGN(Collection got, algebra->DupElim(extent));
+    EXPECT_LT(want.size(), extent.size()) << cls;
+    EXPECT_EQ(got.oids(), want) << cls;
+  }
 }
 
 TEST_F(ExecFixture, PersistsAcrossReopen) {

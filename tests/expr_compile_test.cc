@@ -84,9 +84,9 @@ class ExprCompileFixture : public ::testing::Test {
         }
         prog->EvalBatch(b, nullptr, &scratch);
         for (size_t k = 0; k < b.ActiveRows(); k++) {
-          Evaluator::Env row_env;
+          testing::NaiveEnv row_env;
           row_env.vars[fe.var] = extent[start + k];
-          auto want = db_.evaluator()->Eval(stmt.where, row_env);
+          auto want = testing::NaiveEval(*db_.evaluator(), stmt.where, row_env);
           const std::string where = "batch " + std::to_string(batch) + " row " +
                                     std::to_string(start + k);
           if (!want.ok()) {

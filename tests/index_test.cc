@@ -359,20 +359,5 @@ TEST_F(IndexFixture, BinaryJoinIndexBothDirections) {
   EXPECT_EQ(sources2[0], c1);
 }
 
-TEST_F(IndexFixture, PathIndexLookup) {
-  MOOD_ASSERT_OK_AND_ASSIGN(auto pidx,
-                            PathIndex::Create(storage_.buffer_pool(), &storage_));
-  Oid root1{1, 1, 0}, root2{1, 1, 1};
-  MOOD_ASSERT_OK(pidx->Add(MakeIndexKey(MoodValue::Integer(4)), root1));
-  MOOD_ASSERT_OK(pidx->Add(MakeIndexKey(MoodValue::Integer(8)), root2));
-  MOOD_ASSERT_OK_AND_ASSIGN(auto hits, pidx->Lookup(MakeIndexKey(MoodValue::Integer(4))));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], root1);
-  std::string lo = MakeIndexKey(MoodValue::Integer(0));
-  std::string hi = MakeIndexKey(MoodValue::Integer(10));
-  MOOD_ASSERT_OK_AND_ASSIGN(auto range, pidx->LookupRange(&lo, &hi));
-  EXPECT_EQ(range.size(), 2u);
-}
-
 }  // namespace
 }  // namespace mood

@@ -1,10 +1,18 @@
 #pragma once
 
-// A naive SELECT evaluator used as the test oracle for the executor. It shares
-// no optimizer, plan, ExprProgram or RowBatch with the engine: FROM is the
-// cross product of the FROM extents in ScanExtent order, and every clause
-// (WHERE, GROUP BY, HAVING, ORDER BY, projection, DISTINCT) evaluates row by
-// row, as the outer loop, through the interpreted Evaluator.
+// The test oracle for the engine's expression kernels, algebra and executor.
+//
+// NaiveEval is a recursive tree-walking interpreter over one row's range
+// variable bindings. It shares only the path step (Evaluator::Step), the
+// comparison (Evaluator::Compare) and the OperandDataType arithmetic with the
+// engine; the engine itself evaluates every expression through compiled
+// ExprPrograms.
+//
+// NaiveSelect is a naive SELECT evaluator. It shares no optimizer, plan,
+// ExprProgram or RowBatch with the engine: FROM is the cross product of the
+// FROM extents in ScanExtent order, and every clause (WHERE, GROUP BY, HAVING,
+// ORDER BY, projection, DISTINCT) evaluates row by row, as the outer loop,
+// through NaiveEval.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +25,125 @@
 
 #include "core/database.h"
 #include "sql/parser.h"
+#include "types/operand.h"
 
 namespace mood::testing {
+
+/// Bindings of range variables to objects for the current row, plus an
+/// optional Deref cache and the bound `?` parameter values.
+struct NaiveEnv {
+  std::map<std::string, Oid> vars;
+  DerefCache* deref = nullptr;
+  const std::vector<MoodValue>* params = nullptr;
+};
+
+inline Result<MoodValue> NaiveEval(const Evaluator& ev, const ExprPtr& expr,
+                                   const NaiveEnv& env);
+
+/// Evaluates a path expression rooted at a concrete object: one
+/// Evaluator::Step per step, arguments evaluated only when a receiver asks.
+inline Result<MoodValue> NaiveEvalPathFrom(const Evaluator& ev, Oid root,
+                                           const std::vector<PathStep>& steps,
+                                           const NaiveEnv& env) {
+  MoodValue current = MoodValue::Reference(root);
+  for (size_t i = 0; i < steps.size(); i++) {
+    const PathStep& step = steps[i];
+    Evaluator::ArgsFn args;
+    if (!step.args.empty()) {
+      args = [&]() -> Result<std::vector<MoodValue>> {
+        std::vector<MoodValue> values;
+        values.reserve(step.args.size());
+        for (const auto& a : step.args) {
+          MOOD_ASSIGN_OR_RETURN(MoodValue v, NaiveEval(ev, a, env));
+          values.push_back(std::move(v));
+        }
+        return values;
+      };
+    }
+    MOOD_ASSIGN_OR_RETURN(current,
+                          ev.Step(current, step.name, step.is_call, args, env.deref));
+    if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
+  }
+  return current;
+}
+
+inline Result<MoodValue> NaiveEvalBinary(const Evaluator& ev, const Expr& e,
+                                         const NaiveEnv& env) {
+  if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
+    // Short-circuit evaluation.
+    MOOD_ASSIGN_OR_RETURN(MoodValue lv, NaiveEval(ev, e.lhs, env));
+    MOOD_ASSIGN_OR_RETURN(bool lb, OperandDataType::FromValue(lv).AsBool());
+    if (e.op == BinaryOp::kAnd && !lb) return MoodValue::Boolean(false);
+    if (e.op == BinaryOp::kOr && lb) return MoodValue::Boolean(true);
+    MOOD_ASSIGN_OR_RETURN(MoodValue rv, NaiveEval(ev, e.rhs, env));
+    MOOD_ASSIGN_OR_RETURN(bool rb, OperandDataType::FromValue(rv).AsBool());
+    return MoodValue::Boolean(rb);
+  }
+  MOOD_ASSIGN_OR_RETURN(MoodValue lv, NaiveEval(ev, e.lhs, env));
+  MOOD_ASSIGN_OR_RETURN(MoodValue rv, NaiveEval(ev, e.rhs, env));
+  if (IsComparison(e.op)) {
+    MOOD_ASSIGN_OR_RETURN(bool r, Evaluator::Compare(e.op, lv, rv));
+    return MoodValue::Boolean(r);
+  }
+  OperandDataType x = OperandDataType::FromValue(lv);
+  OperandDataType y = OperandDataType::FromValue(rv);
+  OperandDataType r(DataTypeCode::kInt32);
+  switch (e.op) {
+    case BinaryOp::kAdd: r = x + y; break;
+    case BinaryOp::kSub: r = x - y; break;
+    case BinaryOp::kMul: r = x * y; break;
+    case BinaryOp::kDiv: r = x / y; break;
+    case BinaryOp::kMod: r = x % y; break;
+    default:
+      return Status::Internal("unhandled binary operator");
+  }
+  return r.ToValue();
+}
+
+/// Evaluates an expression to a value. A path through a Set/List-valued
+/// reference attribute fans out and yields a Set of terminal values; a
+/// comparison against such a Set is existential.
+inline Result<MoodValue> NaiveEval(const Evaluator& ev, const ExprPtr& expr,
+                                   const NaiveEnv& env) {
+  switch (expr->kind) {
+    case ExprKind::kLiteral:
+      return expr->literal;
+    case ExprKind::kPath: {
+      auto it = env.vars.find(expr->range_var);
+      if (it == env.vars.end()) {
+        return Status::InvalidArgument("unbound range variable '" + expr->range_var +
+                                       "'");
+      }
+      if (expr->steps.empty()) return MoodValue::Reference(it->second);
+      return NaiveEvalPathFrom(ev, it->second, expr->steps, env);
+    }
+    case ExprKind::kUnary: {
+      MOOD_ASSIGN_OR_RETURN(MoodValue v, NaiveEval(ev, expr->operand, env));
+      OperandDataType o = OperandDataType::FromValue(v);
+      if (expr->uop == UnaryOp::kNeg) return (-o).ToValue();
+      return (!o).ToValue();
+    }
+    case ExprKind::kBinary:
+      return NaiveEvalBinary(ev, *expr, env);
+    case ExprKind::kParameter: {
+      if (env.params == nullptr || expr->param_index >= env.params->size()) {
+        return Status::InvalidArgument("parameter ?" +
+                                       std::to_string(expr->param_index + 1) +
+                                       " not bound");
+      }
+      return (*env.params)[expr->param_index];
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+/// Evaluates a predicate to a Boolean (null/absent values make it false).
+inline Result<bool> NaiveEvalPredicate(const Evaluator& ev, const ExprPtr& expr,
+                                       const NaiveEnv& env) {
+  MOOD_ASSIGN_OR_RETURN(MoodValue v, NaiveEval(ev, expr, env));
+  if (v.is_null()) return false;
+  return OperandDataType::FromValue(v).AsBool();
+}
 
 inline Result<QueryResult> NaiveSelect(Database* db, const std::string& sql) {
   MOOD_ASSIGN_OR_RETURN(Statement parsed, Parser::Parse(sql));
@@ -29,7 +154,7 @@ inline Result<QueryResult> NaiveSelect(Database* db, const std::string& sql) {
   const Evaluator& ev = *db->evaluator();
   using Row = std::vector<Oid>;
   auto env_of = [&](const Row& row) {
-    Evaluator::Env env;
+    NaiveEnv env;
     for (size_t i = 0; i < row.size(); i++) env.vars[stmt.from[i].var] = row[i];
     return env;
   };
@@ -55,7 +180,7 @@ inline Result<QueryResult> NaiveSelect(Database* db, const std::string& sql) {
   auto keep_where = [&](const ExprPtr& pred, std::vector<Row>* in) -> Status {
     std::vector<Row> kept;
     for (Row& row : *in) {
-      MOOD_ASSIGN_OR_RETURN(bool keep, ev.EvalPredicate(pred, env_of(row)));
+      MOOD_ASSIGN_OR_RETURN(bool keep, NaiveEvalPredicate(ev, pred, env_of(row)));
       if (keep) kept.push_back(std::move(row));
     }
     *in = std::move(kept);
@@ -67,10 +192,10 @@ inline Result<QueryResult> NaiveSelect(Database* db, const std::string& sql) {
       -> Result<std::vector<std::vector<MoodValue>>> {
     std::vector<std::vector<MoodValue>> out;
     for (const Row& row : in) {
-      Evaluator::Env env = env_of(row);
+      NaiveEnv env = env_of(row);
       out.emplace_back();
       for (const ExprPtr& e : exprs) {
-        MOOD_ASSIGN_OR_RETURN(MoodValue v, ev.Eval(e, env));
+        MOOD_ASSIGN_OR_RETURN(MoodValue v, NaiveEval(ev, e, env));
         out.back().push_back(std::move(v));
       }
     }

@@ -92,7 +92,7 @@ class ParallelExecFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     DatabaseOptions opts;
-    opts.exec_threads = 1;  // baseline; tests flip via set_threads
+    opts.exec_threads = 1;  // baseline; tests pass QueryOptions::exec_threads
     MOOD_ASSERT_OK(db_.Open(dir_.Path("mood"), opts));
     MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db_));
     MOOD_ASSERT_OK_AND_ASSIGN(report_, paperdb::PopulatePaperData(&db_, 120));
@@ -115,8 +115,8 @@ class ParallelExecFixture : public ::testing::Test {
   /// The result cache is off: its key does not include the geometry, so a
   /// cached reference would answer every later combination.
   void ExpectDeterministic(const std::string& sql) {
-    db_.executor()->set_threads(1);
     QueryOptions oracle_opts;
+    oracle_opts.exec_threads = 1;
     oracle_opts.batch_size = 1;
     oracle_opts.use_cache = false;
     auto serial = db_.Query(sql, oracle_opts);
@@ -128,7 +128,7 @@ class ParallelExecFixture : public ::testing::Test {
       // Every batch size but the reference's own also diffs serially.
       if (batch != 1) counts.insert(counts.begin(), 1);
       for (size_t threads : counts) {
-        db_.executor()->set_threads(threads);
+        opts.exec_threads = threads;
         auto parallel = db_.Query(sql, opts);
         ASSERT_EQ(serial.ok(), parallel.ok())
             << sql << " @" << threads << " threads batch=" << batch
@@ -147,7 +147,6 @@ class ParallelExecFixture : public ::testing::Test {
         EXPECT_EQ(s.ToString(), p.ToString()) << sql << " @" << threads << " batch=" << batch;
       }
     }
-    db_.executor()->set_threads(1);
     ExpectNaiveMatch(&db_, sql);
   }
 
@@ -229,11 +228,11 @@ TEST_F(ParallelExecFixture, IndexedSelection) {
 
 TEST_F(ParallelExecFixture, ErrorsStayDeterministic) {
   // A failing query must fail identically (not hang, not succeed) in parallel.
-  db_.executor()->set_threads(8);
-  EXPECT_TRUE(db_.Query("SELECT x FROM Nowhere x").status().IsNotFound());
-  EXPECT_EQ(db_.Query("SELECT v.nope FROM Vehicle v").status().code(),
+  QueryOptions opts;
+  opts.exec_threads = 8;
+  EXPECT_TRUE(db_.Query("SELECT x FROM Nowhere x", opts).status().IsNotFound());
+  EXPECT_EQ(db_.Query("SELECT v.nope FROM Vehicle v", opts).status().code(),
             StatusCode::kCatalogError);
-  db_.executor()->set_threads(1);
 }
 
 TEST(ParallelExecOptions, ExecThreadsOptionWiresThrough) {
@@ -248,17 +247,11 @@ TEST(ParallelExecOptions, ExecThreadsOptionWiresThrough) {
   {
     Database db;
     DatabaseOptions opts;
-    opts.exec_threads = 0;  // resolve to hardware concurrency
+    // 0 resolves to the hardware concurrency and never disables execution.
+    opts.exec_threads = 0;
     MOOD_ASSERT_OK(db.Open(dir.Path("mood-t0"), opts));
     EXPECT_EQ(db.executor()->threads(), DefaultExecThreads());
     EXPECT_GE(db.executor()->threads(), 1u);
-  }
-  {
-    // set_threads(0) clamps to 1 rather than disabling execution.
-    Database db;
-    MOOD_ASSERT_OK(db.Open(dir.Path("mood-clamp")));
-    db.executor()->set_threads(0);
-    EXPECT_EQ(db.executor()->threads(), 1u);
   }
 }
 

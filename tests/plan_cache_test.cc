@@ -264,6 +264,23 @@ TEST_F(PlanCacheFixture, DmlRowSelectionReusesOnePlanAcrossLiterals) {
   EXPECT_EQ(left.rows.size(), 2u);
 }
 
+TEST_F(PlanCacheFixture, FirstPlanAfterDdlIsStampedCurrent) {
+  // No Collect after the DDL: the first statement's plan auto-refreshes the
+  // statistics while it is optimized, and the plan it caches must be stamped
+  // with the refreshed version, so the next three statements hit it.
+  MOOD_ASSERT_OK(db_.Execute("CREATE INDEX veh_id ON Vehicle(id) USING BTREE").status());
+  const double miss0 = CounterOf(&db_, "cache.plan.misses");
+  const double hit0 = CounterOf(&db_, "cache.plan.hits");
+  for (int id : {0, 3, 6, 9}) {
+    MOOD_ASSERT_OK_AND_ASSIGN(
+        ExecResult r, db_.Execute("UPDATE Vehicle v SET weight = 2222 WHERE v.id = " +
+                                  std::to_string(id)));
+    EXPECT_EQ(r.affected, 1u) << id;
+  }
+  EXPECT_EQ(CounterOf(&db_, "cache.plan.misses"), miss0 + 1);
+  EXPECT_EQ(CounterOf(&db_, "cache.plan.hits"), hit0 + 3);
+}
+
 TEST_F(PlanCacheFixture, ExplainVerboseReportsCachedVsFresh) {
   const std::string sql = "SELECT e FROM VehicleEngine e WHERE e.cylinders > 4";
   ExplainOptions verbose;
