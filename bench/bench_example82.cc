@@ -125,15 +125,19 @@ int main() {
     auto qr = CheckV(mdb.Query(paperdb::kExample82Query), "query");
     // Brute-force reference count.
     size_t expected = 0;
-    Check(mdb.objects()->ScanExtent("Vehicle", false, {},
-                                    [&](Oid oid, const MoodValue&) {
-                                      return mdb.objects()->TraversePath(
-                                          oid, {"drivetrain", "engine", "cylinders"},
-                                          [&](const MoodValue& v) {
-                                            if (v.AsInteger() == 2) expected++;
-                                            return Status::OK();
-                                          });
-                                    }),
+    ObjectManager* objects = mdb.objects();
+    Check(objects->ScanExtent("Vehicle", false, {},
+                              [&](Oid oid, const MoodValue&) {
+                                return objects->ChaseRefs(
+                                    oid, {"drivetrain", "engine"}, nullptr,
+                                    [&](Oid engine) -> Status {
+                                      MOOD_ASSIGN_OR_RETURN(
+                                          MoodValue v,
+                                          objects->GetAttribute(engine, "cylinders"));
+                                      if (v.AsInteger() == 2) expected++;
+                                      return Status::OK();
+                                    });
+                              }),
           "scan");
     std::printf("  optimizer plan rows = %zu, brute force = %zu\n", qr.rows.size(),
                 expected);

@@ -37,7 +37,7 @@ Result<std::vector<std::string>> InterpretedRows(Database* db, const std::string
   }
   const FromEntry& fe = select.from[0];
   const Evaluator& ev = *db->evaluator();
-  DerefCache cache(db->executor()->deref_cache_capacity());
+  DerefCache cache;
   mood::testing::NaiveEnv env;
   env.deref = &cache;
   std::vector<std::string> rows;

@@ -76,26 +76,6 @@ uint64_t AtomicFieldsHash(const MoodValue& v) {
   return h;
 }
 
-/// MoodAlgebra::ChaseRefs from path step `depth` on.
-Status ChaseFrom(ObjectManager* objects, Oid oid, const std::vector<std::string>& path,
-                 size_t depth, DerefCache* cache, const std::function<Status(Oid)>& fn) {
-  if (depth == path.size()) return fn(oid);
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, objects->GetAttribute(oid, path[depth], cache));
-  auto handle = [&](const MoodValue& r) -> Status {
-    if (r.is_null()) return Status::OK();
-    if (r.kind() != ValueKind::kReference) {
-      return Status::TypeError("reference path step '" + path[depth] +
-                               "' reached a non-reference value");
-    }
-    return ChaseFrom(objects, r.AsReference(), path, depth + 1, cache, fn);
-  };
-  if (v.IsCollection()) {
-    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
-    return Status::OK();
-  }
-  return handle(v);
-}
-
 }  // namespace
 
 std::string_view JoinMethodName(JoinMethod m) {
@@ -190,8 +170,8 @@ bool UnnestAccepts(CollKind arg, bool tuple_object) {
 // --- Operator implementations ----------------------------------------------------
 
 Result<TypeId> MoodAlgebra::TypeIdOf(Oid o) const {
-  MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(o));
-  return objects_->catalog()->typeId(cls);
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects_->Read(o));
+  return record.type_id;
 }
 
 Result<std::string> MoodAlgebra::IsA(const std::string& path) const {
@@ -371,14 +351,15 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
         {MoodValue::Reference(left), MoodValue::Reference(right)}));
   };
 
+  // The Indexed strategy probes the binary join index of the outer extent's
+  // class. Without one (a Set or List carries no class, or the index is gone)
+  // it runs the reference chase, as the executor does.
+  std::optional<IndexDesc> desc;
   if (!ref_attr.empty() && method == JoinMethod::kIndexed) {
-    // Probe a registered binary join index from the inner side.
-    auto desc =
-        objects_->catalog()->FindIndex(arg1.class_name(), ref_attr, IndexKind::kBinaryJoin);
-    if (!desc.has_value()) {
-      return Status::NotFound("no binary join index on " + arg1.class_name() + "." +
-                              ref_attr);
-    }
+    desc = objects_->catalog()->FindIndex(arg1.class_name(), ref_attr,
+                                          IndexKind::kBinaryJoin);
+  }
+  if (desc.has_value()) {
     std::unordered_set<uint64_t> outer;
     for (Oid o : arg1.oids()) outer.insert(o.Pack());
     MOOD_RETURN_IF_ERROR(ProbeJoinIndex(*desc, arg2.oids(), [&](Oid left, size_t r) {
@@ -394,7 +375,7 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
     for (Oid o : arg2.oids()) inner.insert(o.Pack());
     const std::vector<std::string> path = {ref_attr};
     for (Oid left : arg1.oids()) {
-      MOOD_RETURN_IF_ERROR(ChaseRefs(left, path, nullptr, [&](Oid right) {
+      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(left, path, nullptr, [&](Oid right) {
         if (inner.count(right.Pack()) > 0) emit(left, right);
         return Status::OK();
       }));
@@ -419,12 +400,6 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
   return Collection::Pairs(out_kind, std::move(pairs));
 }
 
-Status MoodAlgebra::ChaseRefs(Oid from, const std::vector<std::string>& path,
-                              DerefCache* cache,
-                              const std::function<Status(Oid)>& fn) const {
-  return ChaseFrom(objects_, from, path, 0, cache, fn);
-}
-
 Status MoodAlgebra::ProbeJoinIndex(const IndexDesc& index,
                                    const std::vector<Oid>& targets,
                                    const std::function<Status(Oid, size_t)>& fn) const {
@@ -437,27 +412,14 @@ Status MoodAlgebra::ProbeJoinIndex(const IndexDesc& index,
 }
 
 Result<std::vector<MoodValue>> MoodAlgebra::KeyOf(
-    const MoodValue& tuple, const std::string& class_name,
-    const std::vector<std::string>& attrs) const {
-  MOOD_ASSIGN_OR_RETURN(auto all, objects_->catalog()->AllAttributes(class_name));
+    Oid oid, const std::vector<std::string>& attrs) const {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects_->Read(oid));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects_->LayoutOf(record.type_id));
   std::vector<MoodValue> key;
   for (const auto& attr : attrs) {
-    int idx = -1;
-    for (size_t i = 0; i < all.size(); i++) {
-      if (all[i].name == attr) {
-        idx = static_cast<int>(i);
-        break;
-      }
-    }
-    if (idx < 0) {
-      return Status::NotFound("class '" + class_name + "' has no attribute '" + attr +
-                              "'");
-    }
-    if (static_cast<size_t>(idx) < tuple.size()) {
-      key.push_back(tuple.elements()[static_cast<size_t>(idx)]);
-    } else {
-      key.push_back(MoodValue::Null());
-    }
+    MOOD_ASSIGN_OR_RETURN(size_t i, layout->Ordinal(attr));
+    key.push_back(i < record.tuple->size() ? record.tuple->elements()[i]
+                                           : MoodValue::Null());
   }
   return key;
 }
@@ -470,9 +432,7 @@ Result<std::vector<Collection>> MoodAlgebra::Partition(
   // Group by encoded key.
   std::map<std::string, std::vector<Oid>> groups;
   for (Oid oid : arg.oids()) {
-    MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(oid));
-    MOOD_ASSIGN_OR_RETURN(MoodValue tuple, objects_->Fetch(oid));
-    MOOD_ASSIGN_OR_RETURN(auto key, KeyOf(tuple, cls, attributes));
+    MOOD_ASSIGN_OR_RETURN(auto key, KeyOf(oid, attributes));
     std::string enc;
     for (const auto& k : key) k.EncodeTo(&enc);
     groups[enc].push_back(oid);
@@ -498,9 +458,7 @@ Result<Collection> MoodAlgebra::Sort(const Collection& arg,
   std::vector<Keyed> keyed;
   keyed.reserve(arg.size());
   for (Oid oid : arg.oids()) {
-    MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(oid));
-    MOOD_ASSIGN_OR_RETURN(MoodValue tuple, objects_->Fetch(oid));
-    MOOD_ASSIGN_OR_RETURN(auto key, KeyOf(tuple, cls, attributes));
+    MOOD_ASSIGN_OR_RETURN(auto key, KeyOf(oid, attributes));
     keyed.push_back(Keyed{oid, std::move(key)});
   }
   // Heap sort (the paper's only supported sort method). Comparison errors poison

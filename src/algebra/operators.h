@@ -52,9 +52,9 @@ bool UnnestAccepts(CollKind arg, bool tuple_object);
 /// The MOOD algebra: every operator of Section 3.2 as executable code over the
 /// object manager. Predicates are MOODSQL expressions evaluated with the
 /// element bound to `var`; they compile once (ExprCompiler) and run through the
-/// executor's batch kernels. The reference chase and the binary-join-index
-/// probe live here and the executor calls them too, so each join strategy has
-/// one implementation.
+/// executor's batch kernels. The binary-join-index probe lives here and the
+/// reference chase in the object manager; the executor calls them too, so each
+/// join strategy has one implementation.
 ///
 /// Thread safety: the const operators the parallel executor fans out (IndSel,
 /// Deref and friends) are concurrent-read safe — they read through the object
@@ -115,13 +115,6 @@ class MoodAlgebra {
                           const std::string& var1, const std::string& var2,
                           const std::string& ref_attr = "") const;
 
-  /// The reference chase of the pointer-join strategies: follows `path` from
-  /// `from`, calling `fn` for every object reached. Set/List-valued reference
-  /// attributes fan out, a Null stops the branch, and any other non-reference
-  /// value is a TypeError.
-  Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
-                   const std::function<Status(Oid)>& fn) const;
-
   /// The Indexed strategy's probe: looks every `targets[i]` up in the binary
   /// join index `index`, in order, calling `fn(source, i)` for each object the
   /// index lists as referencing it.
@@ -166,9 +159,8 @@ class MoodAlgebra {
   /// Materializes the tuple value of an element (deref when the collection holds
   /// identifiers).
   Result<MoodValue> ElementValue(const Collection& coll, size_t i) const;
-  Result<std::vector<MoodValue>> KeyOf(const MoodValue& tuple,
-                                       const std::string& class_name,
-                                       const std::vector<std::string>& attrs) const;
+  /// The object's values of `attrs` (Null for a field the object predates).
+  Result<std::vector<MoodValue>> KeyOf(Oid oid, const std::vector<std::string>& attrs) const;
 
   ObjectManager* objects_;
   Evaluator* evaluator_;

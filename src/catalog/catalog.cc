@@ -151,22 +151,23 @@ Status Catalog::LoadAll() {
   views_record_rid_ = RecordId{};
   next_type_id_ = kFirstUserTypeId;
 
-  for (auto it = file_->Begin(); it.Valid(); it.Next()) {
-    const std::string& rec = it.record();
-    if (rec.empty()) continue;
+  // One chain walk; any read error fails the open rather than leaving a
+  // partial catalog behind.
+  return file_->Scan([&](RecordId rid, const std::string& rec) -> Status {
+    if (rec.empty()) return Status::OK();
     switch (rec[0]) {
       case kTagType: {
         MOOD_ASSIGN_OR_RETURN(MoodsType t, DecodeType(rec));
         auto st = std::make_unique<StoredType>();
         st->type = std::move(t);
-        st->rid = it.rid();
+        st->rid = rid;
         if (st->type.id >= next_type_id_) next_type_id_ = st->type.id + 1;
         by_id_[st->type.id] = st.get();
         by_name_[st->type.name] = std::move(st);
         break;
       }
       case kTagIndexes: {
-        index_record_rid_ = it.rid();
+        index_record_rid_ = rid;
         Decoder dec(Slice(rec.data() + 1, rec.size() - 1));
         uint32_t n = 0;
         MOOD_RETURN_IF_ERROR(dec.GetFixed32(&n));
@@ -193,7 +194,7 @@ Status Catalog::LoadAll() {
         break;
       }
       case kTagNames: {
-        names_record_rid_ = it.rid();
+        names_record_rid_ = rid;
         Decoder dec(Slice(rec.data() + 1, rec.size() - 1));
         uint32_t n = 0;
         MOOD_RETURN_IF_ERROR(dec.GetFixed32(&n));
@@ -207,7 +208,7 @@ Status Catalog::LoadAll() {
         break;
       }
       case kTagViews: {
-        views_record_rid_ = it.rid();
+        views_record_rid_ = rid;
         Decoder dec(Slice(rec.data() + 1, rec.size() - 1));
         uint32_t n = 0;
         MOOD_RETURN_IF_ERROR(dec.GetFixed32(&n));
@@ -222,8 +223,8 @@ Status Catalog::LoadAll() {
       default:
         return Status::Corruption("unknown catalog record tag");
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status Catalog::PersistType(StoredType* st) {

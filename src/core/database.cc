@@ -45,6 +45,10 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   sopts.tolerate_torn_pages = options.enable_wal;
   MOOD_RETURN_IF_ERROR(storage_->Open(path + ".mood", sopts));
 
+  // MVCC version store: always present, WAL or not. Transactions stamp their
+  // batches at durable commit; autocommit writes use self-committing
+  // mini-batches inside ObjectManager.
+  versions_ = std::make_unique<VersionStore>();
   if (options.enable_wal) {
     log_ = std::make_unique<LogManager>();
     WalOptions wopts;
@@ -52,8 +56,8 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
     wopts.group_commit_window_us = options.group_commit_window_us;
     MOOD_RETURN_IF_ERROR(log_->Open(path + ".wal", wopts));
     locks_ = std::make_unique<LockManager>();
-    txn_manager_ = std::make_unique<TransactionManager>(storage_->buffer_pool(),
-                                                        log_.get(), locks_.get());
+    txn_manager_ = std::make_unique<TransactionManager>(
+        storage_->buffer_pool(), log_.get(), locks_.get(), versions_.get());
     // Crash recovery: replay any log left by an unclean shutdown.
     RecoveryManager recovery(storage_->buffer_pool(), log_.get());
     MOOD_ASSIGN_OR_RETURN(auto report, recovery.Recover());
@@ -62,16 +66,9 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
     MOOD_RETURN_IF_ERROR(storage_->ReloadDirectory());
   }
 
-  // MVCC version store: always present, WAL or not. Transactions stamp their
-  // batches at durable commit; autocommit writes use self-committing
-  // mini-batches inside ObjectManager.
-  versions_ = std::make_unique<VersionStore>();
-  if (txn_manager_ != nullptr) txn_manager_->SetVersionStore(versions_.get());
-
   catalog_ = std::make_unique<Catalog>();
   MOOD_RETURN_IF_ERROR(catalog_->Open(storage_.get()));
-  objects_ = std::make_unique<ObjectManager>(storage_.get(), catalog_.get());
-  objects_->SetVersionStore(versions_.get());
+  objects_ = std::make_unique<ObjectManager>(storage_.get(), catalog_.get(), versions_.get());
   if (txn_manager_ != nullptr) {
     txn_manager_->SetRollbackHook(
         [objects = objects_.get()](uint64_t batch) { return objects->UndoIndexWrites(batch); });
@@ -89,7 +86,7 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   executor_ = std::make_unique<Executor>(
       objects_.get(), evaluator_.get(), algebra_.get(),
       options.exec_threads == 0 ? DefaultExecThreads() : options.exec_threads,
-      options.deref_cache_entries, options.batch_size);
+      options.batch_size);
   schema_browser_ = std::make_unique<SchemaBrowser>(catalog_.get());
   object_browser_ = std::make_unique<ObjectBrowser>(objects_.get());
   plan_cache_ = std::make_unique<PlanCache>();
@@ -254,7 +251,7 @@ Status TxnHandle::Abort() {
 
 Status Database::Checkpoint() {
   // Exclusive gate: page flushing must not observe a writer mid-mutation.
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_RETURN_IF_ERROR(storage_->Checkpoint());
   if (log_ && (txn_manager_ == nullptr || !txn_manager_->HasActive())) {
     MOOD_RETURN_IF_ERROR(log_->Truncate());
@@ -265,7 +262,7 @@ Status Database::Checkpoint() {
 Status Database::CollectStatistics(const std::string& class_name) {
   // Shared gate: the collection scan reads heap pages that concurrent writers
   // mutate only inside the gate's exclusive sections.
-  CommitGate::SharedGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::SharedGuard gate(&versions_->gate());
   return stats_->Collect(class_name);
 }
 
@@ -295,8 +292,6 @@ ResolvedQueryOptions Database::ResolveFor(const Session& s,
   ResolvedQueryOptions r;
   r.exec_threads = pick(options.exec_threads, d.exec_threads, size_t{0});
   r.batch_size = pick(options.batch_size, d.batch_size, ExecOptions::kInheritBatch);
-  r.deref_cache_entries =
-      pick(options.deref_cache_entries, d.deref_cache_entries, ExecOptions::kInheritCache);
   r.collect_profile = pick(options.collect_profile, d.collect_profile, false);
   r.feedback = pick(options.feedback, d.feedback, true);
   r.use_cache = pick(options.use_cache, d.use_cache, true);
@@ -420,7 +415,7 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
   // Same read physics as ExecSelectCached: outside a write transaction
   // optimizing (which may read extent pages: calibration, stats refresh) and
   // the ANALYZE run read under the shared gate, the latter at a snapshot.
-  const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
+  const bool snapshot_read = s.txn_ == nullptr;
   CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
   // EXPLAIN always re-optimizes: its plan copy is annotated (notes below) and
   // must never alias a shared cached plan. The cache is only *probed* to
@@ -445,7 +440,6 @@ Result<ExplainResult> Database::ExplainSelect(Session& s, const SelectStmt& stmt
     out.profile->label = "RESULT";
     ExecOptions exec;
     exec.threads = r.exec_threads;
-    exec.deref_cache_entries = r.deref_cache_entries;
     exec.batch_size = r.batch_size;
     exec.profile = out.profile.get();
     std::optional<ReadView> statement_view;
@@ -567,7 +561,7 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   // Inside a write transaction the statement reads latest — its own writes
   // included — with 2PL providing its isolation, and no cache that could
   // hide those writes is consulted.
-  const bool snapshot_read = versions_ != nullptr && s.txn_ == nullptr;
+  const bool snapshot_read = s.txn_ == nullptr;
   CommitGate::SharedGuard gate(snapshot_read ? &versions_->gate() : nullptr);
   std::optional<ReadView> statement_view;
   const ReadView* view = ReaderView(s, snapshot_read, &statement_view);
@@ -672,7 +666,6 @@ Result<ExecResult> Database::ExecSelectCached(Session& s, const SelectStmt& stmt
   res.kind = ExecResult::Kind::kQuery;
   ExecOptions exec;
   exec.threads = r.exec_threads;
-  exec.deref_cache_entries = r.deref_cache_entries;
   exec.batch_size = r.batch_size;
   if (view != nullptr) exec.snapshot = view->snapshot();
   if (!params.empty()) exec.params = &params;
@@ -771,7 +764,7 @@ Result<ExecResult> Database::ExecCreateClass(const CreateClassStmt& stmt) {
   // DDL runs under the exclusive gate: no SELECT is mid-flight while catalog
   // pages mutate. (Concurrent DDL vs. optimization of other statements is
   // still the caller's to serialize; see DESIGN.md §14.)
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_ASSIGN_OR_RETURN(TypeId id, catalog_->Define(stmt.def));
   ExecResult res;
   res.message = std::string(stmt.def.is_class ? "class '" : "type '") + stmt.def.name +
@@ -859,7 +852,7 @@ Result<std::vector<Oid>> Database::MatchingObjects(const std::string& class_name
   // Shared gate for planning and the row-selection scan: DML reads *latest*
   // state (not a snapshot — the writer must see current rows), but must still
   // never observe another writer mid-mutation.
-  CommitGate::SharedGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::SharedGuard gate(&versions_->gate());
   // The plan is cached under the parameterized WHERE and its parameter types,
   // in a key space no normalized SELECT can reach: `UPDATE ... WHERE v.id = k`
   // re-plans only when the schema, the statistics or the plans-version move,
@@ -906,8 +899,7 @@ Result<ExecResult> Database::ExecUpdate(Session& s, const UpdateStmt& stmt) {
   // cache, so a later assignment reads what an earlier one wrote.
   std::vector<std::unique_ptr<ExprProgram>> programs;
   {
-    CommitGate::SharedGuard compile_gate(versions_ != nullptr ? &versions_->gate()
-                                                              : nullptr);
+    CommitGate::SharedGuard compile_gate(&versions_->gate());
     ExprCompileEnv env;
     env.vars[stmt.var] = {0, stmt.class_name};
     ExprCompiler compiler(evaluator_.get());
@@ -926,8 +918,7 @@ Result<ExecResult> Database::ExecUpdate(Session& s, const UpdateStmt& stmt) {
       // (released before SetAttribute's exclusive section — the gate never
       // nests on one thread).
       Result<MoodValue> v = [&]() -> Result<MoodValue> {
-        CommitGate::SharedGuard eval_gate(versions_ != nullptr ? &versions_->gate()
-                                                               : nullptr);
+        CommitGate::SharedGuard eval_gate(&versions_->gate());
         return programs[a]->EvalRow(&oid, 1, nullptr, &scratch);
       }();
       if (!v.ok()) return v.status();
@@ -967,7 +958,7 @@ Result<ExecResult> Database::ExecDelete(Session& s, const DeleteStmt& stmt) {
 Result<ExecResult> Database::ExecCreateIndex(const CreateIndexStmt& stmt) {
   // DDL under the exclusive gate (the build scan + inserts must not interleave
   // with readers probing half-built index pages).
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   switch (stmt.kind) {
     case IndexKind::kBTree:
     case IndexKind::kHash:
@@ -991,7 +982,7 @@ Result<ExecResult> Database::ExecCreateIndex(const CreateIndexStmt& stmt) {
 }
 
 Result<ExecResult> Database::ExecDropClass(const DropClassStmt& stmt) {
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_RETURN_IF_ERROR(catalog_->Drop(stmt.class_name));
   ExecResult res;
   res.message = "class '" + stmt.class_name + "' dropped";
@@ -1009,7 +1000,7 @@ Result<ExecResult> Database::ExecCreateMatView(const CreateMatViewStmt& stmt) {
   }
   // DDL under the exclusive gate: the initial materialization scan must not
   // interleave with writers, and registration must not race serves.
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   // Catalog first: registration bumps the schema epoch, and Create() stamps
   // the post-bump epoch so the first serve doesn't waste a rebuild.
   MatViewDef def;
@@ -1031,7 +1022,7 @@ Result<ExecResult> Database::ExecDropMatView(const DropMatViewStmt& stmt) {
   if (matviews_ == nullptr) {
     return Status::InvalidArgument("database is not open");
   }
-  CommitGate::ExclusiveGuard gate(versions_ != nullptr ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_RETURN_IF_ERROR(catalog_->UnregisterView(stmt.name));
   MOOD_RETURN_IF_ERROR(matviews_->Drop(stmt.name));
   ExecResult res;

@@ -36,10 +36,6 @@ struct DatabaseOptions {
   /// Sequential-scan readahead depth in pages (0 disables). Full scans detect
   /// monotone page access and prefetch this many chain pages ahead.
   size_t readahead_pages = 4;
-  /// Per-query Deref-cache capacity in objects (0 disables). Repeated path-
-  /// expression hops over the same objects within one query hit memory; any
-  /// write to a class invalidates its cached objects (see DerefCache).
-  size_t deref_cache_entries = 4096;
   /// Write-ahead logging + crash recovery (the ESM "backup and recovery"
   /// function). When off, no log file is kept and transactions are unavailable.
   bool enable_wal = true;
@@ -98,8 +94,6 @@ struct QueryOptions {
   std::optional<size_t> exec_threads;
   /// RowBatch capacity for this call (0 is treated as 1).
   std::optional<size_t> batch_size;
-  /// Deref-cache capacity for this call; 0 disables the cache.
-  std::optional<size_t> deref_cache_entries;
   /// Record a per-operator QueryProfile into ExecResult::profile. Off by
   /// default: the disabled path costs one pointer test per operator.
   std::optional<bool> collect_profile;
@@ -117,7 +111,6 @@ struct QueryOptions {
 struct ResolvedQueryOptions {
   size_t exec_threads = 0;  ///< 0 = the executor's configured default
   size_t batch_size = ExecOptions::kInheritBatch;
-  size_t deref_cache_entries = ExecOptions::kInheritCache;
   bool collect_profile = false;
   bool feedback = true;
   bool use_cache = true;

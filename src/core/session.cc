@@ -104,9 +104,6 @@ Status Session::BeginSnapshot() {
   if (!DbAlive() || !db_->is_open()) {
     return Status::InvalidArgument("database is not open");
   }
-  if (db_->versions_ == nullptr) {
-    return Status::NotSupported("snapshot reads are not available");
-  }
   if (txn_ != nullptr) {
     return Status::InvalidArgument("a transaction is already active");
   }

@@ -308,75 +308,27 @@ Result<BatchSet> Executor::ExecBind(const PlanNode& node, Ctx& ctx) const {
     for (Oid oid : *ctx.bind_oids) out.Push(&oid, 1);
     return bs;
   }
-  if (ctx.threads <= 1) {
-    BatchAppender out(&bs, 1, ctx.batch);
-    MOOD_RETURN_IF_ERROR(objects_->ScanExtent(node.from.class_name, node.from.every,
-                                              node.from.excludes, ctx.snapshot,
-                                              [&](Oid oid, const MoodValue&) {
-                                                out.Push(&oid, 1);
-                                                return Status::OK();
-                                              }));
-    if (ctx.profile != nullptr) {
-      // Report the page-task count the parallel path would partition into, so
-      // the profile's morsel column is identical across thread counts.
-      MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
-                            objects_->ScanClasses(node.from.class_name, node.from.every,
-                                                  node.from.excludes));
-      size_t pages = 0;
-      for (const std::string& cls : classes) {
-        MOOD_ASSIGN_OR_RETURN(std::vector<PageId> ids, objects_->ExtentPageIds(cls));
-        pages += ids.size();
-      }
-      ctx.profile->morsels = pages;
-    }
-    return bs;
-  }
-  // Parallel extent scan: one task per extent page, in (class, chain) order —
-  // the exact sequence ScanExtent visits. The per-page oid runs pack into
-  // fixed-size batches in task order, so batches freely straddle page
-  // boundaries and the in-order pack reproduces the serial scan order.
-  MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
-                        objects_->ScanClasses(node.from.class_name, node.from.every,
-                                              node.from.excludes));
-  struct PageTask {
-    const std::string* class_name;
-    PageId page;
-    HeapFile::ScanCursor* cursor;
-  };
-  std::vector<PageTask> tasks;
-  // One readahead cursor per class: workers advancing through a class's chain
-  // share the scan front, so prefetches run ahead of the fastest worker.
-  std::vector<std::unique_ptr<HeapFile::ScanCursor>> cursors;
-  // Task-index range of each class: its snapshot leftovers pack right after
-  // its pages (= serial snapshot-scan order).
-  std::vector<std::pair<size_t, size_t>> class_tasks;
-  for (const std::string& cls : classes) {
-    MOOD_ASSIGN_OR_RETURN(std::vector<PageId> pages, objects_->ExtentPageIds(cls));
-    cursors.push_back(std::make_unique<HeapFile::ScanCursor>());
-    size_t begin = tasks.size();
-    for (PageId p : pages) tasks.push_back({&cls, p, cursors.back().get()});
-    class_tasks.emplace_back(begin, tasks.size());
-  }
-  if (ctx.profile != nullptr) ctx.profile->morsels = tasks.size();
-  std::vector<std::vector<Oid>> partial(tasks.size());
-  MOOD_RETURN_IF_ERROR(ParallelFor(ctx.threads, tasks.size(), [&](size_t t) {
-    return objects_->ScanExtentPage(*tasks[t].class_name, tasks[t].page,
-                                    tasks[t].cursor, ctx.snapshot,
-                                    [&](Oid oid, const MoodValue&) {
-                                      partial[t].push_back(oid);
-                                      return Status::OK();
-                                    });
-  }));
+  // One chain walk in extent order, at every thread count: the bind decodes
+  // nothing (the next operator reads an object when an expression needs it),
+  // so a page costs less than handing it to a worker. Downstream operators
+  // parallelize over the bind's batches.
   BatchAppender out(&bs, 1, ctx.batch);
-  for (size_t c = 0; c < classes.size(); c++) {
-    for (size_t t = class_tasks[c].first; t < class_tasks[c].second; t++) {
-      for (Oid o : partial[t]) out.Push(&o, 1);
+  MOOD_RETURN_IF_ERROR(objects_->ScanExtentOids(node.from.class_name, node.from.every,
+                                                node.from.excludes, ctx.snapshot,
+                                                [&](Oid oid) {
+                                                  out.Push(&oid, 1);
+                                                  return Status::OK();
+                                                }));
+  if (ctx.profile != nullptr) {
+    MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
+                          objects_->ScanClasses(node.from.class_name, node.from.every,
+                                                node.from.excludes));
+    size_t pages = 0;
+    for (const std::string& cls : classes) {
+      MOOD_ASSIGN_OR_RETURN(uint32_t n, objects_->ExtentPages(cls));
+      pages += n;
     }
-    MOOD_RETURN_IF_ERROR(objects_->SnapshotLeftovers(classes[c], ctx.snapshot,
-                                                     [&](Oid oid, const MoodValue&) {
-                                                       out.Push(&oid, 1);
-                                                       return Status::OK();
-                                                     }));
+    ctx.profile->morsels = pages;
   }
   return bs;
 }
@@ -511,8 +463,8 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     }
   }
 
-  // Forward / backward / hash-partition: all three run the algebra's one
-  // reference chase and probe the inner side; the strategies differ in the
+  // Forward / backward / hash-partition: all three run the object manager's
+  // one reference chase and probe the inner side; the strategies differ in the
   // disk access pattern the cost model prices (Section 6). The chase side fans out
   // one task per left batch. Output batches are ragged at task boundaries —
   // deterministic, because the input batch decomposition is.
@@ -535,7 +487,7 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     for (size_t k = 0; k < lb.ActiveRows(); k++) {
       lb.GatherRow(lb.RowAt(k), rowbuf.data());
       Oid from = rowbuf[static_cast<size_t>(ref_idx)];
-      MOOD_RETURN_IF_ERROR(algebra_->ChaseRefs(from, node.ref_path, ctx.cache, probe));
+      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(from, node.ref_path, ctx.cache, probe));
     }
     return Status::OK();
   }));
@@ -711,31 +663,26 @@ Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan) const {
 
 Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan,
                                        const ExecOptions& options) const {
-  size_t capacity = options.deref_cache_entries == ExecOptions::kInheritCache
-                        ? deref_cache_capacity_
-                        : options.deref_cache_entries;
   Ctx ctx = MakeCtx(options);
   // Bare-plan entry point: recover the range-variable declarations from the
   // plan's leaves so attribute steps compile to ordinals.
   std::map<std::string, FromEntry> range_vars;
   CollectRangeVars(*plan, &range_vars);
   ctx.range_vars = &range_vars;
-  DerefCache cache(capacity);
+  DerefCache cache;
   cache.SetSnapshot(ctx.snapshot);
-  // A snapshot query keeps the (possibly capacity-0) cache attached anyway:
-  // it is the conduit through which fetches see the version store.
-  ctx.cache = capacity > 0 || ctx.snapshot.active() ? &cache : nullptr;
+  ctx.cache = &cache;
   Result<BatchSet> result = Exec(plan, ctx);
   objects_->AccumulateDerefStats(cache.hits(), cache.misses());
   return result;
 }
 
 Result<QueryResult> Executor::FinishSelect(const SelectStmt& stmt, BatchSet rows) const {
-  DerefCache cache(deref_cache_capacity_);
+  DerefCache cache;
   Ctx ctx;
   ctx.threads = threads_;
   ctx.batch = batch_size_;
-  ctx.cache = deref_cache_capacity_ > 0 ? &cache : nullptr;
+  ctx.cache = &cache;
   std::map<std::string, FromEntry> range_vars;
   for (const FromEntry& fe : stmt.from) range_vars.emplace(fe.var, fe);
   ctx.range_vars = &range_vars;
@@ -914,9 +861,6 @@ Result<QueryResult> Executor::ExecuteSelect(
 
 Result<QueryResult> Executor::ExecuteSelect(const QueryOptimizer::Optimized& optimized,
                                             const ExecOptions& options) const {
-  size_t capacity = options.deref_cache_entries == ExecOptions::kInheritCache
-                        ? deref_cache_capacity_
-                        : options.deref_cache_entries;
   Ctx ctx = MakeCtx(options);
   // Compile against the plan's own leaves, not just the query's FROM list:
   // path-expansion plans introduce synthetic range variables (_t1, _t2, ...)
@@ -927,11 +871,9 @@ Result<QueryResult> Executor::ExecuteSelect(const QueryOptimizer::Optimized& opt
   // One Deref cache per query: objects dereferenced while executing the plan
   // stay warm for the projection/ORDER BY passes in Finish. Its hit/miss tally
   // folds into the engine-wide objects.deref_cache.* metrics when it dies.
-  DerefCache cache(capacity);
+  DerefCache cache;
   cache.SetSnapshot(ctx.snapshot);
-  // Snapshot queries keep the cache attached even at capacity 0: it is the
-  // conduit through which fetches consult the version store.
-  ctx.cache = capacity > 0 || ctx.snapshot.active() ? &cache : nullptr;
+  ctx.cache = &cache;
   Result<BatchSet> bs = Exec(optimized.plan, ctx);
   if (!bs.ok()) {
     objects_->AccumulateDerefStats(cache.hits(), cache.misses());

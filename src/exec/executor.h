@@ -31,16 +31,11 @@ struct QueryResult {
 /// callers override individual knobs per query without mutating shared state
 /// (the Executor itself stays const and therefore safe for concurrent callers).
 struct ExecOptions {
-  /// Sentinel: use the executor's configured deref-cache capacity.
-  static constexpr size_t kInheritCache = static_cast<size_t>(-1);
   /// Sentinel: use the executor's configured batch size.
   static constexpr size_t kInheritBatch = static_cast<size_t>(-1);
 
   /// Worker threads for this call; 0 = the executor default.
   size_t threads = 0;
-  /// Per-query Deref cache capacity in entries; kInheritCache = the executor
-  /// default, 0 disables the cache for this call.
-  size_t deref_cache_entries = kInheritCache;
   /// Rows per execution batch; kInheritBatch = the executor default. 0 is
   /// treated as 1 and values above kMaxBatchRows are clamped.
   size_t batch_size = kInheritBatch;
@@ -91,22 +86,20 @@ struct ExecOptions {
 /// mutated during a query (see DESIGN.md "Parallel query execution").
 class Executor {
  public:
-  /// `threads` (0 is treated as 1), `deref_cache_entries` (0 disables the
-  /// cache) and `batch_size` (0 is treated as 1) are the defaults for calls
-  /// that do not override them through ExecOptions. One Deref cache lives for
-  /// the duration of each ExecutePlan / ExecuteSelect call and is shared by
-  /// all of that query's morsel workers.
+  /// `threads` (0 is treated as 1) and `batch_size` (0 is treated as 1) are
+  /// the defaults for calls that do not override them through ExecOptions.
+  /// One Deref cache of DerefCache::kCapacity entries lives for the duration
+  /// of each ExecutePlan / ExecuteSelect call, carries the call's reader
+  /// snapshot, and is shared by all of that query's morsel workers.
   Executor(ObjectManager* objects, Evaluator* evaluator, MoodAlgebra* algebra,
-           size_t threads, size_t deref_cache_entries, size_t batch_size)
+           size_t threads, size_t batch_size)
       : objects_(objects),
         evaluator_(evaluator),
         algebra_(algebra),
         threads_(threads == 0 ? 1 : threads),
-        deref_cache_capacity_(deref_cache_entries),
         batch_size_(ClampBatchSize(batch_size)) {}
 
   size_t threads() const { return threads_; }
-  size_t deref_cache_capacity() const { return deref_cache_capacity_; }
   size_t batch_size() const { return batch_size_; }
 
   Result<BatchSet> ExecutePlan(const PlanPtr& plan) const;
@@ -194,8 +187,8 @@ class Executor {
                      Ctx& ctx, std::vector<std::vector<MoodValue>>* cols) const;
 
   /// Resolves ExecOptions inherit-sentinels (threads, profiling pool handle)
-  /// against the executor defaults. The deref-cache capacity resolves at the
-  /// call sites because the cache itself lives on their stack.
+  /// against the executor defaults. The Deref cache lives on the call sites'
+  /// stack; they attach it.
   Ctx MakeCtx(const ExecOptions& options) const;
 
   /// Slot/class bindings for compiling expressions over rows shaped `vars`.
@@ -224,7 +217,6 @@ class Executor {
   Evaluator* evaluator_;
   MoodAlgebra* algebra_;
   const size_t threads_;
-  const size_t deref_cache_capacity_;
   const size_t batch_size_;
   MetricCounter* expr_compiled_ = nullptr;
   MetricCounter* expr_folded_ = nullptr;

@@ -10,10 +10,11 @@ Result<std::string> ObjectBrowser::RenderObject(Oid oid, int depth, int indent,
   if (std::find(trail->begin(), trail->end(), oid) != trail->end()) {
     return pad + "<cycle to " + oid.ToString() + ">\n";
   }
-  MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(oid));
-  MOOD_ASSIGN_OR_RETURN(MoodValue tuple, objects_->Fetch(oid));
-  MOOD_ASSIGN_OR_RETURN(auto attrs, objects_->catalog()->AllAttributes(cls));
-  std::string out = pad + cls + " " + oid.ToString() + "\n";
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects_->Read(oid));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects_->LayoutOf(record.type_id));
+  const MoodValue& tuple = *record.tuple;
+  const auto& attrs = layout->attrs;
+  std::string out = pad + layout->class_name + " " + oid.ToString() + "\n";
   trail->push_back(oid);
   for (size_t i = 0; i < attrs.size(); i++) {
     MoodValue v = i < tuple.size() ? tuple.elements()[i] : attrs[i].type->DefaultValue();

@@ -108,7 +108,15 @@ Status MoodServer::Start(Database* db, const ServerOptions& options) {
 }
 
 void MoodServer::Stop() {
-  if (running_.exchange(false)) {
+  bool was_running;
+  {
+    // Flipped under the queue mutex: a worker that has just found the queue
+    // empty and `running()` true is then already waiting when the notify
+    // below fires, instead of missing it and blocking the join forever.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    was_running = running_.exchange(false);
+  }
+  if (was_running) {
     uint64_t one = 1;
     (void)!::write(wake_fd_, &one, sizeof(one));
     queue_cv_.notify_all();
@@ -506,7 +514,6 @@ void MoodServer::HandleFrame(Conn& c, const Frame& f, uint64_t enqueued_ms,
         QueryOptions q = c.session->default_query_options();
         if (name == "exec_threads") q.exec_threads = static_cast<size_t>(value);
         else if (name == "batch_size") q.batch_size = static_cast<size_t>(value);
-        else if (name == "deref_cache_entries") q.deref_cache_entries = static_cast<size_t>(value);
         else if (name == "feedback") q.feedback = value != 0;
         else if (name == "use_cache") q.use_cache = value != 0;
         else if (name == "collect_profile") q.collect_profile = value != 0;

@@ -1,7 +1,6 @@
 #include "objects/object_manager.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 
 #include "common/coding.h"
@@ -22,7 +21,6 @@ class BatchScope {
  public:
   BatchScope(VersionStore* versions, PageWriteLogger* wal, uint64_t explicit_batch)
       : versions_(versions) {
-    if (versions_ == nullptr) return;
     if (explicit_batch != 0) {
       batch_ = explicit_batch;
     } else if (wal != nullptr && wal->version_batch() != 0) {
@@ -33,7 +31,7 @@ class BatchScope {
     }
   }
   ~BatchScope() {
-    if (versions_ == nullptr || !own_) return;
+    if (!own_) return;
     // Once the heap write happened the capture must commit even if index
     // maintenance failed afterwards — the record change is visible, matching
     // the non-versioned autocommit contract for partial failures.
@@ -56,8 +54,7 @@ class BatchScope {
   bool wrote_ = false;
 };
 
-}  // namespace
-
+/// An object record is [type_id u32][tuple value bytes].
 void EncodeObjectRecord(TypeId type_id, const MoodValue& tuple, std::string* dst) {
   PutFixed32(dst, type_id);
   tuple.EncodeTo(dst);
@@ -71,39 +68,138 @@ Result<std::pair<TypeId, MoodValue>> DecodeObjectRecord(Slice record) {
   return std::make_pair(id, std::move(v));
 }
 
-bool DerefCache::Lookup(Oid oid, uint64_t epoch, Snapshot* out) {
-  if (capacity_ == 0) return false;
-  uint64_t key = oid.Pack();
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (it->second.epoch != epoch) {
-    stripe.map.erase(it);  // stale: a write landed since this was cached
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  *out = it->second.snap;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+Oid OidOf(uint32_t file, RecordId rid) {
+  Oid oid;
+  oid.file = static_cast<uint16_t>(file);
+  oid.page = rid.page;
+  oid.slot = rid.slot;
+  return oid;
 }
 
-void DerefCache::Insert(Oid oid, uint64_t epoch, const Snapshot& snap) {
-  if (capacity_ == 0) return;
-  uint64_t key = oid.Pack();
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  size_t per_stripe = capacity_ / kStripes;
-  if (per_stripe == 0) per_stripe = 1;
-  if (stripe.map.size() >= per_stripe && stripe.map.find(key) == stripe.map.end()) {
-    // Arbitrary-entry eviction: per-query lifetime makes recency tracking not
-    // worth its bookkeeping.
-    stripe.map.erase(stripe.map.begin());
+/// Field `idx` of `record`'s tuple laid out as `layout`. An object that
+/// predates a schema change lacks trailing fields; those take the default.
+Result<MoodValue> FieldOf(const ObjectRecord& record, const AttributeLayout& layout,
+                          size_t idx) {
+  if (idx >= record.tuple->size()) return layout.attrs[idx].type->DefaultValue();
+  MOOD_ASSIGN_OR_RETURN(const MoodValue* f, record.tuple->Field(idx));
+  return *f;
+}
+
+/// The snapshot visibility rule for one scanned extent record.
+enum class Visibility {
+  kHeap,      ///< serve the heap record
+  kPreImage,  ///< updated since the snapshot: serve the version in `*v`
+  kHidden,    ///< created after the snapshot: skip it
+};
+
+Visibility VisibleAt(const SnapshotView& snap, Oid oid, VersionStore::Version* v) {
+  if (!snap.active() || !snap.versions->FileHasVersions(oid.file) ||
+      !snap.versions->VisibleVersion(oid, snap.csn, v)) {
+    return Visibility::kHeap;
   }
-  stripe.map[key] = Entry{epoch, snap};
+  return v->absent ? Visibility::kHidden : Visibility::kPreImage;
+}
+
+/// Hands one scanned extent record to `fn` as its visible tuple.
+Status EmitVisible(uint32_t file, const SnapshotView& snap, RecordId rid,
+                   const std::string& rec,
+                   const std::function<Status(Oid, const MoodValue&)>& fn) {
+  Oid oid = OidOf(file, rid);
+  VersionStore::Version v;
+  switch (VisibleAt(snap, oid, &v)) {
+    case Visibility::kHidden:
+      return Status::OK();
+    case Visibility::kPreImage:
+      return fn(oid, *v.tuple);
+    case Visibility::kHeap:
+      break;
+  }
+  MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
+  return fn(oid, decoded.second);
+}
+
+/// Hands one scanned extent record's oid to `fn` when it is visible; the
+/// record is not decoded.
+Status EmitVisibleOid(uint32_t file, const SnapshotView& snap, RecordId rid,
+                      const std::function<Status(Oid)>& fn) {
+  Oid oid = OidOf(file, rid);
+  VersionStore::Version v;
+  return VisibleAt(snap, oid, &v) == Visibility::kHidden ? Status::OK() : fn(oid);
+}
+
+/// Mixes an oid's packed bits (murmur3's finalizer): the top bits pick the
+/// stripe, the low bits the slot, so oids differing only in slot bits spread.
+uint64_t MixOid(uint64_t packed) {
+  packed ^= packed >> 33;
+  packed *= 0xff51afd7ed558ccdull;
+  packed ^= packed >> 33;
+  packed *= 0xc4ceb9fe1a85ec53ull;
+  return packed ^ (packed >> 33);
+}
+
+}  // namespace
+
+DerefCache::Slot& DerefCache::Probe(Stripe& stripe, uint64_t key, uint64_t hash) {
+  const size_t mask = stripe.slots.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    Slot& slot = stripe.slots[i];
+    if (slot.record.tuple == nullptr || slot.key == key) return slot;
+  }
+}
+
+bool DerefCache::Lookup(Oid oid, uint64_t epoch, ObjectRecord* out) {
+  const uint64_t key = oid.Pack();
+  const uint64_t hash = MixOid(key);
+  Stripe& stripe = stripes_[hash >> 61];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (!stripe.slots.empty()) {
+    const Slot& slot = Probe(stripe, key, hash);
+    if (slot.record.tuple != nullptr && slot.epoch == epoch) {
+      *out = slot.record;
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+void DerefCache::Insert(Oid oid, uint64_t epoch, const ObjectRecord& record) {
+  const uint64_t misses = misses_.load(std::memory_order_relaxed);
+  if (misses > kProbation &&
+      hits_.load(std::memory_order_relaxed) * kMinHitShare < misses) {
+    return;
+  }
+  const uint64_t key = oid.Pack();
+  const uint64_t hash = MixOid(key);
+  Stripe& stripe = stripes_[hash >> 61];
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (stripe.slots.empty()) stripe.slots.resize(kInitialSlots);
+  Slot* slot = &Probe(stripe, key, hash);
+  if (slot->record.tuple == nullptr) {
+    // A new entry: keep the table at most half full, doubling it up to the
+    // stripe's share of the capacity and emptying it once that is reached.
+    if (2 * (stripe.used + 1) > stripe.slots.size()) {
+      std::vector<Slot> old;
+      old.swap(stripe.slots);
+      stripe.used = 0;
+      if (old.size() < 2 * kStripeEntries) {
+        stripe.slots.resize(2 * old.size());
+        for (Slot& moved : old) {
+          if (moved.record.tuple == nullptr) continue;
+          Probe(stripe, moved.key, MixOid(moved.key)) = std::move(moved);
+          stripe.used++;
+        }
+      } else {
+        stripe.slots.resize(old.size());
+      }
+      slot = &Probe(stripe, key, hash);
+    }
+    stripe.used++;
+  }
+  slot->key = key;
+  slot->epoch = epoch;
+  slot->record = record;
 }
 
 Result<HeapFile*> ObjectManager::ExtentOf(const std::string& class_name) const {
@@ -149,17 +245,12 @@ Result<Oid> ObjectManager::CreateObject(const std::string& class_name, MoodValue
   BatchScope batch(versions_, wal, version_batch);
   // The exclusive gate section makes heap write + pre-image capture + index
   // maintenance + epoch bump one atomic unit against snapshot readers.
-  CommitGate::ExclusiveGuard gate(versions_ ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_ASSIGN_OR_RETURN(RecordId rid, extent->Insert(rec, wal));
   batch.NoteHeapWrite();
-  Oid oid;
-  oid.file = static_cast<uint16_t>(type->extent_file);
-  oid.page = rid.page;
-  oid.slot = rid.slot;
-  if (versions_ != nullptr) {
-    versions_->CapturePending(batch.batch(), oid, /*absent_before=*/true, 0, nullptr,
-                              /*live_after=*/true);
-  }
+  Oid oid = OidOf(type->extent_file, rid);
+  versions_->CapturePending(batch.batch(), oid, /*absent_before=*/true, 0, nullptr,
+                            /*live_after=*/true);
   MOOD_RETURN_IF_ERROR(MaintainIndexes(class_name, oid, nullptr, &tuple));
   BumpWriteEpoch(oid.file);
   if (write_observer_) write_observer_(oid.file, oid);
@@ -181,14 +272,13 @@ bool ReadView::Current(uint16_t file) const {
   return Identifies(file) && objects_->WriteEpochOf(file) == EpochOf(file);
 }
 
-Result<DerefCache::Snapshot> ObjectManager::FetchSnapshot(Oid oid,
-                                                          DerefCache* cache) const {
+Result<ObjectRecord> ObjectManager::Read(Oid oid, DerefCache* cache) const {
   if (!oid.valid()) return Status::InvalidArgument("null object identifier");
   // Epoch before the read: a write racing the read can at worst tag a fresh
   // value with a pre-write epoch, which later lookups treat as stale.
   uint64_t epoch = WriteEpochOf(oid.file);
-  DerefCache::Snapshot snap;
-  if (cache != nullptr && cache->Lookup(oid, epoch, &snap)) return snap;
+  ObjectRecord record;
+  if (cache != nullptr && cache->Lookup(oid, epoch, &record)) return record;
   // Version store first: it decides visibility for deleted objects (the heap
   // read below would report NotFound) and supplies pre-images of objects
   // written after the reader's snapshot.
@@ -201,75 +291,60 @@ Result<DerefCache::Snapshot> ObjectManager::FetchSnapshot(Oid oid,
           return Status::NotFound("object " + oid.ToString() +
                                   " not visible at reader snapshot");
         }
-        snap.type_id = v.type_id;
-        snap.tuple = std::move(v.tuple);
-        cache->Insert(oid, epoch, snap);
-        return snap;
+        record.type_id = v.type_id;
+        record.tuple = std::move(v.tuple);
+        cache->Insert(oid, epoch, record);
+        return record;
       }
     }
   }
   MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
   MOOD_ASSIGN_OR_RETURN(std::string rec, file->Get(RecordId{oid.page, oid.slot}));
   MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
-  snap.type_id = decoded.first;
-  snap.tuple = std::make_shared<const MoodValue>(std::move(decoded.second));
-  if (cache != nullptr) cache->Insert(oid, epoch, snap);
-  return snap;
+  record.type_id = decoded.first;
+  record.tuple = std::make_shared<const MoodValue>(std::move(decoded.second));
+  if (cache != nullptr) cache->Insert(oid, epoch, record);
+  return record;
 }
 
 Result<MoodValue> ObjectManager::Fetch(Oid oid, DerefCache* cache) const {
-  if (cache == nullptr) {
-    // Uncached fast path: skip the shared_ptr allocation.
-    if (!oid.valid()) return Status::InvalidArgument("null object identifier");
-    MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
-    MOOD_ASSIGN_OR_RETURN(std::string rec, file->Get(RecordId{oid.page, oid.slot}));
-    MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
-    return std::move(decoded.second);
-  }
-  MOOD_ASSIGN_OR_RETURN(DerefCache::Snapshot snap, FetchSnapshot(oid, cache));
-  return *snap.tuple;
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+  return *record.tuple;
 }
 
-Result<std::string> ObjectManager::ClassOf(Oid oid) const {
-  MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
-  MOOD_ASSIGN_OR_RETURN(std::string rec, file->Get(RecordId{oid.page, oid.slot}));
-  if (rec.size() < 4) return Status::Corruption("short object record");
-  TypeId id = DecodeFixed32(rec.data());
-  std::string name = catalog_->typeName(id);
+Result<std::string> ObjectManager::ClassNameOf(TypeId type_id) const {
+  std::string name = catalog_->typeName(type_id);
   if (name.empty()) return Status::CatalogError("object has unknown type id");
   return name;
 }
 
 Result<std::string> ObjectManager::ClassOf(Oid oid, DerefCache* cache) const {
-  if (cache == nullptr) return ClassOf(oid);
-  if (!oid.valid()) return Status::InvalidArgument("null object identifier");
-  MOOD_ASSIGN_OR_RETURN(DerefCache::Snapshot snap, FetchSnapshot(oid, cache));
-  std::string name = catalog_->typeName(snap.type_id);
-  if (name.empty()) return Status::CatalogError("object has unknown type id");
-  return name;
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+  return ClassNameOf(record.type_id);
 }
 
 Status ObjectManager::UpdateObject(Oid oid, MoodValue tuple, PageWriteLogger* wal,
                                    uint64_t version_batch) {
-  MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassOf(oid));
-  MOOD_ASSIGN_OR_RETURN(MoodValue old_tuple, Fetch(oid));
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord old, Read(oid));
+  return Rewrite(oid, old, std::move(tuple), wal, version_batch);
+}
+
+Status ObjectManager::Rewrite(Oid oid, const ObjectRecord& old, MoodValue tuple,
+                              PageWriteLogger* wal, uint64_t version_batch) {
+  MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassNameOf(old.type_id));
   MOOD_ASSIGN_OR_RETURN(tuple, PadToSchema(class_name, std::move(tuple)));
-  MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
   MOOD_ASSIGN_OR_RETURN(HeapFile* extent, ExtentOf(class_name));
   std::string rec;
-  EncodeObjectRecord(type->id, tuple, &rec);
+  EncodeObjectRecord(old.type_id, tuple, &rec);
   BatchScope batch(versions_, wal, version_batch);
-  CommitGate::ExclusiveGuard gate(versions_ ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_RETURN_IF_ERROR(extent->Update(RecordId{oid.page, oid.slot}, rec, wal));
   batch.NoteHeapWrite();
-  if (versions_ != nullptr) {
-    // Capture only after the page write succeeded, inside the exclusive gate
-    // section — readers cannot observe the gap between write and capture.
-    versions_->CapturePending(batch.batch(), oid, /*absent_before=*/false, type->id,
-                              std::make_shared<const MoodValue>(old_tuple),
-                              /*live_after=*/true);
-  }
-  Status st = MaintainIndexes(class_name, oid, &old_tuple, &tuple);
+  // Capture only after the page write succeeded, inside the exclusive gate
+  // section — readers cannot observe the gap between write and capture.
+  versions_->CapturePending(batch.batch(), oid, /*absent_before=*/false, old.type_id,
+                            old.tuple, /*live_after=*/true);
+  Status st = MaintainIndexes(class_name, oid, old.tuple.get(), &tuple);
   // After the write so a concurrent reader cannot cache the old value under
   // the new epoch.
   BumpWriteEpoch(oid.file);
@@ -277,41 +352,28 @@ Status ObjectManager::UpdateObject(Oid oid, MoodValue tuple, PageWriteLogger* wa
   return st;
 }
 
-Result<int> ObjectManager::AttrIndex(const std::string& class_name,
-                                     const std::string& attr) const {
-  MOOD_ASSIGN_OR_RETURN(auto attrs, catalog_->AllAttributes(class_name));
-  for (size_t i = 0; i < attrs.size(); i++) {
-    if (attrs[i].name == attr) return static_cast<int>(i);
-  }
-  return Status::NotFound("class '" + class_name + "' has no attribute '" + attr + "'");
-}
-
 Status ObjectManager::SetAttribute(Oid oid, const std::string& attr, MoodValue value,
                                    PageWriteLogger* wal, uint64_t version_batch) {
-  MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassOf(oid));
-  MOOD_ASSIGN_OR_RETURN(int idx, AttrIndex(class_name, attr));
-  MOOD_ASSIGN_OR_RETURN(MoodValue tuple, Fetch(oid));
-  MOOD_ASSIGN_OR_RETURN(tuple, PadToSchema(class_name, std::move(tuple)));
-  tuple.mutable_elements()[static_cast<size_t>(idx)] = std::move(value);
-  return UpdateObject(oid, std::move(tuple), wal, version_batch);
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord old, Read(oid));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, LayoutOf(old.type_id));
+  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attr));
+  MOOD_ASSIGN_OR_RETURN(MoodValue tuple, PadToSchema(layout->class_name, *old.tuple));
+  tuple.mutable_elements()[idx] = std::move(value);
+  return Rewrite(oid, old, std::move(tuple), wal, version_batch);
 }
 
 Status ObjectManager::DeleteObject(Oid oid, PageWriteLogger* wal,
                                    uint64_t version_batch) {
-  MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassOf(oid));
-  MOOD_ASSIGN_OR_RETURN(MoodValue old_tuple, Fetch(oid));
-  MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord old, Read(oid));
+  MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassNameOf(old.type_id));
   MOOD_ASSIGN_OR_RETURN(HeapFile* extent, ExtentOf(class_name));
   BatchScope batch(versions_, wal, version_batch);
-  CommitGate::ExclusiveGuard gate(versions_ ? &versions_->gate() : nullptr);
+  CommitGate::ExclusiveGuard gate(&versions_->gate());
   MOOD_RETURN_IF_ERROR(extent->Delete(RecordId{oid.page, oid.slot}, wal));
   batch.NoteHeapWrite();
-  if (versions_ != nullptr) {
-    versions_->CapturePending(batch.batch(), oid, /*absent_before=*/false, type->id,
-                              std::make_shared<const MoodValue>(old_tuple),
-                              /*live_after=*/false);
-  }
-  Status st = MaintainIndexes(class_name, oid, &old_tuple, nullptr);
+  versions_->CapturePending(batch.batch(), oid, /*absent_before=*/false, old.type_id,
+                            old.tuple, /*live_after=*/false);
+  Status st = MaintainIndexes(class_name, oid, old.tuple.get(), nullptr);
   BumpWriteEpoch(oid.file);
   if (write_observer_) write_observer_(oid.file, oid);
   objects_deleted_.fetch_add(1, std::memory_order_relaxed);
@@ -320,30 +382,10 @@ Status ObjectManager::DeleteObject(Oid oid, PageWriteLogger* wal,
 
 Result<MoodValue> ObjectManager::GetAttribute(Oid oid, const std::string& attr,
                                               DerefCache* cache) const {
-  if (cache == nullptr) {
-    MOOD_ASSIGN_OR_RETURN(std::string class_name, ClassOf(oid));
-    MOOD_ASSIGN_OR_RETURN(int idx, AttrIndex(class_name, attr));
-    MOOD_ASSIGN_OR_RETURN(MoodValue tuple, Fetch(oid));
-    if (static_cast<size_t>(idx) >= tuple.size()) {
-      // Object predates a schema change; the attribute takes its default.
-      MOOD_ASSIGN_OR_RETURN(auto attrs, catalog_->AllAttributes(class_name));
-      return attrs[static_cast<size_t>(idx)].type->DefaultValue();
-    }
-    MOOD_ASSIGN_OR_RETURN(const MoodValue* f, tuple.Field(static_cast<size_t>(idx)));
-    return *f;
-  }
-  // Cached path: one snapshot serves both the class lookup and the tuple, so
-  // even a cache miss costs one heap read where the uncached path needs two.
-  MOOD_ASSIGN_OR_RETURN(DerefCache::Snapshot snap, FetchSnapshot(oid, cache));
-  std::string class_name = catalog_->typeName(snap.type_id);
-  if (class_name.empty()) return Status::CatalogError("object has unknown type id");
-  MOOD_ASSIGN_OR_RETURN(int idx, AttrIndex(class_name, attr));
-  if (static_cast<size_t>(idx) >= snap.tuple->size()) {
-    MOOD_ASSIGN_OR_RETURN(auto attrs, catalog_->AllAttributes(class_name));
-    return attrs[static_cast<size_t>(idx)].type->DefaultValue();
-  }
-  MOOD_ASSIGN_OR_RETURN(const MoodValue* f, snap.tuple->Field(static_cast<size_t>(idx)));
-  return *f;
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, LayoutOf(record.type_id));
+  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attr));
+  return FieldOf(record, *layout, idx);
 }
 
 Result<AttributeLayoutPtr> ObjectManager::LayoutOf(const std::string& class_name) const {
@@ -393,28 +435,13 @@ Result<MoodValue> ObjectManager::GetAttributeByOrdinal(Oid oid,
                                                        const AttributeLayout& expected,
                                                        uint32_t ordinal,
                                                        DerefCache* cache) const {
-  MOOD_ASSIGN_OR_RETURN(DerefCache::Snapshot snap, FetchSnapshot(oid, cache));
-  size_t idx = ordinal;
-  const AttributeLayout* layout = &expected;
-  AttributeLayoutPtr actual;  // keepalive when the instance is a subclass
-  if (snap.type_id != expected.type_id) {
-    // Subclass instance behind a statically-typed reference: its flattened
-    // layout may order inherited attributes differently, so re-resolve by name.
-    MOOD_ASSIGN_OR_RETURN(actual, LayoutOf(snap.type_id));
-    int pos = actual->OrdinalOf(expected.attrs[ordinal].name);
-    if (pos < 0) {
-      return Status::NotFound("class '" + actual->class_name + "' has no attribute '" +
-                              expected.attrs[ordinal].name + "'");
-    }
-    idx = static_cast<size_t>(pos);
-    layout = actual.get();
-  }
-  if (idx >= snap.tuple->size()) {
-    // Object predates a schema change; the attribute takes its default.
-    return layout->attrs[idx].type->DefaultValue();
-  }
-  MOOD_ASSIGN_OR_RETURN(const MoodValue* f, snap.tuple->Field(idx));
-  return *f;
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+  if (record.type_id == expected.type_id) return FieldOf(record, expected, ordinal);
+  // Subclass instance behind a statically-typed reference: its flattened
+  // layout may order inherited attributes differently, so re-resolve by name.
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr actual, LayoutOf(record.type_id));
+  MOOD_ASSIGN_OR_RETURN(size_t pos, actual->Ordinal(expected.attrs[ordinal].name));
+  return FieldOf(record, *actual, pos);
 }
 
 Result<std::vector<std::string>> ObjectManager::ScanClasses(
@@ -448,68 +475,61 @@ Result<std::vector<PageId>> ObjectManager::ExtentPageIds(
 }
 
 Status ObjectManager::ScanExtentPage(
-    const std::string& class_name, PageId page,
-    const std::function<Status(Oid, const MoodValue&)>& fn) const {
-  return ScanExtentPage(class_name, page, nullptr, fn);
-}
-
-namespace {
-
-/// Applies the snapshot visibility rule to one scanned record: skip it (object
-/// born after the snapshot), substitute its visible pre-image, or pass the
-/// heap value through. `emit` receives the value to produce, or nothing.
-Status EmitVisible(const SnapshotView& snap, Oid oid, const MoodValue& heap_value,
-                   const std::function<Status(Oid, const MoodValue&)>& fn) {
-  if (snap.active() && snap.versions->FileHasVersions(oid.file)) {
-    VersionStore::Version v;
-    if (snap.versions->VisibleVersion(oid, snap.csn, &v)) {
-      if (v.absent) return Status::OK();  // created after the snapshot
-      return fn(oid, *v.tuple);           // updated since: serve the pre-image
-    }
-  }
-  return fn(oid, heap_value);
-}
-
-}  // namespace
-
-Status ObjectManager::ScanExtentPage(
     const std::string& class_name, PageId page, HeapFile::ScanCursor* cursor,
     const SnapshotView& snap,
     const std::function<Status(Oid, const MoodValue&)>& fn) const {
   MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
   MOOD_ASSIGN_OR_RETURN(HeapFile* extent, storage_->GetFile(type->extent_file));
-  return extent->ScanPage(page, cursor, [&](RecordId rid, const std::string& rec) -> Status {
-    MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
-    Oid oid;
-    oid.file = static_cast<uint16_t>(type->extent_file);
-    oid.page = rid.page;
-    oid.slot = rid.slot;
-    return EmitVisible(snap, oid, decoded.second, fn);
-  });
+  return extent
+      ->ScanPage(page, cursor,
+                 [&](RecordId rid, const std::string& rec) {
+                   return EmitVisible(type->extent_file, snap, rid, rec, fn);
+                 })
+      .status();
+}
+
+Status ObjectManager::ForEachScannedExtent(
+    const std::string& class_name, bool include_subclasses,
+    const std::vector<std::string>& exclude,
+    const std::function<Status(const std::string&, uint32_t, HeapFile*)>& scan) const {
+  MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
+                        ScanClasses(class_name, include_subclasses, exclude));
+  for (const auto& cls : classes) {
+    MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(cls));
+    MOOD_ASSIGN_OR_RETURN(HeapFile* extent, storage_->GetFile(type->extent_file));
+    MOOD_RETURN_IF_ERROR(scan(cls, type->extent_file, extent));
+  }
+  return Status::OK();
 }
 
 Status ObjectManager::ScanExtent(
     const std::string& class_name, bool include_subclasses,
     const std::vector<std::string>& exclude, const SnapshotView& snap,
     const std::function<Status(Oid, const MoodValue&)>& fn) const {
-  MOOD_ASSIGN_OR_RETURN(std::vector<std::string> classes,
-                        ScanClasses(class_name, include_subclasses, exclude));
-  for (const auto& cls : classes) {
-    MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(cls));
-    MOOD_ASSIGN_OR_RETURN(HeapFile* extent, storage_->GetFile(type->extent_file));
-    auto it = extent->Begin();
-    for (; it.Valid(); it.Next()) {
-      MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(it.record()));
-      Oid oid;
-      oid.file = static_cast<uint16_t>(type->extent_file);
-      oid.page = it.rid().page;
-      oid.slot = it.rid().slot;
-      MOOD_RETURN_IF_ERROR(EmitVisible(snap, oid, decoded.second, fn));
-    }
-    MOOD_RETURN_IF_ERROR(it.status());
-    MOOD_RETURN_IF_ERROR(SnapshotLeftovers(cls, snap, fn));
-  }
-  return Status::OK();
+  return ForEachScannedExtent(
+      class_name, include_subclasses, exclude,
+      [&](const std::string& cls, uint32_t file, HeapFile* extent) {
+        MOOD_RETURN_IF_ERROR(extent->Scan([&](RecordId rid, const std::string& rec) {
+          return EmitVisible(file, snap, rid, rec, fn);
+        }));
+        return SnapshotLeftovers(cls, snap, fn);
+      });
+}
+
+Status ObjectManager::ScanExtentOids(const std::string& class_name,
+                                     bool include_subclasses,
+                                     const std::vector<std::string>& exclude,
+                                     const SnapshotView& snap,
+                                     const std::function<Status(Oid)>& fn) const {
+  return ForEachScannedExtent(
+      class_name, include_subclasses, exclude,
+      [&](const std::string& cls, uint32_t file, HeapFile* extent) {
+        MOOD_RETURN_IF_ERROR(extent->Scan([&](RecordId rid, const std::string&) {
+          return EmitVisibleOid(file, snap, rid, fn);
+        }));
+        return SnapshotLeftovers(cls, snap,
+                                 [&](Oid oid, const MoodValue&) { return fn(oid); });
+      });
 }
 
 Status ObjectManager::SnapshotLeftovers(
@@ -568,9 +588,9 @@ Result<bool> ObjectManager::DeepEqualsRec(
       return true;  // cycle: assume equal along this path
     }
     visiting->push_back(pair);
-    MOOD_ASSIGN_OR_RETURN(MoodValue va, Fetch(oa));
-    MOOD_ASSIGN_OR_RETURN(MoodValue vb, Fetch(ob));
-    MOOD_ASSIGN_OR_RETURN(bool eq, DeepEqualsRec(va, vb, visiting));
+    MOOD_ASSIGN_OR_RETURN(ObjectRecord ra, Read(oa));
+    MOOD_ASSIGN_OR_RETURN(ObjectRecord rb, Read(ob));
+    MOOD_ASSIGN_OR_RETURN(bool eq, DeepEqualsRec(*ra.tuple, *rb.tuple, visiting));
     visiting->pop_back();
     return eq;
   }
@@ -610,27 +630,22 @@ Result<bool> ObjectManager::DeepEqualsRec(
 }
 
 Status ObjectManager::UndoIndexWrites(uint64_t batch) {
-  if (versions_ == nullptr) return Status::OK();
   Status first;
   for (const auto& [oid, pre] : versions_->PendingOf(batch)) {
-    std::optional<MoodValue> current;
-    std::string class_name = pre.absent ? "" : catalog_->typeName(pre.type_id);
-    Result<std::string> cls = ClassOf(oid);
-    if (!cls.ok() && !cls.status().IsNotFound()) {
-      if (first.ok()) first = cls.status();
+    Result<ObjectRecord> current = Read(oid);
+    if (!current.ok() && !current.status().IsNotFound()) {
+      if (first.ok()) first = current.status();
       continue;
     }
-    if (cls.ok()) {
-      class_name = cls.value();
-      Result<MoodValue> tuple = Fetch(oid);
-      if (!tuple.ok()) {
-        if (first.ok()) first = tuple.status();
-        continue;
-      }
-      current = std::move(tuple.value());
+    if (!current.ok() && pre.absent) continue;  // created and deleted by the batch
+    Result<std::string> class_name =
+        ClassNameOf(current.ok() ? current.value().type_id : pre.type_id);
+    if (!class_name.ok()) {
+      if (first.ok()) first = class_name.status();
+      continue;
     }
-    if (class_name.empty()) continue;  // created and deleted by the batch
-    Status st = MaintainIndexes(class_name, oid, current ? &*current : nullptr,
+    Status st = MaintainIndexes(class_name.value(), oid,
+                                current.ok() ? current.value().tuple.get() : nullptr,
                                 pre.absent ? nullptr : pre.tuple.get());
     if (!st.ok() && first.ok()) first = st;
   }
@@ -720,7 +735,8 @@ Status ObjectManager::CreateAttributeIndex(const std::string& index_name,
   if (kind != IndexKind::kBTree && kind != IndexKind::kHash) {
     return Status::InvalidArgument("CreateAttributeIndex supports BTree/Hash only");
   }
-  MOOD_RETURN_IF_ERROR(AttrIndex(class_name, attribute).status());
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, LayoutOf(class_name));
+  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attribute));
   IndexDesc desc;
   desc.name = index_name;
   desc.class_name = class_name;
@@ -740,10 +756,9 @@ Status ObjectManager::CreateAttributeIndex(const std::string& index_name,
   MOOD_RETURN_IF_ERROR(catalog_->RegisterIndex(desc));
   // Bulk load existing instances (own extent only: subclass instances live in
   // their own extents and need their own indexes).
-  MOOD_ASSIGN_OR_RETURN(int idx, AttrIndex(class_name, attribute));
   return ScanExtent(class_name, false, {}, [&](Oid oid, const MoodValue& tuple) {
-    if (static_cast<size_t>(idx) >= tuple.size()) return Status::OK();
-    const MoodValue& v = tuple.elements()[static_cast<size_t>(idx)];
+    if (idx >= tuple.size()) return Status::OK();
+    const MoodValue& v = tuple.elements()[idx];
     if (kind == IndexKind::kBTree) {
       return btrees_[index_name]->Insert(MakeIndexKey(v), oid.Pack());
     }
@@ -754,7 +769,8 @@ Status ObjectManager::CreateAttributeIndex(const std::string& index_name,
 Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
                                             const std::string& class_name,
                                             const std::string& attribute) {
-  MOOD_ASSIGN_OR_RETURN(int idx, AttrIndex(class_name, attribute));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, LayoutOf(class_name));
+  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attribute));
   MOOD_ASSIGN_OR_RETURN(auto bji,
                         BinaryJoinIndex::Create(storage_->buffer_pool(), storage_));
   IndexDesc desc;
@@ -768,8 +784,8 @@ Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
   bjis_[index_name] = std::move(bji);
   MOOD_RETURN_IF_ERROR(catalog_->RegisterIndex(desc));
   return ScanExtent(class_name, false, {}, [&](Oid oid, const MoodValue& tuple) {
-    if (static_cast<size_t>(idx) >= tuple.size()) return Status::OK();
-    const MoodValue& v = tuple.elements()[static_cast<size_t>(idx)];
+    if (idx >= tuple.size()) return Status::OK();
+    const MoodValue& v = tuple.elements()[idx];
     if (v.kind() == ValueKind::kReference) return raw->Add(oid, v.AsReference());
     if (v.IsCollection()) {
       for (const auto& e : v.elements()) {
@@ -782,27 +798,30 @@ Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
   });
 }
 
-Status ObjectManager::TraversePath(
-    Oid root, const std::vector<std::string>& path, DerefCache* cache,
-    const std::function<Status(const MoodValue&)>& fn) const {
-  std::function<Status(Oid, size_t)> step = [&](Oid oid, size_t depth) -> Status {
-    MOOD_ASSIGN_OR_RETURN(MoodValue v, GetAttribute(oid, path[depth], cache));
-    auto handle = [&](const MoodValue& val) -> Status {
-      if (depth + 1 == path.size()) return fn(val);
-      if (val.is_null()) return Status::OK();  // broken path: no terminal value
-      if (val.kind() != ValueKind::kReference) {
-        return Status::TypeError("path step '" + path[depth] +
-                                 "' is not a reference but the path continues");
-      }
-      return step(val.AsReference(), depth + 1);
-    };
-    if (v.IsCollection()) {
-      for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
-      return Status::OK();
+Status ObjectManager::ChaseRefs(Oid from, const std::vector<std::string>& path,
+                                DerefCache* cache,
+                                const std::function<Status(Oid)>& fn) const {
+  return ChaseFrom(from, path, 0, cache, fn);
+}
+
+Status ObjectManager::ChaseFrom(Oid oid, const std::vector<std::string>& path,
+                                size_t depth, DerefCache* cache,
+                                const std::function<Status(Oid)>& fn) const {
+  if (depth == path.size()) return fn(oid);
+  MOOD_ASSIGN_OR_RETURN(MoodValue v, GetAttribute(oid, path[depth], cache));
+  auto handle = [&](const MoodValue& r) -> Status {
+    if (r.is_null()) return Status::OK();
+    if (r.kind() != ValueKind::kReference) {
+      return Status::TypeError("reference path step '" + path[depth] +
+                               "' reached a non-reference value");
     }
-    return handle(v);
+    return ChaseFrom(r.AsReference(), path, depth + 1, cache, fn);
   };
-  return step(root, 0);
+  if (v.IsCollection()) {
+    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
+    return Status::OK();
+  }
+  return handle(v);
 }
 
 Result<BPlusTree*> ObjectManager::OpenBTree(const IndexDesc& desc) {

@@ -20,7 +20,15 @@
 
 namespace mood {
 
-/// Per-query dereference cache: OID -> decoded object snapshot. Path
+/// One decoded object record: the type id stored with the object and its
+/// attribute tuple, held behind shared_ptr<const MoodValue> so cache hits and
+/// parallel morsel workers share one immutable copy.
+struct ObjectRecord {
+  TypeId type_id = 0;
+  std::shared_ptr<const MoodValue> tuple;
+};
+
+/// Per-query dereference cache: OID -> decoded object record. Path
 /// expressions (the paper's forward-traversal inner loop) dereference the same
 /// objects repeatedly; this cache turns the second and later Deref(oid) of a
 /// query into a memory lookup instead of a page pin + record decode.
@@ -29,34 +37,47 @@ namespace mood {
 /// extent file at fetch time (see ObjectManager::WriteEpochOf). Any write to
 /// that file bumps the epoch, so a lookup after an update in the same query
 /// sees an epoch mismatch and refetches — an update is always visible to the
-/// next Deref. Tuples are held behind shared_ptr<const MoodValue> so hits from
-/// parallel morsel workers share one immutable snapshot.
+/// next Deref.
+///
+/// Capacity is the constant kCapacity. Each stripe is a flat open-addressing
+/// table that grows with use up to its share of the capacity and is emptied
+/// when a new entry finds it full: per-query lifetime makes recency tracking
+/// not worth its bookkeeping, and a flat table keeps a miss to one probe and
+/// no allocation.
+///
+/// Admission: retaining a decoded tuple until the statement ends costs more
+/// than the heap read it saves unless the object is read again. The cache
+/// admits every object for its first kProbation misses; after that it admits
+/// only while at least one lookup in kMinHitShare has hit. A statement that
+/// reads each object once (a filter over an extent, paths with no shared
+/// targets) stops retaining after the probation, one that re-reads keeps
+/// caching. Entries admitted earlier keep serving hits either way.
 ///
 /// Thread safety: lock-striped; safe for concurrent Lookup/Insert from the
 /// executor's workers.
 class DerefCache {
  public:
-  /// `capacity` bounds the total entry count (0 disables caching entirely).
-  explicit DerefCache(size_t capacity) : capacity_(capacity) {}
+  /// Entries one query's cache holds at most.
+  static constexpr size_t kCapacity = 4096;
+  /// Misses after which admission depends on the hit share (see above).
+  static constexpr uint64_t kProbation = 64;
+  /// Admission continues while at least one lookup in this many has hit.
+  static constexpr uint64_t kMinHitShare = 8;
 
+  DerefCache() = default;
   DerefCache(const DerefCache&) = delete;
   DerefCache& operator=(const DerefCache&) = delete;
 
-  struct Snapshot {
-    TypeId type_id = 0;
-    std::shared_ptr<const MoodValue> tuple;
-  };
-
   /// Returns true and fills `out` only when an entry for `oid` exists at
-  /// exactly `epoch`. A stale entry is erased and reported as a miss.
-  bool Lookup(Oid oid, uint64_t epoch, Snapshot* out);
+  /// exactly `epoch`. A stale entry is a miss; the refetch's Insert replaces it.
+  bool Lookup(Oid oid, uint64_t epoch, ObjectRecord* out);
 
-  void Insert(Oid oid, uint64_t epoch, const Snapshot& snap);
+  void Insert(Oid oid, uint64_t epoch, const ObjectRecord& record);
 
-  /// Attaches a reader snapshot: ObjectManager's cached read paths
-  /// (FetchSnapshot and everything built on it) then serve the version visible
-  /// at the snapshot instead of the latest heap state. The cache is per-query,
-  /// so one snapshot per cache is exactly statement scope.
+  /// Attaches a reader snapshot: ObjectManager::Read (and every read built on
+  /// it) then serves the version visible at the snapshot instead of the
+  /// latest heap state. The cache is per-query, so one snapshot per cache is
+  /// exactly statement scope.
   void SetSnapshot(const SnapshotView& view) { snapshot_ = view; }
   const SnapshotView& snapshot() const { return snapshot_; }
 
@@ -64,24 +85,23 @@ class DerefCache {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  struct Entry {
+  struct Slot {
+    uint64_t key = 0;  // Oid::Pack(); the slot is empty while record.tuple is null
     uint64_t epoch = 0;
-    Snapshot snap;
+    ObjectRecord record;
   };
   struct Stripe {
     std::mutex mu;
-    std::unordered_map<uint64_t, Entry> map;  // key: Oid::Pack()
+    std::vector<Slot> slots;  // power-of-two size, linear probing
+    size_t used = 0;
   };
   static constexpr size_t kStripes = 8;
+  static constexpr size_t kStripeEntries = kCapacity / kStripes;
+  static constexpr size_t kInitialSlots = 64;
 
-  Stripe& StripeOf(uint64_t packed) {
-    // Mix so oids differing only in low slot bits spread over stripes.
-    packed ^= packed >> 33;
-    packed *= 0xff51afd7ed558ccdull;
-    return stripes_[(packed >> 33) % kStripes];
-  }
+  /// The slot holding `key` in `stripe`, or the empty slot where it belongs.
+  static Slot& Probe(Stripe& stripe, uint64_t key, uint64_t hash);
 
-  size_t capacity_;
   SnapshotView snapshot_;
   std::array<Stripe, kStripes> stripes_;
   std::atomic<uint64_t> hits_{0};
@@ -106,6 +126,15 @@ struct AttributeLayout {
     auto it = ordinal_by_name.find(name);
     return it == ordinal_by_name.end() ? -1 : static_cast<int>(it->second);
   }
+
+  /// Ordinal of `name`; NotFound when the class lacks it.
+  Result<size_t> Ordinal(const std::string& name) const {
+    int idx = OrdinalOf(name);
+    if (idx < 0) {
+      return Status::NotFound("class '" + class_name + "' has no attribute '" + name + "'");
+    }
+    return static_cast<size_t>(idx);
+  }
 };
 
 using AttributeLayoutPtr = std::shared_ptr<const AttributeLayout>;
@@ -116,16 +145,12 @@ using AttributeLayoutPtr = std::shared_ptr<const AttributeLayout>;
 /// kernel builds over the storage manager.
 class ObjectManager {
  public:
-  ObjectManager(StorageManager* storage, Catalog* catalog)
-      : storage_(storage), catalog_(catalog) {}
-
-  /// Wires up multi-version snapshot support (Database::Open does this). Once
-  /// set, every object write runs under the store's exclusive CommitGate
-  /// section and captures its pre-image into the store, and cached reads honor
-  /// an attached SnapshotView. Null (the default) is the legacy read-latest
-  /// embedded behavior with zero overhead.
-  void SetVersionStore(VersionStore* versions) { versions_ = versions; }
-  VersionStore* versions() const { return versions_; }
+  /// `versions` is the multi-version store (required): every object write
+  /// runs under its exclusive CommitGate section and captures its pre-image
+  /// into it, and reads through a DerefCache with an attached SnapshotView
+  /// serve the version visible at that snapshot.
+  ObjectManager(StorageManager* storage, Catalog* catalog, VersionStore* versions)
+      : storage_(storage), catalog_(catalog), versions_(versions) {}
 
   /// Observer invoked after every object write (create/update/delete), inside
   /// the exclusive CommitGate section and after the write-epoch bump. The MV
@@ -147,15 +172,23 @@ class ObjectManager {
   Result<Oid> CreateObject(const std::string& class_name, MoodValue tuple,
                            PageWriteLogger* wal = nullptr, uint64_t version_batch = 0);
 
-  /// The algebra's Deref(oid) operator. The DerefCache overloads consult and
-  /// fill `cache` (may be null); see DerefCache for the staleness contract.
-  Result<MoodValue> Fetch(Oid oid) const { return Fetch(oid, nullptr); }
-  Result<MoodValue> Fetch(Oid oid, DerefCache* cache) const;
+  /// Reads and decodes one object record: its type id and tuple. The object
+  /// layer's one record read; Fetch, ClassOf, GetAttribute, the write paths
+  /// and the reference chase all go through it, so a caller that needs both
+  /// the class and the tuple makes one call. With a `cache` a hit costs no
+  /// heap read and the cache's snapshot decides visibility (see DerefCache
+  /// for the staleness contract); a null cache reads the latest heap state
+  /// straight through. The epoch is sampled before the heap read, so a racing
+  /// write can only make the cached entry look stale (a wasted refetch),
+  /// never hide the new value.
+  Result<ObjectRecord> Read(Oid oid, DerefCache* cache = nullptr) const;
+
+  /// The algebra's Deref(oid) operator: the object's tuple.
+  Result<MoodValue> Fetch(Oid oid, DerefCache* cache = nullptr) const;
 
   /// Class name of the object (the algebra's TypeId/isA support). Derived from
   /// the type id stored with every object.
-  Result<std::string> ClassOf(Oid oid) const;
-  Result<std::string> ClassOf(Oid oid, DerefCache* cache) const;
+  Result<std::string> ClassOf(Oid oid, DerefCache* cache = nullptr) const;
 
   /// Replaces the whole attribute tuple (type-checked; indexes maintained).
   Status UpdateObject(Oid oid, MoodValue tuple, PageWriteLogger* wal = nullptr,
@@ -168,14 +201,10 @@ class ObjectManager {
   Status DeleteObject(Oid oid, PageWriteLogger* wal = nullptr,
                       uint64_t version_batch = 0);
 
-  /// Attribute of an object by name (inherited attributes included). The
-  /// cached overload does one heap read per object per query instead of the
-  /// two (ClassOf + Fetch) the uncached path needs.
-  Result<MoodValue> GetAttribute(Oid oid, const std::string& attr) const {
-    return GetAttribute(oid, attr, nullptr);
-  }
+  /// Attribute of an object by name (inherited attributes included); NotFound
+  /// when the object's class lacks it.
   Result<MoodValue> GetAttribute(Oid oid, const std::string& attr,
-                                 DerefCache* cache) const;
+                                 DerefCache* cache = nullptr) const;
 
   // --- Attribute layouts (compiled expression support) -------------------------
 
@@ -200,8 +229,8 @@ class ObjectManager {
   }
 
   /// Pins a ReadView: the version store's current CSN and pending slots plus
-  /// every slot's write epoch. Requires SetVersionStore, and the caller holds
-  /// the commit gate shared, so no epoch moves between the two captures.
+  /// every slot's write epoch. The caller holds the commit gate shared, so no
+  /// epoch moves between the two captures.
   ReadView PinReadView() const;
 
   /// Scans a class extent. `include_subclasses` adds every transitive subclass
@@ -213,7 +242,9 @@ class ObjectManager {
     return ScanExtent(class_name, include_subclasses, exclude, SnapshotView{}, fn);
   }
 
-  /// ScanExtent as of a snapshot: records born after the snapshot are skipped,
+  /// ScanExtent as of a snapshot: one chain walk per class extent
+  /// (HeapFile::Scan), so every page is read once and every read error ends
+  /// the scan. Records born after the snapshot are skipped,
   /// records updated since serve their visible pre-image, and objects deleted
   /// from the heap but visible at the snapshot are appended per class via
   /// SnapshotLeftovers. The page-granular path (ScanExtentPage) omits the
@@ -222,6 +253,14 @@ class ObjectManager {
   Status ScanExtent(const std::string& class_name, bool include_subclasses,
                     const std::vector<std::string>& exclude, const SnapshotView& snap,
                     const std::function<Status(Oid, const MoodValue&)>& fn) const;
+
+  /// The oids ScanExtent produces, in the same order and under the same
+  /// snapshot rule, without decoding any record: for callers that keep only
+  /// the oid (the executor's extent bind reads an object when an expression
+  /// needs it, through its Deref cache).
+  Status ScanExtentOids(const std::string& class_name, bool include_subclasses,
+                        const std::vector<std::string>& exclude, const SnapshotView& snap,
+                        const std::function<Status(Oid)>& fn) const;
 
   /// The classes whose own extents a ScanExtent over the same arguments visits,
   /// in visit order (subtree expansion minus excluded subtrees).
@@ -234,22 +273,11 @@ class ObjectManager {
   /// scanning the listed pages in order yields exactly ScanExtent's sequence.
   Result<std::vector<PageId>> ExtentPageIds(const std::string& class_name) const;
 
-  /// Scans the records homed on one extent page (same decode and forwarding
-  /// semantics as ScanExtent). Concurrent-read safe for distinct or identical
+  /// Scans the records homed on one extent page with the decode, forwarding
+  /// and snapshot visibility of ScanExtent (leftovers excluded). `cursor`
+  /// (may be null) drives readahead, one per logical scan of the class (see
+  /// HeapFile::ScanCursor). Concurrent-read safe for distinct or identical
   /// pages while no writer mutates the extent.
-  Status ScanExtentPage(const std::string& class_name, PageId page,
-                        const std::function<Status(Oid, const MoodValue&)>& fn) const;
-
-  /// ScanExtentPage with a readahead cursor (one cursor per logical scan of
-  /// the class; see HeapFile::ScanCursor).
-  Status ScanExtentPage(const std::string& class_name, PageId page,
-                        HeapFile::ScanCursor* cursor,
-                        const std::function<Status(Oid, const MoodValue&)>& fn) const {
-    return ScanExtentPage(class_name, page, cursor, SnapshotView{}, fn);
-  }
-
-  /// Snapshot-aware page scan (same visibility semantics as the snapshot
-  /// ScanExtent overload; leftovers likewise excluded).
   Status ScanExtentPage(const std::string& class_name, PageId page,
                         HeapFile::ScanCursor* cursor, const SnapshotView& snap,
                         const std::function<Status(Oid, const MoodValue&)>& fn) const;
@@ -290,15 +318,12 @@ class ObjectManager {
   Result<HashIndex*> OpenHash(const IndexDesc& desc);
   Result<BinaryJoinIndex*> OpenJoinIndex(const IndexDesc& desc);
 
-  /// Follows a dotted path from a root object to its terminal values. Set/list
-  /// valued reference attributes fan out. The callback receives each terminal
-  /// value reached.
-  Status TraversePath(Oid root, const std::vector<std::string>& path,
-                      const std::function<Status(const MoodValue&)>& fn) const {
-    return TraversePath(root, path, nullptr, fn);
-  }
-  Status TraversePath(Oid root, const std::vector<std::string>& path, DerefCache* cache,
-                      const std::function<Status(const MoodValue&)>& fn) const;
+  /// The reference chase of the pointer-join strategies (algebra and
+  /// executor alike): follows `path` from `from`, calling `fn` for every
+  /// object reached. Set/List-valued reference attributes fan out, a Null
+  /// stops the branch, and any other non-reference value is a TypeError.
+  Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
+                   const std::function<Status(Oid)>& fn) const;
 
   Catalog* catalog() const { return catalog_; }
   StorageManager* storage() const { return storage_; }
@@ -328,10 +353,23 @@ class ObjectManager {
   Result<HeapFile*> ExtentOf(const std::string& class_name) const;
   Result<MoodValue> PadToSchema(const std::string& class_name, MoodValue tuple) const;
 
-  /// Reads + decodes an object, consulting `cache` when non-null. The epoch is
-  /// sampled before the heap read, so a racing write can only make the cached
-  /// entry look stale (a wasted refetch), never hide the new value.
-  Result<DerefCache::Snapshot> FetchSnapshot(Oid oid, DerefCache* cache) const;
+  /// Runs `scan(class, extent file id, extent)` for every class a ScanExtent
+  /// over the same arguments visits, in visit order.
+  Status ForEachScannedExtent(
+      const std::string& class_name, bool include_subclasses,
+      const std::vector<std::string>& exclude,
+      const std::function<Status(const std::string&, uint32_t, HeapFile*)>& scan) const;
+
+  /// Name of the class whose type id a record carries.
+  Result<std::string> ClassNameOf(TypeId type_id) const;
+
+  /// Writes `tuple` over the object whose current record `old` the caller
+  /// read: type check, heap update, pre-image capture, index maintenance.
+  Status Rewrite(Oid oid, const ObjectRecord& old, MoodValue tuple, PageWriteLogger* wal,
+                 uint64_t version_batch);
+
+  Status ChaseFrom(Oid oid, const std::vector<std::string>& path, size_t depth,
+                   DerefCache* cache, const std::function<Status(Oid)>& fn) const;
 
   /// Called after any committed object write to `file`; invalidates cached
   /// snapshots of every object in files sharing the epoch slot.
@@ -344,15 +382,13 @@ class ObjectManager {
   Status MaintainIndexes(const std::string& class_name, Oid oid,
                          const MoodValue* old_tuple, const MoodValue* new_tuple);
 
-  Result<int> AttrIndex(const std::string& class_name, const std::string& attr) const;
 
   Result<bool> DeepEqualsRec(const MoodValue& a, const MoodValue& b,
                              std::vector<std::pair<uint64_t, uint64_t>>* visiting) const;
 
   StorageManager* storage_;
   Catalog* catalog_;
-  /// Snapshot/versioning hook (null in plain embedded use; see SetVersionStore).
-  VersionStore* versions_ = nullptr;
+  VersionStore* versions_;
   /// Write observer (null in plain embedded use; see SetWriteObserver).
   WriteObserver write_observer_;
   /// Per-file-slot write epochs backing the DerefCache staleness contract.
@@ -378,9 +414,5 @@ class ObjectManager {
   mutable uint64_t layout_epoch_ = 0;
   mutable std::unordered_map<TypeId, AttributeLayoutPtr> layouts_;
 };
-
-/// Encodes an object record: [type_id u32][tuple value bytes].
-void EncodeObjectRecord(TypeId type_id, const MoodValue& tuple, std::string* dst);
-Result<std::pair<TypeId, MoodValue>> DecodeObjectRecord(Slice record);
 
 }  // namespace mood

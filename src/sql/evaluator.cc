@@ -4,12 +4,13 @@ namespace mood {
 
 Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
                                         const ArgsFn& args, DerefCache* deref) const {
-  MOOD_ASSIGN_OR_RETURN(std::string cls, objects_->ClassOf(receiver, deref));
-  MOOD_ASSIGN_OR_RETURN(MoodValue self_value, objects_->Fetch(receiver, deref));
-  // The memoized layout supplies the flattened attribute list (and its name
-  // vector for the method context) without re-walking the IS-A DAG per call;
-  // DDL invalidates it through the catalog's schema epoch.
-  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects_->LayoutOf(cls));
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord self, objects_->Read(receiver, deref));
+  // The memoized layout supplies the class name and the flattened attribute
+  // list (and its name vector for the method context) without re-walking the
+  // IS-A DAG per call; DDL invalidates it through the catalog's schema epoch.
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects_->LayoutOf(self.type_id));
+  const std::string& cls = layout->class_name;
+  MoodValue self_value = *self.tuple;
   const auto& attrs = layout->attrs;
   // Pad the tuple so methods can see attributes added after this object was made.
   if (self_value.kind() == ValueKind::kTuple && self_value.size() < attrs.size()) {

@@ -64,7 +64,7 @@ Result<Page*> HeapFile::AppendPage(PageWriteLogger* wal) {
   }
   info_.page_count++;
   {
-    // The chain grew: drop the readahead map so the next scan rebuilds it.
+    // The chain grew: drop the readahead map; the next full walk relearns it.
     std::lock_guard<std::mutex> lock(chain_mu_);
     chain_.reset();
   }
@@ -224,27 +224,34 @@ Result<std::vector<PageId>> HeapFile::PageIds() const {
     SlottedPage sp(p);
     page = sp.next_page();
   }
+  RememberChain(pages);
   return pages;
 }
 
-Result<std::shared_ptr<const HeapFile::ChainMap>> HeapFile::Chain() const {
-  std::lock_guard<std::mutex> lock(chain_mu_);
-  if (chain_ != nullptr) return chain_;
+void HeapFile::RememberChain(std::vector<PageId> pages) const {
+  {
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    if (chain_ != nullptr) return;
+  }
   auto map = std::make_shared<ChainMap>();
-  MOOD_ASSIGN_OR_RETURN(map->pages, PageIds());
+  map->pages = std::move(pages);
   map->index.reserve(map->pages.size());
   for (uint32_t i = 0; i < map->pages.size(); i++) map->index[map->pages[i]] = i;
-  chain_ = std::move(map);
-  return chain_;
+  std::lock_guard<std::mutex> lock(chain_mu_);
+  if (chain_ == nullptr) chain_ = std::move(map);
 }
 
 void HeapFile::MaybeReadAhead(PageId page, ScanCursor* cursor) const {
   if (cursor == nullptr) return;
   size_t depth = pool_->readahead();
   if (depth == 0) return;
-  auto chain_res = Chain();
-  if (!chain_res.ok()) return;
-  const ChainMap& chain = *chain_res.value();
+  std::shared_ptr<const ChainMap> cached;
+  {
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    cached = chain_;
+  }
+  if (cached == nullptr) return;
+  const ChainMap& chain = *cached;
   auto it = chain.index.find(page);
   if (it == chain.index.end()) return;
   uint32_t idx = it->second;
@@ -273,13 +280,9 @@ void HeapFile::MaybeReadAhead(PageId page, ScanCursor* cursor) const {
   }
 }
 
-Status HeapFile::ScanPage(PageId page_id,
-                          const std::function<Status(RecordId, const std::string&)>& fn) const {
-  return ScanPage(page_id, nullptr, fn);
-}
-
-Status HeapFile::ScanPage(PageId page_id, ScanCursor* cursor,
-                          const std::function<Status(RecordId, const std::string&)>& fn) const {
+Result<PageId> HeapFile::ScanPage(
+    PageId page_id, ScanCursor* cursor,
+    const std::function<Status(RecordId, const std::string&)>& fn) const {
   scan_pages_.fetch_add(1, std::memory_order_relaxed);
   struct Item {
     RecordId rid;
@@ -287,10 +290,12 @@ Status HeapFile::ScanPage(PageId page_id, ScanCursor* cursor,
     bool forwarded;
   };
   std::vector<Item> items;
+  PageId next = kInvalidPageId;
   {
     MOOD_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(page_id));
     PageGuard guard(pool_, page);
     SlottedPage sp(page);
+    next = sp.next_page();
     for (SlotId s = 0; s < sp.slot_count(); s++) {
       if (!sp.IsLive(s)) continue;
       MOOD_ASSIGN_OR_RETURN(uint8_t flags, sp.GetFlags(s));
@@ -316,70 +321,18 @@ Status HeapFile::ScanPage(PageId page_id, ScanCursor* cursor,
     }
     MOOD_RETURN_IF_ERROR(fn(item.rid, item.record));
   }
+  return next;
+}
+
+Status HeapFile::Scan(const std::function<Status(RecordId, const std::string&)>& fn) const {
+  ScanCursor cursor;
+  std::vector<PageId> pages;
+  for (PageId page = info_.first_page; page != kInvalidPageId;) {
+    pages.push_back(page);
+    MOOD_ASSIGN_OR_RETURN(page, ScanPage(page, &cursor, fn));
+  }
+  RememberChain(std::move(pages));
   return Status::OK();
-}
-
-HeapFile::Iterator::Iterator(const HeapFile* file, PageId page) : file_(file) {
-  if (file_->pool_->readahead() > 0) cursor_ = std::make_shared<ScanCursor>();
-  LoadFrom(page, 0);
-}
-
-void HeapFile::Iterator::LoadFrom(PageId page, SlotId slot) {
-  current_rid_ = RecordId{};
-  while (page != kInvalidPageId) {
-    auto page_res = file_->pool_->FetchPage(page);
-    if (!page_res.ok()) {
-      status_ = page_res.status();
-      return;
-    }
-    // Trigger readahead once per page (slot 0 marks first entry onto it).
-    if (slot == 0) file_->MaybeReadAhead(page, cursor_.get());
-    PageGuard guard(file_->pool_, page_res.value());
-    SlottedPage sp(page_res.value());
-    for (SlotId s = slot; s < sp.slot_count(); s++) {
-      if (!sp.IsLive(s)) continue;
-      auto flags_res = sp.GetFlags(s);
-      if (!flags_res.ok()) continue;
-      if (flags_res.value() & kSlotMovedIn) continue;  // reached via home slot
-      current_rid_ = RecordId{page, s};
-      if (flags_res.value() & kSlotForward) {
-        guard.Release();
-        auto rec = file_->Get(current_rid_);
-        if (!rec.ok()) {
-          status_ = rec.status();
-          current_rid_ = RecordId{};
-          return;
-        }
-        current_record_ = std::move(rec).value();
-      } else {
-        auto data = sp.Get(s);
-        if (!data.ok()) {
-          status_ = data.status();
-          current_rid_ = RecordId{};
-          return;
-        }
-        current_record_ = data.value().ToString();
-      }
-      return;
-    }
-    PageId next = sp.next_page();
-    page = next;
-    slot = 0;
-  }
-}
-
-void HeapFile::Iterator::Next() {
-  if (!Valid()) return;
-  PageId page = current_rid_.page;
-  SlotId slot = current_rid_.slot;
-  // Resume after the current slot; LoadFrom handles page-chain advancement.
-  if (slot == 0xFFFE) {
-    // Slot ids are bounded far below this in practice (page size / slot size).
-    status_ = Status::Internal("slot id overflow");
-    current_rid_ = RecordId{};
-    return;
-  }
-  LoadFrom(page, static_cast<SlotId>(slot + 1));
 }
 
 }  // namespace mood

@@ -86,53 +86,32 @@ class HeapFile {
     std::atomic<uint32_t> prefetched_to{0};
   };
 
-  /// Forward scan over live records in page-chain order. Skips tombstones and
-  /// moved-in bodies (those are reached through their home slot).
-  class Iterator {
-   public:
-    Iterator(const HeapFile* file, PageId page);
-
-    bool Valid() const { return current_rid_.valid(); }
-    const RecordId& rid() const { return current_rid_; }
-    const std::string& record() const { return current_record_; }
-
-    /// Advances to the next record; sets an error status on failure.
-    void Next();
-    const Status& status() const { return status_; }
-
-   private:
-    void LoadFrom(PageId page, SlotId slot);
-
-    const HeapFile* file_;
-    RecordId current_rid_;
-    std::string current_record_;
-    Status status_;
-    /// Drives sequential readahead for this scan; shared across copies.
-    std::shared_ptr<ScanCursor> cursor_;
-  };
-
-  Iterator Begin() const { return Iterator(this, info_.first_page); }
+  /// Every live record in page-chain order, each page read once: the chain
+  /// walk follows the next link ScanPage hands back (no pre-walk of the page
+  /// ids) and drives sequential readahead. Tombstones and moved-in bodies are
+  /// skipped (a moved record is reached through its home slot). The first
+  /// read error or callback error ends the walk and is returned.
+  Status Scan(const std::function<Status(RecordId, const std::string&)>& fn) const;
 
   /// Page ids of the chain in scan order. A page-granular partitioning of the
   /// file for the parallel executor: scanning the pages of this list in order
-  /// visits exactly the records Begin()/Next() would, in the same order.
+  /// visits exactly the records Scan() would, in the same order.
   Result<std::vector<PageId>> PageIds() const;
 
   /// Invokes `fn` for every live record whose home slot is on `page`, in slot
-  /// order, with the same forwarding semantics as the Iterator (moved-in bodies
-  /// are skipped, forwarding stubs are chased). Records are copied out before
-  /// `fn` runs, so at most one page is pinned at a time and the callback may
-  /// itself fetch pages. Concurrent-read safe: many threads may ScanPage/Get
-  /// disjoint or identical pages while no writer mutates the file.
-  Status ScanPage(PageId page, const std::function<Status(RecordId, const std::string&)>& fn) const;
-
-  /// ScanPage with readahead: when `cursor` is non-null and the scan's page
-  /// accesses are monotone forward along the chain, the next
-  /// `pool->readahead()` chain pages are prefetched into the pool (unpinned)
-  /// after this page's records are copied out. Readahead is best-effort and
-  /// never changes which records `fn` sees.
-  Status ScanPage(PageId page, ScanCursor* cursor,
-                  const std::function<Status(RecordId, const std::string&)>& fn) const;
+  /// order (moved-in bodies are skipped, forwarding stubs are chased), and
+  /// returns the page's next link (kInvalidPageId at the chain's end). Records
+  /// are copied out before `fn` runs, so at most one page is pinned at a time
+  /// and the callback may itself fetch pages. Concurrent-read safe: many
+  /// threads may ScanPage/Get disjoint or identical pages while no writer
+  /// mutates the file.
+  ///
+  /// When `cursor` is non-null and the scan's page accesses are monotone
+  /// forward along the chain, the next `pool->readahead()` chain pages are
+  /// prefetched into the pool (unpinned) after this page's records are copied
+  /// out. Readahead is best-effort and never changes which records `fn` sees.
+  Result<PageId> ScanPage(PageId page, ScanCursor* cursor,
+                          const std::function<Status(RecordId, const std::string&)>& fn) const;
 
   const FileInfo& info() const { return info_; }
   FileId id() const { return info_.id; }
@@ -163,8 +142,6 @@ class HeapFile {
   }
 
  private:
-  friend class Iterator;
-
   /// Appends a fresh page to the chain and returns it pinned.
   Result<Page*> AppendPage(PageWriteLogger* wal);
 
@@ -177,19 +154,21 @@ class HeapFile {
 
   Status PersistInfo(PageWriteLogger* wal) { return directory_->UpdateFileInfo(info_, wal); }
 
-  /// Chain order and page→index map used only for readahead targeting.
-  /// PageIds() deliberately does NOT use this cache: a transaction abort
-  /// restores page images without refreshing in-memory file metadata, so
-  /// correctness-critical chain walks must re-read the chain. A stale
-  /// readahead target merely wastes one disk read.
+  /// Chain order and page→index map used only for readahead targeting. It is
+  /// learned from the first full chain walk (Scan or PageIds) since the chain
+  /// last grew, rather than built by a walk of its own, which would read
+  /// every page of a file larger than the pool twice; until such a walk has
+  /// finished, scans run without readahead. PageIds() never reads it: a
+  /// transaction abort restores page images without refreshing in-memory file
+  /// metadata, so correctness-critical chain walks must re-read the chain. A
+  /// stale map merely wastes or skips a prefetch.
   struct ChainMap {
     std::vector<PageId> pages;
     std::unordered_map<PageId, uint32_t> index;
   };
 
-  /// Returns the cached chain map, (re)building it on first use after an
-  /// AppendPage. Thread-safe.
-  Result<std::shared_ptr<const ChainMap>> Chain() const;
+  /// Keeps `pages` (one full walk) as the chain map unless one is cached.
+  void RememberChain(std::vector<PageId> pages) const;
 
   /// Issues up to pool_->readahead() prefetches past `page` when `cursor`
   /// shows a monotone forward scan. Never fails: readahead errors are dropped.
@@ -199,7 +178,7 @@ class HeapFile {
   FileDirectory* directory_;
   FileInfo info_;
   mutable std::mutex chain_mu_;
-  mutable std::shared_ptr<const ChainMap> chain_;
+  mutable std::shared_ptr<const ChainMap> chain_;  // guarded by chain_mu_
   mutable std::atomic<uint64_t> inserts_{0};
   mutable std::atomic<uint64_t> updates_{0};
   mutable std::atomic<uint64_t> deletes_{0};

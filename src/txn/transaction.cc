@@ -23,8 +23,8 @@ Status Transaction::Lock(LockKey key, LockMode mode) {
 }
 
 TransactionManager::TransactionManager(BufferPool* pool, LogManager* log,
-                                       LockManager* locks)
-    : pool_(pool), log_(log), locks_(locks) {
+                                       LockManager* locks, VersionStore* versions)
+    : pool_(pool), log_(log), locks_(locks), versions_(versions) {
   // WAL rule: before any dirty page reaches disk, force the log.
   pool_->SetPreFlushHook([this](const Page&) { return log_->Flush(); });
 }

@@ -60,15 +60,15 @@ class Transaction : public PageWriteLogger {
 /// pool and applies in-memory undo on abort.
 class TransactionManager {
  public:
-  TransactionManager(BufferPool* pool, LogManager* log, LockManager* locks);
-  /// Uninstalls the WAL-rule hook (the buffer pool may outlive this manager).
-  ~TransactionManager();
-
-  /// Wires snapshot versioning in (Database::Open). Each transaction then
+  /// With `versions` (Database::Open passes its store) each transaction
   /// carries a VersionStore batch: stamped with a CSN after a durable commit,
   /// dropped on abort; in-buffer rollback runs under the store's exclusive
-  /// CommitGate so snapshot readers never see half-restored pages.
-  void SetVersionStore(VersionStore* versions) { versions_ = versions; }
+  /// CommitGate so snapshot readers never see half-restored pages. Null runs
+  /// the manager on its own, without snapshot versioning.
+  TransactionManager(BufferPool* pool, LogManager* log, LockManager* locks,
+                     VersionStore* versions = nullptr);
+  /// Uninstalls the WAL-rule hook (the buffer pool may outlive this manager).
+  ~TransactionManager();
 
   /// Logical undo for what the page-image undo does not cover: secondary
   /// indexes are maintained outside the WAL, so an abort hands the
@@ -117,7 +117,7 @@ class TransactionManager {
   BufferPool* pool_;
   LogManager* log_;
   LockManager* locks_;
-  VersionStore* versions_ = nullptr;
+  VersionStore* versions_;
   std::function<Status(uint64_t batch)> rollback_hook_;
   uint64_t next_txn_id_ = 1;
   std::vector<std::unique_ptr<Transaction>> live_;

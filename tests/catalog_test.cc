@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "common/failpoint.h"
 #include "tests/test_util.h"
 
 namespace mood {
@@ -267,6 +268,35 @@ TEST_F(CatalogFixture, CatalogHoldingRemovedPathIndexFailsToOpen) {
   EXPECT_NE(st.ToString().find("old_path"), std::string::npos) << st.ToString();
   EXPECT_NE(st.ToString().find("CREATE MATERIALIZED VIEW"), std::string::npos)
       << st.ToString();
+}
+
+TEST_F(CatalogFixture, ReadErrorWhileLoadingFailsOpen) {
+  // 300 classes span several catalog pages.
+  for (int i = 0; i < 300; i++) {
+    MOOD_ASSERT_OK(catalog_.Define(SimpleClass("Class" + std::to_string(i))).status());
+  }
+  MOOD_ASSERT_OK(storage_.Close());
+  auto classes_of = [](const Catalog& catalog) {
+    size_t n = 0;
+    for (const MoodsType* t : catalog.AllTypes()) n += t->is_class ? 1 : 0;
+    return n;
+  };
+
+  StorageManager storage2;
+  MOOD_ASSERT_OK(storage2.Open(dir_.Path("db")));
+  // The first catalog page reads; every page read after it fails. A load
+  // that stopped at the error and reported success would leave a catalog
+  // holding only the first page's classes.
+  MOOD_ASSERT_OK(FailPoints::Instance().Arm("disk.read_page", "error@2"));
+  Catalog partial;
+  Status st = partial.Open(&storage2);
+  FailPoints::Instance().Disarm("disk.read_page");
+  EXPECT_TRUE(st.IsIOError()) << st.ToString() << " with " << classes_of(partial)
+                              << " of 300 classes loaded";
+
+  Catalog whole;
+  MOOD_ASSERT_OK(whole.Open(&storage2));
+  EXPECT_EQ(classes_of(whole), 300u);
 }
 
 }  // namespace

@@ -207,47 +207,48 @@ class HeapFileConcurrencyTest : public ::testing::Test {
     MOOD_ASSERT_OK(storage_.Open(dir_.Path("db"), opts));
     MOOD_ASSERT_OK_AND_ASSIGN(FileId id, storage_.CreateFile());
     MOOD_ASSERT_OK_AND_ASSIGN(file_, storage_.GetFile(id));
+    // Inserts append, so scan order is insert order: the records and
+    // RecordIds inserted here are the scans' oracle.
     for (int i = 0; i < 600; i++) {
-      MOOD_ASSERT_OK(
-          file_->Insert("record-" + std::to_string(i) + std::string(50, 'x'))
-              .status());
+      std::string rec = "record-" + std::to_string(i) + std::string(50, 'x');
+      MOOD_ASSERT_OK_AND_ASSIGN(RecordId rid, file_->Insert(rec));
+      inserted_.emplace_back(rid, std::move(rec));
     }
-    for (auto it = file_->Begin(); it.Valid(); it.Next()) {
-      serial_records_.push_back(it.record());
-    }
-    ASSERT_EQ(serial_records_.size(), 600u);
   }
 
   TempDir dir_;
   StorageManager storage_;
   HeapFile* file_ = nullptr;
-  std::vector<std::string> serial_records_;
+  std::vector<std::pair<RecordId, std::string>> inserted_;
 };
 
 TEST_F(HeapFileConcurrencyTest, ConcurrentFullScansAgree) {
-  std::vector<std::vector<std::string>> scans(kThreads);
+  std::vector<std::vector<std::pair<RecordId, std::string>>> scans(kThreads);
+  std::vector<Status> status(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
-      for (auto it = file_->Begin(); it.Valid(); it.Next()) {
-        scans[t].push_back(it.record());
-      }
+      status[t] = file_->Scan([&](RecordId rid, const std::string& rec) {
+        scans[t].emplace_back(rid, rec);
+        return Status::OK();
+      });
     });
   }
   for (auto& th : threads) th.join();
   for (size_t t = 0; t < kThreads; t++) {
-    EXPECT_EQ(scans[t], serial_records_) << "thread " << t;
+    EXPECT_TRUE(status[t].ok()) << status[t].ToString();
+    EXPECT_EQ(scans[t], inserted_) << "thread " << t;
   }
   EXPECT_EQ(storage_.buffer_pool()->PinnedPageCount(), 0u);
 }
 
-TEST_F(HeapFileConcurrencyTest, PartitionedPageScansEqualIteratorOrder) {
+TEST_F(HeapFileConcurrencyTest, PartitionedPageScansEqualInsertOrder) {
   MOOD_ASSERT_OK_AND_ASSIGN(std::vector<PageId> pages, file_->PageIds());
   ASSERT_GT(pages.size(), 8u);  // really bigger than the pool
 
   // Scan every page from a different thread (round-robin), then merge in page
-  // order — the partitioned scan must reproduce the iterator sequence exactly.
-  std::vector<std::vector<std::string>> per_page(pages.size());
+  // order — the partitioned scan must reproduce the insert sequence exactly.
+  std::vector<std::vector<std::pair<RecordId, std::string>>> per_page(pages.size());
   std::atomic<size_t> cursor{0};
   std::atomic<size_t> errors{0};
   std::vector<std::thread> threads;
@@ -256,21 +257,22 @@ TEST_F(HeapFileConcurrencyTest, PartitionedPageScansEqualIteratorOrder) {
       for (;;) {
         size_t i = cursor.fetch_add(1);
         if (i >= pages.size()) return;
-        Status st = file_->ScanPage(pages[i], [&](RecordId, const std::string& rec) {
-          per_page[i].push_back(rec);
-          return Status::OK();
-        });
-        if (!st.ok()) errors.fetch_add(1);
+        Result<PageId> next = file_->ScanPage(
+            pages[i], nullptr, [&](RecordId rid, const std::string& rec) {
+              per_page[i].emplace_back(rid, rec);
+              return Status::OK();
+            });
+        if (!next.ok()) errors.fetch_add(1);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(errors.load(), 0u);
-  std::vector<std::string> merged;
+  std::vector<std::pair<RecordId, std::string>> merged;
   for (auto& page_records : per_page) {
     for (auto& r : page_records) merged.push_back(std::move(r));
   }
-  EXPECT_EQ(merged, serial_records_);
+  EXPECT_EQ(merged, inserted_);
   EXPECT_EQ(storage_.buffer_pool()->PinnedPageCount(), 0u);
 }
 

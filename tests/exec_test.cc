@@ -32,6 +32,18 @@ class ExecFixture : public ::testing::Test {
     return r.ok() ? r.value().rows.size() : 0;
   }
 
+  /// Visits attribute `attr` of every object the reference chase reaches from
+  /// `root` along `refs`.
+  Status ChaseTo(Oid root, const std::vector<std::string>& refs, const std::string& attr,
+                 const std::function<void(const MoodValue&)>& visit) {
+    ObjectManager* objects = db_.objects();
+    return objects->ChaseRefs(root, refs, nullptr, [&](Oid reached) -> Status {
+      MOOD_ASSIGN_OR_RETURN(MoodValue v, objects->GetAttribute(reached, attr));
+      visit(v);
+      return Status::OK();
+    });
+  }
+
   TempDir dir_;
   Database db_;
   paperdb::PopulateReport report_;
@@ -67,11 +79,9 @@ TEST_F(ExecFixture, PathPredicateThroughTwoHops) {
   size_t expected = 0;
   MOOD_ASSERT_OK(db_.objects()->ScanExtent(
       "Vehicle", true, {}, [&](Oid oid, const MoodValue&) {
-        return db_.objects()->TraversePath(oid, {"drivetrain", "engine", "cylinders"},
-                                           [&](const MoodValue& v) {
-                                             if (v.AsInteger() == 4) expected++;
-                                             return Status::OK();
-                                           });
+        return ChaseTo(oid, {"drivetrain", "engine"}, "cylinders", [&](const MoodValue& v) {
+          if (v.AsInteger() == 4) expected++;
+        });
       }));
   EXPECT_EQ(Count("SELECT v FROM EVERY Vehicle v WHERE "
                   "v.drivetrain.engine.cylinders = 4"),
@@ -84,15 +94,12 @@ TEST_F(ExecFixture, Example81QueryExecutes) {
   MOOD_ASSERT_OK(db_.objects()->ScanExtent(
       "Vehicle", false, {}, [&](Oid oid, const MoodValue&) -> Status {
         bool bmw = false, cyl2 = false;
-        MOOD_RETURN_IF_ERROR(db_.objects()->TraversePath(
-            oid, {"company", "name"}, [&](const MoodValue& v) {
-              if (v.AsString() == "BMW") bmw = true;
-              return Status::OK();
-            }));
-        MOOD_RETURN_IF_ERROR(db_.objects()->TraversePath(
-            oid, {"drivetrain", "engine", "cylinders"}, [&](const MoodValue& v) {
+        MOOD_RETURN_IF_ERROR(ChaseTo(oid, {"company"}, "name", [&](const MoodValue& v) {
+          if (v.AsString() == "BMW") bmw = true;
+        }));
+        MOOD_RETURN_IF_ERROR(
+            ChaseTo(oid, {"drivetrain", "engine"}, "cylinders", [&](const MoodValue& v) {
               if (v.AsInteger() == 2) cyl2 = true;
-              return Status::OK();
             }));
         if (bmw && cyl2) expected++;
         return Status::OK();
@@ -375,8 +382,8 @@ TEST_F(ExecFixture, AlgebraOperatorsMatchNaiveOracle) {
     ASSERT_FALSE(want.empty());
     for (JoinMethod m : {JoinMethod::kForwardTraversal, JoinMethod::kBackwardTraversal,
                          JoinMethod::kHashPartition, JoinMethod::kIndexed}) {
-      // The index is found through the extent's class; a list has none.
-      if (m == JoinMethod::kIndexed && left != &vehicles) continue;
+      // The index is found through the extent's class; a list has none, so
+      // the Indexed strategy runs the chase over it.
       MOOD_ASSERT_OK_AND_ASSIGN(
           Collection got, algebra->Join(*left, right, m, nullptr, "v", "d", "drivetrain"));
       std::vector<std::pair<Oid, Oid>> pairs = PairsOf(got);

@@ -4,6 +4,7 @@
 #include "index/key_codec.h"
 #include "objects/object_manager.h"
 #include "tests/test_util.h"
+#include "txn/version_store.h"
 
 namespace mood {
 namespace {
@@ -15,7 +16,7 @@ class KernelFixture : public ::testing::Test {
   void SetUp() override {
     MOOD_ASSERT_OK(storage_.Open(dir_.Path("db")));
     MOOD_ASSERT_OK(catalog_.Open(&storage_));
-    objects_ = std::make_unique<ObjectManager>(&storage_, &catalog_);
+    objects_ = std::make_unique<ObjectManager>(&storage_, &catalog_, &versions_);
     funcman_ = std::make_unique<FunctionManager>(&catalog_);
 
     Catalog::ClassDef vehicle;
@@ -44,6 +45,7 @@ class KernelFixture : public ::testing::Test {
   TempDir dir_;
   StorageManager storage_;
   Catalog catalog_;
+  VersionStore versions_;
   std::unique_ptr<ObjectManager> objects_;
   std::unique_ptr<FunctionManager> funcman_;
 };
@@ -185,8 +187,8 @@ TEST_F(KernelFixture, BulkLoadedIndexSeesExistingObjects) {
   EXPECT_EQ(hits.size(), 1u);
 }
 
-TEST_F(KernelFixture, PathTraversalFansOut) {
-  // Car -> Company references; traverse car.maker.name.
+TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
+  // Car -> Company references; chase car.maker, then read the company's name.
   MOOD_ASSERT_OK_AND_ASSIGN(
       Oid company, objects_->CreateObject(
                        "Company", MoodValue::Tuple({MoodValue::String("BMW")})));
@@ -194,14 +196,18 @@ TEST_F(KernelFixture, PathTraversalFansOut) {
       Oid car, objects_->CreateObject(
                    "Car", MoodValue::Tuple({MoodValue::Integer(1), MoodValue::Integer(900),
                                             MoodValue::Reference(company)})));
-  std::vector<std::string> names;
-  MOOD_ASSERT_OK(objects_->TraversePath(car, {"maker", "name"},
-                                        [&](const MoodValue& v) {
-                                          names.push_back(v.AsString());
-                                          return Status::OK();
-                                        }));
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "BMW");
+  std::vector<Oid> reached;
+  MOOD_ASSERT_OK(objects_->ChaseRefs(car, {"maker"}, nullptr, [&](Oid oid) {
+    reached.push_back(oid);
+    return Status::OK();
+  }));
+  ASSERT_EQ(reached.size(), 1u);
+  EXPECT_EQ(reached[0], company);
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue name, objects_->GetAttribute(reached[0], "name"));
+  EXPECT_EQ(name.AsString(), "BMW");
+  // A non-reference step is a TypeError.
+  EXPECT_TRUE(objects_->ChaseRefs(car, {"id"}, nullptr, [](Oid) { return Status::OK(); })
+                  .IsTypeError());
 }
 
 // --- Function Manager -------------------------------------------------------------

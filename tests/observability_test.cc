@@ -317,12 +317,6 @@ TEST_F(ObsFixture, QueryOptionsPerCallThreadsMatchDefault) {
     ASSERT_EQ(got.rows.size(), base.rows.size()) << "threads=" << threads;
     EXPECT_EQ(got.ToString(), base.ToString()) << "threads=" << threads;
   }
-  // Disabling the deref cache per call must not change results either.
-  QueryOptions nocache;
-  nocache.deref_cache_entries = 0;
-  MOOD_ASSERT_OK_AND_ASSIGN(QueryResult raw,
-                            db_.Query(paperdb::kExample81Query, nocache));
-  EXPECT_EQ(raw.ToString(), base.ToString());
 }
 
 TEST_F(ObsFixture, CollectProfileAttachesProfile) {

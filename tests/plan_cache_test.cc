@@ -281,6 +281,25 @@ TEST_F(PlanCacheFixture, FirstPlanAfterDdlIsStampedCurrent) {
   EXPECT_EQ(CounterOf(&db_, "cache.plan.hits"), hit0 + 3);
 }
 
+TEST_F(PlanCacheFixture, IndexSelectedUpdateReadsItsObjectOncePerAssignment) {
+  MOOD_ASSERT_OK(db_.Execute("CREATE INDEX veh_id ON Vehicle(id) USING BTREE").status());
+  MOOD_ASSERT_OK(db_.CollectStatistics("Vehicle"));
+  // The first statement plans the row selection (a cost calibration may read
+  // a few objects); the statements measured below reuse that plan.
+  MOOD_ASSERT_OK(db_.Execute("UPDATE Vehicle v SET weight = 1000 WHERE v.id = 0").status());
+  auto reads_of = [&](const std::string& sql) {
+    const double before = CounterOf(&db_, "storage.record_reads");
+    Result<ExecResult> r = db_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    EXPECT_EQ(r.ok() ? r.value().affected : 0u, 1u) << sql;
+    return CounterOf(&db_, "storage.record_reads") - before;
+  };
+  // The index selects the object without reading it; each assignment then
+  // reads it once (class and tuple together) and rewrites it.
+  EXPECT_EQ(reads_of("UPDATE Vehicle v SET weight = 1001 WHERE v.id = 3"), 1);
+  EXPECT_EQ(reads_of("UPDATE Vehicle v SET weight = 1002, id = 6 WHERE v.id = 6"), 2);
+}
+
 TEST_F(PlanCacheFixture, ExplainVerboseReportsCachedVsFresh) {
   const std::string sql = "SELECT e FROM VehicleEngine e WHERE e.cylinders > 4";
   ExplainOptions verbose;

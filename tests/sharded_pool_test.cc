@@ -15,6 +15,7 @@
 #include "storage/heap_file.h"
 #include "storage/storage_manager.h"
 #include "tests/test_util.h"
+#include "txn/version_store.h"
 
 namespace mood {
 namespace {
@@ -223,7 +224,8 @@ TEST(HeapFileReadaheadTest, MonotoneScanPrefetchesAndPreservesRecords) {
 
   // A backward jump must not fault: readahead just stays quiet.
   MOOD_ASSERT_OK(file->ScanPage(pages[0], &cursor,
-                                [](RecordId, const std::string&) { return Status::OK(); }));
+                                [](RecordId, const std::string&) { return Status::OK(); })
+                     .status());
   MOOD_ASSERT_OK(storage.Close());
 }
 
@@ -248,10 +250,70 @@ TEST(HeapFileReadaheadTest, DisabledReadaheadNeverPrefetches) {
   HeapFile::ScanCursor cursor;
   for (PageId p : pages) {
     MOOD_ASSERT_OK(file->ScanPage(p, &cursor,
-                                  [](RecordId, const std::string&) { return Status::OK(); }));
+                                  [](RecordId, const std::string&) { return Status::OK(); })
+                       .status());
   }
   EXPECT_EQ(storage.buffer_pool()->stats().prefetches, 0u);
   MOOD_ASSERT_OK(storage.Close());
+}
+
+// --- Extent scans ------------------------------------------------------------------
+
+TEST(ExtentScanTest, ScanExtentReadsAnExtentLargerThanThePoolInOnePass) {
+  for (size_t readahead : {0u, 4u}) {
+    SCOPED_TRACE("readahead " + std::to_string(readahead));
+    TempDir dir;
+    StorageManager storage;
+    StorageOptions opts;
+    opts.pool_pages = 8;
+    opts.pool_shards = 1;
+    opts.readahead_pages = readahead;
+    MOOD_ASSERT_OK(storage.Open(dir.Path("db"), opts));
+    Catalog catalog;
+    MOOD_ASSERT_OK(catalog.Open(&storage));
+    VersionStore versions;
+    ObjectManager objects(&storage, &catalog, &versions);
+    Catalog::ClassDef doc;
+    doc.name = "Doc";
+    doc.attributes.push_back({"id", TypeDesc::Basic(BasicType::kInteger)});
+    doc.attributes.push_back({"body", TypeDesc::SizedString(400)});
+    MOOD_ASSERT_OK(catalog.Define(doc).status());
+    int created = 0;
+    while (objects.ExtentPages("Doc").value() < 40) {
+      MOOD_ASSERT_OK(
+          objects
+              .CreateObject("Doc", MoodValue::Tuple({MoodValue::Integer(created),
+                                                     MoodValue::String(std::string(300, 'd'))}))
+              .status());
+      created++;
+    }
+    MOOD_ASSERT_OK_AND_ASSIGN(uint32_t pages, objects.ExtentPages("Doc"));
+
+    // The first scan learns the chain; the second runs with readahead (if on).
+    for (int pass = 0; pass < 2; pass++) {
+      SCOPED_TRACE("pass " + std::to_string(pass));
+      storage.buffer_pool()->ResetStats();
+      const uint64_t disk_reads = storage.buffer_pool()->disk()->stats().reads;
+      int seen = 0;
+      MOOD_ASSERT_OK(objects.ScanExtent("Doc", false, {}, [&](Oid, const MoodValue& t) {
+        EXPECT_EQ(t.elements()[0].AsInteger(), seen);
+        seen++;
+        return Status::OK();
+      }));
+      EXPECT_EQ(seen, created);
+      // One pass: no page is read twice (a walk of the chain before or beside
+      // the scan would fetch every page again; the pool is far too small to
+      // keep them).
+      BufferPoolStats s = storage.buffer_pool()->stats();
+      EXPECT_EQ(s.hits + s.misses, pages);
+      EXPECT_LE(s.misses, pages);
+      EXPECT_LE(storage.buffer_pool()->disk()->stats().reads - disk_reads, pages);
+      if (readahead > 0 && pass == 1) {
+        EXPECT_GT(s.prefetches, 0u);
+      }
+      EXPECT_EQ(storage.buffer_pool()->PinnedPageCount(), 0u);
+    }
+  }
 }
 
 // --- Deref cache -------------------------------------------------------------------
@@ -261,7 +323,7 @@ class DerefCacheFixture : public ::testing::Test {
   void SetUp() override {
     MOOD_ASSERT_OK(storage_.Open(dir_.Path("db")));
     MOOD_ASSERT_OK(catalog_.Open(&storage_));
-    objects_ = std::make_unique<ObjectManager>(&storage_, &catalog_);
+    objects_ = std::make_unique<ObjectManager>(&storage_, &catalog_, &versions_);
 
     Catalog::ClassDef vehicle;
     vehicle.name = "Vehicle";
@@ -278,12 +340,13 @@ class DerefCacheFixture : public ::testing::Test {
   TempDir dir_;
   StorageManager storage_;
   Catalog catalog_;
+  VersionStore versions_;
   std::unique_ptr<ObjectManager> objects_;
 };
 
 TEST_F(DerefCacheFixture, RepeatedFetchHitsTheCache) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
-  DerefCache cache(1024);
+  DerefCache cache;
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v1, objects_->Fetch(oid, &cache));
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v2, objects_->Fetch(oid, &cache));
   EXPECT_EQ(cache.misses(), 1u);
@@ -301,7 +364,7 @@ TEST_F(DerefCacheFixture, RepeatedFetchHitsTheCache) {
 
 TEST_F(DerefCacheFixture, WriteToClassInvalidatesCachedObjects) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
-  DerefCache cache(1024);
+  DerefCache cache;
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue before, objects_->Fetch(oid, &cache));
   EXPECT_EQ(before.elements()[1].AsInteger(), 1200);
 
@@ -318,7 +381,7 @@ TEST_F(DerefCacheFixture, WriteToClassInvalidatesCachedObjects) {
 
 TEST_F(DerefCacheFixture, CachedAndUncachedReadsAgree) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(7, 900));
-  DerefCache cache(1024);
+  DerefCache cache;
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue cached, objects_->Fetch(oid, &cache));
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue plain, objects_->Fetch(oid));
   EXPECT_EQ(cached.ToString(), plain.ToString());
@@ -327,18 +390,78 @@ TEST_F(DerefCacheFixture, CachedAndUncachedReadsAgree) {
   EXPECT_EQ(ca.AsInteger(), pa.AsInteger());
 }
 
-TEST_F(DerefCacheFixture, ZeroCapacityDisablesCaching) {
+TEST_F(DerefCacheFixture, NullCacheReadsStraightThrough) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(2, 800));
-  DerefCache cache(0);
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v1, objects_->Fetch(oid, &cache));
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v2, objects_->Fetch(oid, &cache));
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(v1.ToString(), v2.ToString());
+  MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * file, storage_.GetFile(oid.file));
+  const uint64_t before = file->op_stats().record_reads;
+  // One record read yields both the class and the tuple.
+  MOOD_ASSERT_OK_AND_ASSIGN(ObjectRecord record, objects_->Read(oid));
+  EXPECT_EQ(file->op_stats().record_reads, before + 1);
+  EXPECT_EQ(record.type_id, catalog_.typeId("Vehicle"));
+  EXPECT_EQ(record.tuple->elements()[1].AsInteger(), 800);
+  // Without a cache every read sees the latest heap state.
+  MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(900)));
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight"));
+  EXPECT_EQ(w.AsInteger(), 900);
+}
+
+ObjectRecord RecordOf(int32_t v) {
+  return ObjectRecord{1, std::make_shared<const MoodValue>(MoodValue::Integer(v))};
+}
+
+Oid OidAt(uint32_t i) {
+  Oid oid;
+  oid.file = 3;
+  oid.page = i / 64;
+  oid.slot = static_cast<uint16_t>(i % 64);
+  return oid;
+}
+
+TEST(DerefCacheTest, HoldsAtMostItsCapacity) {
+  DerefCache cache;
+  const uint32_t n = 3 * DerefCache::kCapacity;
+  for (uint32_t i = 0; i < n; i++) cache.Insert(OidAt(i), 1, RecordOf(static_cast<int32_t>(i)));
+  size_t held = 0;
+  ObjectRecord out;
+  for (uint32_t i = 0; i < n; i++) {
+    if (!cache.Lookup(OidAt(i), 1, &out)) continue;
+    EXPECT_EQ(out.tuple->AsInteger(), static_cast<int32_t>(i));
+    held++;
+  }
+  EXPECT_GT(held, 0u);
+  EXPECT_LE(held, DerefCache::kCapacity);
+  // The latest entry is always held, and a stale epoch is a miss.
+  EXPECT_TRUE(cache.Lookup(OidAt(n - 1), 1, &out));
+  EXPECT_FALSE(cache.Lookup(OidAt(n - 1), 2, &out));
+}
+
+TEST(DerefCacheTest, LowReuseStopsAdmittingButKeepsEarlierEntries) {
+  DerefCache cache;
+  ObjectRecord out;
+  // Every read misses once: after the probation the cache stops retaining.
+  uint32_t next = 0;
+  for (; next <= DerefCache::kProbation; next++) {
+    EXPECT_FALSE(cache.Lookup(OidAt(next), 1, &out));
+    cache.Insert(OidAt(next), 1, RecordOf(static_cast<int32_t>(next)));
+  }
+  const Oid late = OidAt(next++);
+  EXPECT_FALSE(cache.Lookup(late, 1, &out));
+  cache.Insert(late, 1, RecordOf(-1));
+  EXPECT_FALSE(cache.Lookup(late, 1, &out));
+  // Objects admitted during the probation still serve hits...
+  EXPECT_TRUE(cache.Lookup(OidAt(0), 1, &out));
+  EXPECT_EQ(out.tuple->AsInteger(), 0);
+  // ...and once re-reads make up the hit share again, admission resumes.
+  while (cache.hits() * DerefCache::kMinHitShare < cache.misses()) {
+    ASSERT_TRUE(cache.Lookup(OidAt(0), 1, &out));
+  }
+  cache.Insert(late, 1, RecordOf(-1));
+  EXPECT_TRUE(cache.Lookup(late, 1, &out));
 }
 
 TEST_F(DerefCacheFixture, DeleteInvalidatesCachedObject) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(3, 700));
-  DerefCache cache(1024);
+  DerefCache cache;
   MOOD_ASSERT_OK(objects_->Fetch(oid, &cache).status());
   MOOD_ASSERT_OK(objects_->DeleteObject(oid));
   // The stale snapshot must not resurrect the object.

@@ -40,8 +40,9 @@ inline Result<std::vector<Oid>> SnapshotProbeScan(ObjectManager* objects,
     keys.push_back(MakeIndexKey(probe.param >= 0 ? params[static_cast<size_t>(probe.param)]
                                                  : probe.constant));
   }
-  // A zero-capacity cache caches nothing but still reads through the snapshot.
-  DerefCache cache(0);
+  // Reads go through a per-statement cache carrying the snapshot, as the
+  // engine's do; what it checks is the probe, not the cache.
+  DerefCache cache;
   cache.SetSnapshot(snap);
   std::vector<Oid> out;
   MOOD_RETURN_IF_ERROR(objects->ScanExtent(

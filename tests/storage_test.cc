@@ -340,6 +340,19 @@ TEST_F(SlottedPageTest, LsnAndNextPageHeaderFields) {
   EXPECT_EQ(sp_.next_page(), 77u);
 }
 
+using ScannedRecords = std::vector<std::pair<RecordId, std::string>>;
+
+/// Every (RecordId, record) pair HeapFile::Scan produces, in scan order.
+ScannedRecords ScanAll(const HeapFile& file) {
+  ScannedRecords out;
+  Status st = file.Scan([&](RecordId rid, const std::string& rec) {
+    out.emplace_back(rid, rec);
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -398,43 +411,53 @@ TEST_F(HeapFileTest, GrowingUpdateForwardsButRidStable) {
   MOOD_ASSERT_OK(file_->Update(victim, grown2));
   MOOD_ASSERT_OK_AND_ASSIGN(std::string rec3, file_->Get(victim));
   EXPECT_EQ(rec3, grown2);
-  // Deleting through the forward removes it from scans.
+  // Deleting through the forward removes it from scans; the moved body is
+  // never scanned on its own.
   MOOD_ASSERT_OK(file_->Delete(victim));
-  size_t count = 0;
-  for (auto it = file_->Begin(); it.Valid(); it.Next()) count++;
-  EXPECT_EQ(count, rids.size() - 1);
+  ScannedRecords expected;
+  for (size_t i = 1; i < rids.size(); i++) expected.emplace_back(rids[i], std::string(300, 'a'));
+  EXPECT_EQ(ScanAll(*file_), expected);
 }
 
-TEST_F(HeapFileTest, IteratorSeesAllLiveRecordsOnce) {
-  std::set<std::string> expected;
-  for (int i = 0; i < 50; i++) {
-    std::string rec = "r" + std::to_string(i);
-    MOOD_ASSERT_OK(file_->Insert(rec).status());
-    expected.insert(rec);
+TEST_F(HeapFileTest, ScanSeesAllLiveRecordsOnceInInsertOrder) {
+  // Inserts append, so the chain order is the insert order.
+  ScannedRecords expected;
+  for (int i = 0; i < 400; i++) {
+    std::string rec = "r" + std::to_string(i) + std::string(40, 'p');
+    MOOD_ASSERT_OK_AND_ASSIGN(RecordId rid, file_->Insert(rec));
+    expected.emplace_back(rid, rec);
   }
-  std::set<std::string> seen;
-  for (auto it = file_->Begin(); it.Valid(); it.Next()) {
-    EXPECT_TRUE(seen.insert(it.record()).second) << "duplicate " << it.record();
-  }
-  EXPECT_EQ(seen, expected);
+  ASSERT_GT(file_->page_count(), 2u);
+  EXPECT_EQ(ScanAll(*file_), expected);
 }
 
-TEST_F(HeapFileTest, IteratorFollowsForwardsWithoutDuplicates) {
-  std::vector<RecordId> rids;
+TEST_F(HeapFileTest, ScanFollowsForwardsWithoutDuplicates) {
+  ScannedRecords expected;
   for (int i = 0; i < 12; i++) {
-    MOOD_ASSERT_OK_AND_ASSIGN(RecordId rid,
-                              file_->Insert(std::string(300, 'a') + std::to_string(i)));
-    rids.push_back(rid);
+    std::string rec = std::string(300, 'a') + std::to_string(i);
+    MOOD_ASSERT_OK_AND_ASSIGN(RecordId rid, file_->Insert(rec));
+    expected.emplace_back(rid, rec);
   }
-  MOOD_ASSERT_OK(file_->Update(rids[1], std::string(2500, 'q')));
-  size_t count = 0;
-  bool saw_grown = false;
-  for (auto it = file_->Begin(); it.Valid(); it.Next()) {
-    count++;
-    if (it.record().size() == 2500) saw_grown = true;
+  // The grown record moves to another page; the scan reaches it through its
+  // home slot, under its original RecordId.
+  expected[1].second = std::string(2500, 'q');
+  MOOD_ASSERT_OK(file_->Update(expected[1].first, expected[1].second));
+  EXPECT_EQ(ScanAll(*file_), expected);
+}
+
+TEST_F(HeapFileTest, ScanPageHandsBackTheChainLink) {
+  while (file_->page_count() < 5) {
+    MOOD_ASSERT_OK(file_->Insert(std::string(700, 'c')).status());
   }
-  EXPECT_EQ(count, 12u);
-  EXPECT_TRUE(saw_grown);
+  MOOD_ASSERT_OK_AND_ASSIGN(std::vector<PageId> pages, file_->PageIds());
+  std::vector<PageId> walked;
+  for (PageId page = file_->info().first_page; page != kInvalidPageId;) {
+    walked.push_back(page);
+    MOOD_ASSERT_OK_AND_ASSIGN(
+        page, file_->ScanPage(page, nullptr,
+                              [](RecordId, const std::string&) { return Status::OK(); }));
+  }
+  EXPECT_EQ(walked, pages);
 }
 
 TEST_F(HeapFileTest, PersistsAcrossReopen) {
@@ -458,9 +481,10 @@ TEST(StorageManagerTest, ManyFilesAndDirectoryChaining) {
     MOOD_ASSERT_OK_AND_ASSIGN(FileId id, storage.CreateFile());
     ids.push_back(id);
   }
+  std::map<FileId, RecordId> rids;
   for (FileId id : ids) {
     MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * f, storage.GetFile(id));
-    MOOD_ASSERT_OK(f->Insert("file" + std::to_string(id)).status());
+    MOOD_ASSERT_OK_AND_ASSIGN(rids[id], f->Insert("file" + std::to_string(id)));
   }
   MOOD_ASSERT_OK(storage.Close());
   StorageManager reopened;
@@ -468,9 +492,7 @@ TEST(StorageManagerTest, ManyFilesAndDirectoryChaining) {
   for (FileId id : ids) {
     MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * f, reopened.GetFile(id));
     EXPECT_EQ(f->record_count(), 1u);
-    auto it = f->Begin();
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.record(), "file" + std::to_string(id));
+    EXPECT_EQ(ScanAll(*f), ScannedRecords({{rids[id], "file" + std::to_string(id)}}));
   }
 }
 
@@ -523,9 +545,12 @@ TEST_P(HeapFileFuzzTest, MatchesModel) {
     MOOD_ASSERT_OK_AND_ASSIGN(std::string rec, file->Get(rids[key]));
     EXPECT_EQ(rec, payload);
   }
-  size_t scanned = 0;
-  for (auto it = file->Begin(); it.Valid(); it.Next()) scanned++;
-  EXPECT_EQ(scanned, model.size());
+  std::map<std::string, std::string> scanned;
+  for (const auto& [rid, rec] : ScanAll(*file)) {
+    std::string key = std::to_string(rid.page) + ":" + std::to_string(rid.slot);
+    EXPECT_TRUE(scanned.emplace(key, rec).second) << "duplicate " << key;
+  }
+  EXPECT_EQ(scanned, model);
   EXPECT_EQ(file->record_count(), model.size());
 }
 
