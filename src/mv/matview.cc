@@ -388,8 +388,8 @@ Result<MvManager::Outcome> MvManager::TryServe(
     // (the plan is root-driving), so concatenating buckets in extent-scan
     // order reproduces the byte-identical result.
     const FromEntry& fe = v->stmt.from[0];
-    Status scan = objects_->ScanExtent(
-        fe.class_name, fe.every, fe.excludes, [&](Oid oid, const MoodValue&) {
+    Status scan = objects_->ScanExtentOids(
+        fe.class_name, fe.every, fe.excludes, SnapshotView{}, [&](Oid oid) {
           auto bit = v->rows_by_root.find(oid.Pack());
           if (bit != v->rows_by_root.end()) {
             for (const auto& row : bit->second) out->rows.push_back(row);

@@ -85,6 +85,18 @@ Result<MoodValue> FieldOf(const ObjectRecord& record, const AttributeLayout& lay
   return *f;
 }
 
+/// FieldOf on an encoded tuple: decodes field `idx` alone, skipping the
+/// fields before it (MoodValue::Skip) and never touching those after it.
+Result<MoodValue> DecodeField(Slice tuple, const AttributeLayout& layout, size_t idx) {
+  if (tuple.size() < 5 || static_cast<ValueKind>(tuple[0]) != ValueKind::kTuple) {
+    return Status::Corruption("object record holds no tuple");
+  }
+  if (idx >= DecodeFixed32(tuple.data() + 1)) return layout.attrs[idx].type->DefaultValue();
+  tuple.remove_prefix(5);
+  for (size_t i = 0; i < idx; i++) MOOD_RETURN_IF_ERROR(MoodValue::Skip(&tuple));
+  return MoodValue::Decode(&tuple);
+}
+
 /// The snapshot visibility rule for one scanned extent record.
 enum class Visibility {
   kHeap,      ///< serve the heap record
@@ -299,10 +311,12 @@ Result<ObjectRecord> ObjectManager::Read(Oid oid, DerefCache* cache) const {
     }
   }
   MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
-  MOOD_ASSIGN_OR_RETURN(std::string rec, file->Get(RecordId{oid.page, oid.slot}));
-  MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
-  record.type_id = decoded.first;
-  record.tuple = std::make_shared<const MoodValue>(std::move(decoded.second));
+  MOOD_RETURN_IF_ERROR(file->Visit(RecordId{oid.page, oid.slot}, [&](Slice rec) {
+    MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
+    record.type_id = decoded.first;
+    record.tuple = std::make_shared<const MoodValue>(std::move(decoded.second));
+    return Status::OK();
+  }));
   if (cache != nullptr) cache->Insert(oid, epoch, record);
   return record;
 }
@@ -382,10 +396,7 @@ Status ObjectManager::DeleteObject(Oid oid, PageWriteLogger* wal,
 
 Result<MoodValue> ObjectManager::GetAttribute(Oid oid, const std::string& attr,
                                               DerefCache* cache) const {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
-  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, LayoutOf(record.type_id));
-  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attr));
-  return FieldOf(record, *layout, idx);
+  return ReadField(oid, nullptr, 0, attr, cache);
 }
 
 Result<AttributeLayoutPtr> ObjectManager::LayoutOf(const std::string& class_name) const {
@@ -435,13 +446,43 @@ Result<MoodValue> ObjectManager::GetAttributeByOrdinal(Oid oid,
                                                        const AttributeLayout& expected,
                                                        uint32_t ordinal,
                                                        DerefCache* cache) const {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
-  if (record.type_id == expected.type_id) return FieldOf(record, expected, ordinal);
-  // Subclass instance behind a statically-typed reference: its flattened
-  // layout may order inherited attributes differently, so re-resolve by name.
-  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr actual, LayoutOf(record.type_id));
-  MOOD_ASSIGN_OR_RETURN(size_t pos, actual->Ordinal(expected.attrs[ordinal].name));
-  return FieldOf(record, *actual, pos);
+  return ReadField(oid, &expected, ordinal, expected.attrs[ordinal].name, cache);
+}
+
+Result<MoodValue> ObjectManager::ReadField(Oid oid, const AttributeLayout* expected,
+                                           uint32_t ordinal, const std::string& name,
+                                           DerefCache* cache) const {
+  if (!oid.valid()) return Status::InvalidArgument("null object identifier");
+  // Where the attribute sits in an instance of `type_id`. A subclass instance
+  // behind a statically-typed reference has its own flattened layout, which
+  // may order inherited attributes differently, so it re-resolves by name.
+  AttributeLayoutPtr actual;
+  auto locate = [&](TypeId type_id) -> Result<std::pair<const AttributeLayout*, size_t>> {
+    if (expected != nullptr && type_id == expected->type_id) {
+      return std::make_pair(expected, size_t{ordinal});
+    }
+    MOOD_ASSIGN_OR_RETURN(actual, LayoutOf(type_id));
+    MOOD_ASSIGN_OR_RETURN(size_t pos, actual->Ordinal(name));
+    return std::make_pair(actual.get(), pos);
+  };
+  if (cache != nullptr && cache->snapshot().active() &&
+      cache->snapshot().versions->FileHasVersions(oid.file)) {
+    // Chains at the reader's snapshot: the visible state may be a pre-image
+    // (or a deleted object), which only Read's snapshot rule serves.
+    MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+    MOOD_ASSIGN_OR_RETURN(auto at, locate(record.type_id));
+    return FieldOf(record, *at.first, at.second);
+  }
+  MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
+  MoodValue field;
+  MOOD_RETURN_IF_ERROR(file->Visit(RecordId{oid.page, oid.slot}, [&](Slice rec) {
+    if (rec.size() < 4) return Status::Corruption("short object record");
+    MOOD_ASSIGN_OR_RETURN(auto at, locate(DecodeFixed32(rec.data())));
+    rec.remove_prefix(4);
+    MOOD_ASSIGN_OR_RETURN(field, DecodeField(rec, *at.first, at.second));
+    return Status::OK();
+  }));
+  return field;
 }
 
 Result<std::vector<std::string>> ObjectManager::ScanClasses(
@@ -524,9 +565,8 @@ Status ObjectManager::ScanExtentOids(const std::string& class_name,
   return ForEachScannedExtent(
       class_name, include_subclasses, exclude,
       [&](const std::string& cls, uint32_t file, HeapFile* extent) {
-        MOOD_RETURN_IF_ERROR(extent->Scan([&](RecordId rid, const std::string&) {
-          return EmitVisibleOid(file, snap, rid, fn);
-        }));
+        MOOD_RETURN_IF_ERROR(extent->ScanIds(
+            [&](RecordId rid) { return EmitVisibleOid(file, snap, rid, fn); }));
         return SnapshotLeftovers(cls, snap,
                                  [&](Oid oid, const MoodValue&) { return fn(oid); });
       });

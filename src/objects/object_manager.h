@@ -28,10 +28,11 @@ struct ObjectRecord {
   std::shared_ptr<const MoodValue> tuple;
 };
 
-/// Per-query dereference cache: OID -> decoded object record. Path
-/// expressions (the paper's forward-traversal inner loop) dereference the same
-/// objects repeatedly; this cache turns the second and later Deref(oid) of a
-/// query into a memory lookup instead of a page pin + record decode.
+/// Per-query dereference cache: OID -> decoded object record. Whole-object
+/// reads (Fetch, ClassOf, a method's self value) of an object a query reads
+/// again become a memory lookup instead of a page pin + record decode.
+/// Attribute reads (GetAttribute) decode one field in place and bypass it,
+/// except under a snapshot whose file has version chains.
 ///
 /// Staleness contract: every entry carries the write epoch of the object's
 /// extent file at fetch time (see ObjectManager::WriteEpochOf). Any write to
@@ -172,15 +173,15 @@ class ObjectManager {
   Result<Oid> CreateObject(const std::string& class_name, MoodValue tuple,
                            PageWriteLogger* wal = nullptr, uint64_t version_batch = 0);
 
-  /// Reads and decodes one object record: its type id and tuple. The object
-  /// layer's one record read; Fetch, ClassOf, GetAttribute, the write paths
-  /// and the reference chase all go through it, so a caller that needs both
-  /// the class and the tuple makes one call. With a `cache` a hit costs no
-  /// heap read and the cache's snapshot decides visibility (see DerefCache
-  /// for the staleness contract); a null cache reads the latest heap state
-  /// straight through. The epoch is sampled before the heap read, so a racing
-  /// write can only make the cached entry look stale (a wasted refetch),
-  /// never hide the new value.
+  /// Reads and decodes one whole object record: its type id and tuple.
+  /// Fetch, ClassOf, the write paths and versioned attribute reads all go
+  /// through it, so a caller that needs both the class and the tuple makes
+  /// one call. The record is decoded on its pinned page (HeapFile::Visit).
+  /// With a `cache` a hit costs no heap read and the cache's snapshot
+  /// decides visibility (see DerefCache for the staleness contract); a null
+  /// cache reads the latest heap state straight through. The epoch is
+  /// sampled before the heap read, so a racing write can only make the
+  /// cached entry look stale (a wasted refetch), never hide the new value.
   Result<ObjectRecord> Read(Oid oid, DerefCache* cache = nullptr) const;
 
   /// The algebra's Deref(oid) operator: the object's tuple.
@@ -202,7 +203,11 @@ class ObjectManager {
                       uint64_t version_batch = 0);
 
   /// Attribute of an object by name (inherited attributes included); NotFound
-  /// when the object's class lacks it.
+  /// when the object's class lacks it. Decodes only that field, in place on
+  /// the record's pinned page, and neither looks up nor fills the cache.
+  /// Only when the cache's snapshot is active and the object's file has
+  /// version chains does it go through Read, whose snapshot rule may serve a
+  /// pre-image.
   Result<MoodValue> GetAttribute(Oid oid, const std::string& attr,
                                  DerefCache* cache = nullptr) const;
 
@@ -219,6 +224,7 @@ class ObjectManager {
   /// class the access is a direct tuple index (no name lookup). A subclass
   /// instance re-resolves by name through the instance's own layout; NotFound
   /// when that class lacks the attribute (callers fall back to interpretation).
+  /// Reads in place as GetAttribute does.
   Result<MoodValue> GetAttributeByOrdinal(Oid oid, const AttributeLayout& expected,
                                           uint32_t ordinal, DerefCache* cache) const;
 
@@ -255,9 +261,10 @@ class ObjectManager {
                     const std::function<Status(Oid, const MoodValue&)>& fn) const;
 
   /// The oids ScanExtent produces, in the same order and under the same
-  /// snapshot rule, without decoding any record: for callers that keep only
-  /// the oid (the executor's extent bind reads an object when an expression
-  /// needs it, through its Deref cache).
+  /// snapshot rule, without copying or decoding any record
+  /// (HeapFile::ScanIds): for callers that keep only the oid (the executor's
+  /// extent bind reads an object when an expression needs it; a served
+  /// materialized view orders its stored rows by it).
   Status ScanExtentOids(const std::string& class_name, bool include_subclasses,
                         const std::vector<std::string>& exclude, const SnapshotView& snap,
                         const std::function<Status(Oid)>& fn) const;
@@ -359,6 +366,12 @@ class ObjectManager {
       const std::string& class_name, bool include_subclasses,
       const std::vector<std::string>& exclude,
       const std::function<Status(const std::string&, uint32_t, HeapFile*)>& scan) const;
+
+  /// The one attribute read behind GetAttribute (`expected` null) and
+  /// GetAttributeByOrdinal: attribute `name`, at `ordinal` when the instance
+  /// is of exactly `expected`'s class and re-resolved by name otherwise.
+  Result<MoodValue> ReadField(Oid oid, const AttributeLayout* expected, uint32_t ordinal,
+                              const std::string& name, DerefCache* cache) const;
 
   /// Name of the class whose type id a record carries.
   Result<std::string> ClassNameOf(TypeId type_id) const;

@@ -114,24 +114,29 @@ Result<RecordId> HeapFile::Insert(Slice record, PageWriteLogger* wal) {
   return rid;
 }
 
-Result<std::string> HeapFile::Get(RecordId rid) const {
+Result<Slice> HeapFile::Pin(RecordId rid, PageGuard* guard) const {
   record_reads_.fetch_add(1, std::memory_order_relaxed);
   MOOD_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(rid.page));
-  PageGuard guard(pool_, page);
+  *guard = PageGuard(pool_, page);
   SlottedPage sp(page);
   MOOD_ASSIGN_OR_RETURN(uint8_t flags, sp.GetFlags(rid.slot));
   MOOD_ASSIGN_OR_RETURN(Slice data, sp.Get(rid.slot));
-  if (flags & kSlotForward) {
-    forward_chases_.fetch_add(1, std::memory_order_relaxed);
-    MOOD_ASSIGN_OR_RETURN(RecordId target, DecodeRecordId(data));
-    guard.Release();
-    MOOD_ASSIGN_OR_RETURN(Page* tpage, pool_->FetchPage(target.page));
-    PageGuard tguard(pool_, tpage);
-    SlottedPage tsp(tpage);
-    MOOD_ASSIGN_OR_RETURN(Slice tdata, tsp.Get(target.slot));
-    return tdata.ToString();
-  }
-  return data.ToString();
+  if (!(flags & kSlotForward)) return data;
+  forward_chases_.fetch_add(1, std::memory_order_relaxed);
+  MOOD_ASSIGN_OR_RETURN(RecordId target, DecodeRecordId(data));
+  guard->Release();
+  MOOD_ASSIGN_OR_RETURN(Page* tpage, pool_->FetchPage(target.page));
+  *guard = PageGuard(pool_, tpage);
+  return SlottedPage(tpage).Get(target.slot);
+}
+
+Result<std::string> HeapFile::Get(RecordId rid) const {
+  std::string out;
+  MOOD_RETURN_IF_ERROR(Visit(rid, [&](Slice record) {
+    out = record.ToString();
+    return Status::OK();
+  }));
+  return out;
 }
 
 Status HeapFile::Update(RecordId rid, Slice record, PageWriteLogger* wal) {
@@ -283,6 +288,12 @@ void HeapFile::MaybeReadAhead(PageId page, ScanCursor* cursor) const {
 Result<PageId> HeapFile::ScanPage(
     PageId page_id, ScanCursor* cursor,
     const std::function<Status(RecordId, const std::string&)>& fn) const {
+  return WalkPage(page_id, cursor, /*copy=*/true, fn);
+}
+
+Result<PageId> HeapFile::WalkPage(
+    PageId page_id, ScanCursor* cursor, bool copy,
+    const std::function<Status(RecordId, const std::string&)>& fn) const {
   scan_pages_.fetch_add(1, std::memory_order_relaxed);
   struct Item {
     RecordId rid;
@@ -303,7 +314,7 @@ Result<PageId> HeapFile::ScanPage(
       Item item;
       item.rid = RecordId{page_id, s};
       item.forwarded = (flags & kSlotForward) != 0;
-      if (!item.forwarded) {
+      if (copy && !item.forwarded) {
         MOOD_ASSIGN_OR_RETURN(Slice data, sp.Get(s));
         item.record = data.ToString();
       }
@@ -316,7 +327,7 @@ Result<PageId> HeapFile::ScanPage(
   // Chase forwarding stubs and run the callback with no page pinned, so deep
   // callbacks cannot exhaust a small pool.
   for (auto& item : items) {
-    if (item.forwarded) {
+    if (copy && item.forwarded) {
       MOOD_ASSIGN_OR_RETURN(item.record, Get(item.rid));
     }
     MOOD_RETURN_IF_ERROR(fn(item.rid, item.record));
@@ -324,15 +335,24 @@ Result<PageId> HeapFile::ScanPage(
   return next;
 }
 
-Status HeapFile::Scan(const std::function<Status(RecordId, const std::string&)>& fn) const {
+Status HeapFile::WalkChain(
+    bool copy, const std::function<Status(RecordId, const std::string&)>& fn) const {
   ScanCursor cursor;
   std::vector<PageId> pages;
   for (PageId page = info_.first_page; page != kInvalidPageId;) {
     pages.push_back(page);
-    MOOD_ASSIGN_OR_RETURN(page, ScanPage(page, &cursor, fn));
+    MOOD_ASSIGN_OR_RETURN(page, WalkPage(page, &cursor, copy, fn));
   }
   RememberChain(std::move(pages));
   return Status::OK();
+}
+
+Status HeapFile::Scan(const std::function<Status(RecordId, const std::string&)>& fn) const {
+  return WalkChain(/*copy=*/true, fn);
+}
+
+Status HeapFile::ScanIds(const std::function<Status(RecordId)>& fn) const {
+  return WalkChain(/*copy=*/false, [&](RecordId rid, const std::string&) { return fn(rid); });
 }
 
 }  // namespace mood

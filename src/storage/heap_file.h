@@ -69,6 +69,20 @@ class HeapFile {
   HeapFile& operator=(const HeapFile&) = delete;
 
   Result<RecordId> Insert(Slice record, PageWriteLogger* wal = nullptr);
+
+  /// Runs `fn(Slice)` on record `rid`'s bytes in place on its pinned page,
+  /// following a forwarding stub to the moved body, and returns what `fn`
+  /// returns. Counts one record read (and one forward chase for a stub). The
+  /// slice is valid only inside `fn`, which runs with exactly one page
+  /// pinned; like every read, it must not overlap a writer to this file.
+  template <typename Fn>
+  Status Visit(RecordId rid, Fn&& fn) const {
+    PageGuard guard;
+    MOOD_ASSIGN_OR_RETURN(Slice record, Pin(rid, &guard));
+    return fn(record);
+  }
+
+  /// A copy of record `rid` (Visit into a string).
   Result<std::string> Get(RecordId rid) const;
   Status Update(RecordId rid, Slice record, PageWriteLogger* wal = nullptr);
   Status Delete(RecordId rid, PageWriteLogger* wal = nullptr);
@@ -92,6 +106,12 @@ class HeapFile {
   /// skipped (a moved record is reached through its home slot). The first
   /// read error or callback error ends the walk and is returned.
   Status Scan(const std::function<Status(RecordId, const std::string&)>& fn) const;
+
+  /// Scan for callers that keep only the RecordIds: the same records in the
+  /// same order, chain walk, readahead and first-error rule, but no record
+  /// is copied out. A forwarded record is reported at its home slot (its
+  /// identity) without reading the page its stub points to.
+  Status ScanIds(const std::function<Status(RecordId)>& fn) const;
 
   /// Page ids of the chain in scan order. A page-granular partitioning of the
   /// file for the parallel executor: scanning the pages of this list in order
@@ -145,6 +165,11 @@ class HeapFile {
   /// Appends a fresh page to the chain and returns it pinned.
   Result<Page*> AppendPage(PageWriteLogger* wal);
 
+  /// Visit's pinning half: pins the page holding `rid`'s body into `guard`
+  /// (the home page, or the target of its forwarding stub) and returns the
+  /// body's bytes on it.
+  Result<Slice> Pin(RecordId rid, PageGuard* guard) const;
+
   /// Raw insert honoring flags (used by the forwarding machinery).
   Result<RecordId> InsertWithFlags(Slice record, uint8_t flags, PageWriteLogger* wal);
 
@@ -166,6 +191,15 @@ class HeapFile {
     std::vector<PageId> pages;
     std::unordered_map<PageId, uint32_t> index;
   };
+
+  /// ScanPage, copying the records out only when `copy` is set (otherwise
+  /// `fn` sees an empty string and forwarding stubs are not chased).
+  Result<PageId> WalkPage(PageId page, ScanCursor* cursor, bool copy,
+                          const std::function<Status(RecordId, const std::string&)>& fn) const;
+
+  /// Scan (`copy` set) or ScanIds: the whole chain through WalkPage.
+  Status WalkChain(bool copy,
+                   const std::function<Status(RecordId, const std::string&)>& fn) const;
 
   /// Keeps `pages` (one full walk) as the chain map unless one is cached.
   void RememberChain(std::vector<PageId> pages) const;

@@ -344,6 +344,9 @@ Result<MoodValue> MoodValue::Decode(Slice* input) {
       uint32_t n = 0;
       MOOD_RETURN_IF_ERROR(dec.GetFixed32(&n));
       consume(start);
+      // Every element takes at least its tag byte: a larger count is corrupt
+      // and must not size the reservation below.
+      if (n > input->size()) return Status::Corruption("truncated collection");
       ValueList elems;
       elems.reserve(n);
       for (uint32_t i = 0; i < n; i++) {
@@ -360,6 +363,44 @@ Result<MoodValue> MoodValue::Decode(Slice* input) {
     }
   }
   return Status::Corruption("unknown value kind tag");
+}
+
+Status MoodValue::Skip(Slice* input) {
+  // Encodings are prefix-ordered, so skipping one value is skipping headers
+  // until no announced element is left: no recursion, no allocation.
+  uint64_t pending = 1;
+  while (pending > 0) {
+    pending--;
+    if (input->empty()) return Status::Corruption("truncated value encoding");
+    auto kind = static_cast<ValueKind>((*input)[0]);
+    input->remove_prefix(1);
+    size_t width = 0;
+    switch (kind) {
+      case ValueKind::kNull: break;
+      case ValueKind::kChar:
+      case ValueKind::kBoolean: width = 1; break;
+      case ValueKind::kInteger: width = 4; break;
+      case ValueKind::kFloat:
+      case ValueKind::kLongInteger:
+      case ValueKind::kReference: width = 8; break;
+      case ValueKind::kString:
+        if (input->size() < 4) return Status::Corruption("truncated string length");
+        width = 4 + static_cast<size_t>(DecodeFixed32(input->data()));
+        break;
+      case ValueKind::kTuple:
+      case ValueKind::kSet:
+      case ValueKind::kList:
+        if (input->size() < 4) return Status::Corruption("truncated element count");
+        pending += DecodeFixed32(input->data());
+        width = 4;
+        break;
+      default:
+        return Status::Corruption("unknown value kind tag");
+    }
+    if (input->size() < width) return Status::Corruption("truncated value encoding");
+    input->remove_prefix(width);
+  }
+  return Status::OK();
 }
 
 Result<MoodValue> MoodValue::DecodeAll(Slice input) {

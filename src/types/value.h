@@ -112,6 +112,11 @@ class MoodValue {
   void EncodeTo(std::string* dst) const;
   static Result<MoodValue> Decode(Slice* input);
   static Result<MoodValue> DecodeAll(Slice input);
+  /// Advances `input` past one encoded value without building it: consumes
+  /// exactly the bytes Decode would and allocates nothing. A truncated
+  /// encoding or an unknown kind tag is Corruption; no byte past the slice
+  /// is read.
+  static Status Skip(Slice* input);
 
   /// Display form, e.g. <id: 3, refs: {oid(1:2:0)}>.
   std::string ToString() const;

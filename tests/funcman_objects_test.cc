@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+
+#include "common/random.h"
 #include "funcman/function_manager.h"
 #include "index/key_codec.h"
 #include "objects/object_manager.h"
@@ -208,6 +213,221 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
   // A non-reference step is a TypeError.
   EXPECT_TRUE(objects_->ChaseRefs(car, {"id"}, nullptr, [](Oid) { return Status::OK(); })
                   .IsTypeError());
+}
+
+// --- In-place attribute reads ----------------------------------------------------
+
+// The whole-object reading of attribute `attr`: Read, then the instance's own
+// layout, with the default for a field the record predates.
+Result<MoodValue> FieldViaRead(const ObjectManager& objects, Oid oid,
+                               const std::string& attr, DerefCache* cache) {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects.Read(oid, cache));
+  MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects.LayoutOf(record.type_id));
+  MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attr));
+  if (idx >= record.tuple->size()) return layout->attrs[idx].type->DefaultValue();
+  return record.tuple->elements()[idx];
+}
+
+// GetAttribute and GetAttributeByOrdinal (bound against `declared`, the
+// class a reference to `oid` is typed with) must each return what
+// FieldViaRead returns: the same value, or an error with the same code.
+void ExpectInPlaceReadMatches(const ObjectManager& objects, Oid oid,
+                              const std::string& declared, const std::string& attr,
+                              DerefCache* cache = nullptr) {
+  SCOPED_TRACE(declared + "." + attr + " of " + oid.ToString());
+  Result<MoodValue> want = FieldViaRead(objects, oid, attr, cache);
+  MOOD_ASSERT_OK_AND_ASSIGN(AttributeLayoutPtr layout, objects.LayoutOf(declared));
+  MOOD_ASSERT_OK_AND_ASSIGN(size_t ordinal, layout->Ordinal(attr));
+  Result<MoodValue> by_name = objects.GetAttribute(oid, attr, cache);
+  Result<MoodValue> by_ordinal =
+      objects.GetAttributeByOrdinal(oid, *layout, static_cast<uint32_t>(ordinal), cache);
+  for (const Result<MoodValue>* got : {&by_name, &by_ordinal}) {
+    ASSERT_EQ(got->ok(), want.ok()) << got->status().ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got->status().code(), want.status().code()) << got->status().ToString();
+      continue;
+    }
+    EXPECT_EQ(got->value().kind(), want.value().kind());
+    EXPECT_TRUE(got->value().Equals(want.value()))
+        << got->value().ToString() << " vs " << want.value().ToString();
+  }
+}
+
+TEST_F(KernelFixture, InPlaceReadOfSubclassInstanceBehindReference) {
+  // A Hybrid lists Company's attribute first, so its inherited `weight` sits
+  // at ordinal 2, not at Vehicle's ordinal 1: the read must re-resolve by name.
+  Catalog::ClassDef hybrid;
+  hybrid.name = "Hybrid";
+  hybrid.supers = {"Company", "Vehicle"};
+  MOOD_ASSERT_OK(catalog_.Define(hybrid).status());
+  Catalog::ClassDef owner;
+  owner.name = "Owner";
+  owner.attributes.push_back({"vehicle", TypeDesc::Reference("Vehicle")});
+  MOOD_ASSERT_OK(catalog_.Define(owner).status());
+
+  MOOD_ASSERT_OK_AND_ASSIGN(
+      Oid h, objects_->CreateObject("Hybrid", MoodValue::Tuple({MoodValue::String("Prius"),
+                                                               MoodValue::Integer(4),
+                                                               MoodValue::Integer(1300)})));
+  MOOD_ASSERT_OK_AND_ASSIGN(
+      Oid o, objects_->CreateObject("Owner", MoodValue::Tuple({MoodValue::Reference(h)})));
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue ref, objects_->GetAttribute(o, "vehicle"));
+  ASSERT_EQ(ref.AsReference(), h);
+  MOOD_ASSERT_OK_AND_ASSIGN(AttributeLayoutPtr vehicle, objects_->LayoutOf("Vehicle"));
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w,
+                            objects_->GetAttributeByOrdinal(h, *vehicle, 1, nullptr));
+  EXPECT_EQ(w.AsInteger(), 1300);
+  for (const char* attr : {"id", "weight"}) {
+    ExpectInPlaceReadMatches(*objects_, h, "Vehicle", attr);
+  }
+  ExpectInPlaceReadMatches(*objects_, h, "Company", "name");
+  ExpectInPlaceReadMatches(*objects_, o, "Owner", "vehicle");
+  // A Car behind a Vehicle reference, and an attribute the instance lacks.
+  MOOD_ASSERT_OK_AND_ASSIGN(
+      Oid car, objects_->CreateObject(
+                   "Car", MoodValue::Tuple({MoodValue::Integer(1), MoodValue::Integer(900),
+                                            MoodValue::Reference(h)})));
+  ExpectInPlaceReadMatches(*objects_, car, "Vehicle", "weight");
+  ExpectInPlaceReadMatches(*objects_, car, "Car", "maker");
+  EXPECT_TRUE(objects_->GetAttribute(h, "maker").status().IsNotFound());
+}
+
+TEST_F(KernelFixture, InPlaceReadOfObjectOlderThanAnAddedAttribute) {
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid old, NewVehicle(1, 100));
+  MOOD_ASSERT_OK(catalog_.AddAttribute("Vehicle", {"color", TypeDesc::SizedString(16)}));
+  MOOD_ASSERT_OK(
+      catalog_.AddAttribute("Vehicle", {"tags", TypeDesc::Set(TypeDesc::SizedString(8))}));
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid fresh, NewVehicle(2, 200));
+  for (Oid oid : {old, fresh}) {
+    for (const char* attr : {"id", "weight", "color", "tags"}) {
+      ExpectInPlaceReadMatches(*objects_, oid, "Vehicle", attr);
+    }
+  }
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue c, objects_->GetAttribute(old, "color"));
+  EXPECT_EQ(c.AsString(), "");
+}
+
+TEST_F(KernelFixture, InPlaceReadFollowsAForwardedRecord) {
+  Catalog::ClassDef note;
+  note.name = "Note";
+  note.attributes.push_back({"text", TypeDesc::Basic(BasicType::kString)});
+  note.attributes.push_back({"rank", TypeDesc::Basic(BasicType::kInteger)});
+  MOOD_ASSERT_OK(catalog_.Define(note).status());
+  auto make = [&](std::string text, int32_t rank) {
+    return objects_->CreateObject(
+        "Note", MoodValue::Tuple({MoodValue::String(std::move(text)), MoodValue::Integer(rank)}));
+  };
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid small, make("x", 1));
+  MOOD_ASSERT_OK(make(std::string(3500, 'b'), 2).status());
+  // The grown record no longer fits its home page: it moves behind a stub.
+  MOOD_ASSERT_OK(objects_->SetAttribute(small, "text", MoodValue::String(std::string(1000, 'a'))));
+  MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * file, storage_.GetFile(small.file));
+  const HeapFile::OpStats before = file->op_stats();
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue rank, objects_->GetAttribute(small, "rank"));
+  EXPECT_EQ(rank.AsInteger(), 1);
+  const HeapFile::OpStats after = file->op_stats();
+  EXPECT_EQ(after.record_reads, before.record_reads + 1);
+  EXPECT_EQ(after.forward_chases, before.forward_chases + 1);
+  for (const char* attr : {"text", "rank"}) {
+    ExpectInPlaceReadMatches(*objects_, small, "Note", attr);
+  }
+}
+
+TEST_F(KernelFixture, InPlaceReadOfADeletedObjectIsNotFound) {
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 100));
+  MOOD_ASSERT_OK(objects_->DeleteObject(oid));
+  EXPECT_TRUE(objects_->GetAttribute(oid, "weight").status().IsNotFound());
+  ExpectInPlaceReadMatches(*objects_, oid, "Vehicle", "weight");
+  EXPECT_TRUE(objects_->GetAttribute(Oid{}, "weight").status().IsInvalidArgument());
+}
+
+TEST_F(KernelFixture, SnapshotReadOverAPendingChainServesThePreImage) {
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid untouched, NewVehicle(2, 700));
+  // An open batch rewrites the object; a snapshot pinned now must still see
+  // the pre-image, the heap already holds the new value.
+  const uint64_t batch = versions_.BeginBatch();
+  MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(2000), nullptr, batch));
+  PendingSlots pending{};
+  const uint64_t csn = versions_.PinSnapshot(&pending);
+  DerefCache cache;
+  cache.SetSnapshot(SnapshotView{&versions_, csn});
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
+  EXPECT_EQ(w.AsInteger(), 1200);
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue heap, objects_->GetAttribute(oid, "weight"));
+  EXPECT_EQ(heap.AsInteger(), 2000);
+  for (Oid o : {oid, untouched}) {
+    ExpectInPlaceReadMatches(*objects_, o, "Vehicle", "weight", &cache);
+    ExpectInPlaceReadMatches(*objects_, o, "Vehicle", "weight");
+  }
+  versions_.UnpinSnapshot(csn);
+  versions_.CommitBatch(batch);
+}
+
+// MoodValue::Skip must step over exactly the bytes Decode consumes, for
+// every value kind, and reject every truncation without reading past it.
+MoodValue AnyValue(Random* rng, int depth) {
+  switch (rng->Uniform(depth > 0 ? 11 : 8)) {
+    case 0: return MoodValue::Null();
+    case 1: return MoodValue::Integer(static_cast<int32_t>(rng->Range(-1000, 1000)));
+    case 2: return MoodValue::Float(rng->NextDouble() * 100);
+    case 3: return MoodValue::LongInteger(rng->Range(-100000, 100000));
+    case 4: return MoodValue::String(std::string(rng->Uniform(20), 's'));
+    case 5: return MoodValue::Char(static_cast<char>('a' + rng->Uniform(26)));
+    case 6: return MoodValue::Boolean(rng->OneIn(2));
+    case 7: {
+      Oid o;
+      o.file = static_cast<uint16_t>(rng->Uniform(100));
+      o.page = static_cast<uint32_t>(rng->Uniform(10000));
+      o.slot = static_cast<uint16_t>(rng->Uniform(100));
+      return MoodValue::Reference(o);
+    }
+    default: {
+      MoodValue::ValueList elems;
+      const size_t n = rng->Uniform(5);
+      for (size_t i = 0; i < n; i++) elems.push_back(AnyValue(rng, depth - 1));
+      switch (rng->Uniform(3)) {
+        case 0: return MoodValue::Tuple(std::move(elems));
+        case 1: return MoodValue::Set(std::move(elems));
+        default: return MoodValue::List(std::move(elems));
+      }
+    }
+  }
+}
+
+TEST(ValueSkipTest, SkipConsumesWhatDecodeConsumes) {
+  Random rng(20240611);
+  for (int i = 0; i < 300; i++) {
+    MoodValue v = AnyValue(&rng, 3);
+    std::string buf;
+    v.EncodeTo(&buf);
+    buf += "tail";  // a following value: neither may read into it
+    Slice decoded(buf), skipped(buf);
+    MOOD_ASSERT_OK(MoodValue::Decode(&decoded).status());
+    MOOD_ASSERT_OK(MoodValue::Skip(&skipped));
+    EXPECT_EQ(skipped.size(), decoded.size()) << v.ToString();
+    EXPECT_EQ(skipped.view(), "tail");
+    // Every proper prefix is truncated. Each is copied into a buffer of
+    // exactly its length, so a read past it is an out-of-bounds access the
+    // address sanitizer reports.
+    const size_t len = buf.size() - 4;
+    for (size_t cut = 0; cut < len; cut++) {
+      std::unique_ptr<char[]> prefix(new char[cut == 0 ? 1 : cut]);
+      std::memcpy(prefix.get(), buf.data(), cut);
+      Slice in(prefix.get(), cut);
+      Status st = MoodValue::Skip(&in);
+      EXPECT_TRUE(st.IsCorruption()) << v.ToString() << " cut at " << cut << ": "
+                                     << st.ToString();
+    }
+  }
+  Slice bad("\x7f");
+  EXPECT_TRUE(MoodValue::Skip(&bad).IsCorruption());
+  // A count no encoding of this length can hold is rejected up front, not
+  // trusted to size an allocation.
+  const std::string huge("\x07\xff\xff\xff\xff\x00", 6);
+  Slice for_skip(huge), for_decode(huge);
+  EXPECT_TRUE(MoodValue::Skip(&for_skip).IsCorruption());
+  EXPECT_TRUE(MoodValue::Decode(&for_decode).status().IsCorruption());
 }
 
 // --- Function Manager -------------------------------------------------------------

@@ -354,12 +354,25 @@ TEST_F(DerefCacheFixture, RepeatedFetchHitsTheCache) {
   EXPECT_EQ(v1.elements()[1].AsInteger(), 1200);
   EXPECT_EQ(v2.elements()[1].AsInteger(), 1200);
 
-  // GetAttribute and ClassOf share the same snapshot.
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
-  EXPECT_EQ(w.AsInteger(), 1200);
+  // ClassOf shares the cached record.
   MOOD_ASSERT_OK_AND_ASSIGN(std::string cls, objects_->ClassOf(oid, &cache));
   EXPECT_EQ(cls, "Vehicle");
+  EXPECT_EQ(cache.hits(), 2u);
+
+  // GetAttribute decodes its one field on the pinned page: it reads the
+  // record and leaves the cache's counters alone.
+  MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * file, storage_.GetFile(oid.file));
+  const uint64_t reads = file->op_stats().record_reads;
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
+  EXPECT_EQ(w.AsInteger(), 1200);
+  EXPECT_EQ(file->op_stats().record_reads, reads + 1);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // Fetch still hits after it.
+  MOOD_ASSERT_OK(objects_->Fetch(oid, &cache).status());
   EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(file->op_stats().record_reads, reads + 1);
 }
 
 TEST_F(DerefCacheFixture, WriteToClassInvalidatesCachedObjects) {

@@ -353,6 +353,17 @@ ScannedRecords ScanAll(const HeapFile& file) {
   return out;
 }
 
+/// HeapFile::ScanIds must produce the RecordIds of ScanAll, in its order.
+void ExpectScanIdsMatch(const HeapFile& file, const ScannedRecords& expected) {
+  std::vector<RecordId> ids, want;
+  MOOD_ASSERT_OK(file.ScanIds([&](RecordId rid) {
+    ids.push_back(rid);
+    return Status::OK();
+  }));
+  for (const auto& [rid, rec] : expected) want.push_back(rid);
+  EXPECT_EQ(ids, want);
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -429,6 +440,7 @@ TEST_F(HeapFileTest, ScanSeesAllLiveRecordsOnceInInsertOrder) {
   }
   ASSERT_GT(file_->page_count(), 2u);
   EXPECT_EQ(ScanAll(*file_), expected);
+  ExpectScanIdsMatch(*file_, expected);
 }
 
 TEST_F(HeapFileTest, ScanFollowsForwardsWithoutDuplicates) {
@@ -443,6 +455,11 @@ TEST_F(HeapFileTest, ScanFollowsForwardsWithoutDuplicates) {
   expected[1].second = std::string(2500, 'q');
   MOOD_ASSERT_OK(file_->Update(expected[1].first, expected[1].second));
   EXPECT_EQ(ScanAll(*file_), expected);
+  // ScanIds reports the moved record at its home slot without reading it.
+  const HeapFile::OpStats before = file_->op_stats();
+  ExpectScanIdsMatch(*file_, expected);
+  EXPECT_EQ(file_->op_stats().record_reads, before.record_reads);
+  EXPECT_EQ(file_->op_stats().forward_chases, before.forward_chases);
 }
 
 TEST_F(HeapFileTest, ScanPageHandsBackTheChainLink) {
