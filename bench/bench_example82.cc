@@ -129,7 +129,7 @@ int main() {
     Check(objects->ScanExtent("Vehicle", false, {},
                               [&](Oid oid, const MoodValue&) {
                                 return objects->ChaseRefs(
-                                    oid, {"drivetrain", "engine"}, nullptr,
+                                    oid, {"drivetrain", "engine"}, SnapshotView{},
                                     [&](Oid engine) -> Status {
                                       MOOD_ASSIGN_OR_RETURN(
                                           MoodValue v,

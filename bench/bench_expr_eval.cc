@@ -37,9 +37,7 @@ Result<std::vector<std::string>> InterpretedRows(Database* db, const std::string
   }
   const FromEntry& fe = select.from[0];
   const Evaluator& ev = *db->evaluator();
-  DerefCache cache;
   mood::testing::NaiveEnv env;
-  env.deref = &cache;
   std::vector<std::string> rows;
   MOOD_RETURN_IF_ERROR(db->objects()->ScanExtent(
       fe.class_name, fe.every, fe.excludes, [&](Oid oid, const MoodValue&) -> Status {
@@ -158,7 +156,7 @@ int main(int argc, char** argv) {
   t.Print();
   std::printf(
       "interpreted = the oracle interpreter over the scanned extent, no plan (the\n"
-      "bench_query_e2e naive loop, with the engine's deref-cache capacity);\n"
+      "bench_query_e2e naive loop);\n"
       "compiled = the whole uncached engine path, parse through projection.\n"
       "Scalar filters isolate the eval loop (slot load + arithmetic per row).\n"
       "Path-bound queries run the optimizer's plan, which may expand the path\n"

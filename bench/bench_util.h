@@ -175,7 +175,7 @@ class JsonReport {
 
 /// Folds a MetricsRegistry snapshot into `report` as an "engine_metrics"
 /// section, so --json artifacts carry the engine's counters (buffer-pool
-/// hit rates, record reads, deref-cache traffic, ...) alongside the timings
+/// hit rates, record reads, cache hits, ...) alongside the timings
 /// and BENCH_baseline.json can track both.
 inline void AddMetricsSnapshot(JsonReport* report, MetricsRegistry* metrics) {
   if (report == nullptr || metrics == nullptr) return;

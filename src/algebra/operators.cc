@@ -30,7 +30,7 @@ class PredicateStream {
 
   Status Flush() {
     if (batch_.nrows == 0) return Status::OK();
-    pred_.EvalPredicateBatch(batch_, nullptr, &scratch_);
+    pred_.EvalPredicateBatch(batch_, SnapshotView{}, &scratch_);
     for (size_t k = 0; k < batch_.ActiveRows(); k++) {
       if (scratch_.flags[k] == ExprProgram::kRowError) return scratch_.errors[k];
       if (scratch_.keep[k] == 0) continue;
@@ -375,7 +375,7 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
     for (Oid o : arg2.oids()) inner.insert(o.Pack());
     const std::vector<std::string> path = {ref_attr};
     for (Oid left : arg1.oids()) {
-      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(left, path, nullptr, [&](Oid right) {
+      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(left, path, SnapshotView{}, [&](Oid right) {
         if (inner.count(right.Pack()) > 0) emit(left, right);
         return Status::OK();
       }));

@@ -77,10 +77,7 @@ Status Database::Open(const std::string& path, const DatabaseOptions& options) {
   evaluator_ = std::make_unique<Evaluator>(objects_.get(), functions_.get());
   algebra_ = std::make_unique<MoodAlgebra>(objects_.get(), evaluator_.get());
   stats_ = std::make_unique<StatisticsManager>(objects_.get());
-  FeedbackOptions fopts;
-  fopts.max_entries = options.feedback_entries;
-  fopts.refresh_epoch_delta = options.stats_refresh_epoch_delta;
-  stats_->Configure(options.stats_histogram_buckets, fopts);
+  stats_->Configure(options.stats_refresh_epoch_delta);
   optimizer_ = std::make_unique<QueryOptimizer>(catalog_.get(), objects_.get(),
                                                 stats_.get(), options.optimizer);
   executor_ = std::make_unique<Executor>(
@@ -791,7 +788,7 @@ Result<ExecResult> Database::ExecNew(Session& s, const NewObjectStmt& stmt) {
       ExprProgram::BatchScratch scratch;
       MOOD_ASSIGN_OR_RETURN(v, ExprCompiler(evaluator_.get())
                                    .Compile(e, ExprCompileEnv{})
-                                   ->EvalRow(nullptr, 0, nullptr, &scratch));
+                                   ->EvalRow(nullptr, 0, SnapshotView{}, &scratch));
     }
     values.push_back(std::move(v));
   }
@@ -895,8 +892,8 @@ Result<ExecResult> Database::ExecUpdate(Session& s, const UpdateStmt& stmt) {
   }
   MOOD_ASSIGN_OR_RETURN(auto oids, MatchingObjects(stmt.class_name, stmt.var, stmt.where));
   // One program per assignment, compiled once for the statement (a literal
-  // folds to a constant) and run per object at batch size 1 without a Deref
-  // cache, so a later assignment reads what an earlier one wrote.
+  // folds to a constant) and run per object at batch size 1 on the latest
+  // state, so a later assignment reads what an earlier one wrote.
   std::vector<std::unique_ptr<ExprProgram>> programs;
   {
     CommitGate::SharedGuard compile_gate(&versions_->gate());
@@ -919,7 +916,7 @@ Result<ExecResult> Database::ExecUpdate(Session& s, const UpdateStmt& stmt) {
       // nests on one thread).
       Result<MoodValue> v = [&]() -> Result<MoodValue> {
         CommitGate::SharedGuard eval_gate(&versions_->gate());
-        return programs[a]->EvalRow(&oid, 1, nullptr, &scratch);
+        return programs[a]->EvalRow(&oid, 1, SnapshotView{}, &scratch);
       }();
       if (!v.ok()) return v.status();
       MOOD_RETURN_IF_ERROR(objects_->SetAttribute(oid, stmt.assignments[a].first,

@@ -60,12 +60,6 @@ struct DatabaseOptions {
   double slow_query_ms = 250;
   /// Capacity of the slow-query ring buffer; older entries fall out first.
   size_t slow_query_log_size = 64;
-  /// Equi-depth histogram buckets built per numeric attribute by
-  /// CollectStatistics / ANALYZE (0 disables histograms).
-  size_t stats_histogram_buckets = 32;
-  /// Capacity of the feedback store of measured selectivities written back
-  /// from profiled executions (0 disables the feedback loop's store).
-  size_t feedback_entries = 256;
   /// Write-epoch churn on a class's extent file beyond which feedback entries
   /// are invalidated and collected statistics auto-refresh.
   uint64_t stats_refresh_epoch_delta = 256;
@@ -317,7 +311,7 @@ class Database {
 
   /// Parses and executes one MOODSQL statement.
   Result<ExecResult> Execute(const std::string& sql);
-  /// Same, with per-call options (threads, deref cache, profiling).
+  /// Same, with per-call options (threads, profiling).
   Result<ExecResult> Execute(const std::string& sql, const QueryOptions& options);
   /// Executes a ';'-separated script; returns the last statement's result.
   Result<ExecResult> ExecuteScript(const std::string& sql);

@@ -250,7 +250,7 @@ Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx
   // written since some pinned snapshot, and every such object has a version
   // chain. So the index answers for all other objects, and each chained
   // object of the scanned files is re-tested against the probes at its
-  // snapshot-visible value (read through the snapshot-bound cache): one
+  // snapshot-visible value (read through the statement's snapshot): one
   // deleted after the pin comes back, one created after it reads NotFound
   // and stays out. This is sound because the statement holds the commit
   // gate shared, so no writer moves the heap, the indexes or the chains
@@ -276,7 +276,8 @@ Result<std::vector<Oid>> Executor::RunIndexProbes(const PlanNode& node, Ctx& ctx
     bool keep = true;
     for (size_t p = 0; p < node.probes.size() && keep; p++) {
       const IndexProbe& probe = node.probes[p];
-      Result<MoodValue> v = objects_->GetAttribute(oid, probe.index.attribute, ctx.cache);
+      Result<MoodValue> v =
+          objects_->GetAttribute(oid, probe.index.attribute, ctx.snapshot);
       if (!v.ok()) {
         if (!v.status().IsNotFound()) return v.status();
         keep = false;
@@ -360,7 +361,7 @@ Status Executor::FilterBatch(const std::vector<ExprProgramPtr>& programs,
     const size_t n = batch->ActiveRows();
     if (n == 0) break;
     survivors.clear();
-    program->EvalPredicateBatch(*batch, ctx.cache, &scratch);
+    program->EvalPredicateBatch(*batch, ctx.snapshot, &scratch);
     for (size_t k = 0; k < n; k++) {
       uint32_t row = batch->RowAt(k);
       if (row >= err_row) break;
@@ -425,7 +426,7 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     // The BJI maps the *latest* reference values. Under a snapshot with live
     // version chains on the left extent the refs may have changed since the
     // pin, so fall through to the chase path, which reads references through
-    // the snapshot-aware deref cache.
+    // the statement's snapshot.
     MOOD_ASSIGN_OR_RETURN(bool stale,
                           SnapshotScanHasVersions(node.left->from, ctx.snapshot));
     if (stale) use_bji = false;
@@ -487,7 +488,7 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     for (size_t k = 0; k < lb.ActiveRows(); k++) {
       lb.GatherRow(lb.RowAt(k), rowbuf.data());
       Oid from = rowbuf[static_cast<size_t>(ref_idx)];
-      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(from, node.ref_path, ctx.cache, probe));
+      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(from, node.ref_path, ctx.snapshot, probe));
     }
     return Status::OK();
   }));
@@ -669,26 +670,15 @@ Result<BatchSet> Executor::ExecutePlan(const PlanPtr& plan,
   std::map<std::string, FromEntry> range_vars;
   CollectRangeVars(*plan, &range_vars);
   ctx.range_vars = &range_vars;
-  DerefCache cache;
-  cache.SetSnapshot(ctx.snapshot);
-  ctx.cache = &cache;
-  Result<BatchSet> result = Exec(plan, ctx);
-  objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-  return result;
+  return Exec(plan, ctx);
 }
 
 Result<QueryResult> Executor::FinishSelect(const SelectStmt& stmt, BatchSet rows) const {
-  DerefCache cache;
-  Ctx ctx;
-  ctx.threads = threads_;
-  ctx.batch = batch_size_;
-  ctx.cache = &cache;
+  Ctx ctx = MakeCtx(ExecOptions{});
   std::map<std::string, FromEntry> range_vars;
   for (const FromEntry& fe : stmt.from) range_vars.emplace(fe.var, fe);
   ctx.range_vars = &range_vars;
-  Result<QueryResult> result = Finish(stmt, std::move(rows), ctx);
-  objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-  return result;
+  return Finish(stmt, std::move(rows), ctx);
 }
 
 void Executor::EvalColumn(const ExprProgram& prog, const BatchSet& bs, size_t limit,
@@ -704,7 +694,7 @@ void Executor::EvalColumn(const ExprProgram& prog, const BatchSet& bs, size_t li
   for (const RowBatch& b : bs.batches) {
     const size_t nb = b.ActiveRows();
     if (base >= limit) break;
-    prog.EvalBatch(b, ctx.cache, scratch);
+    prog.EvalBatch(b, ctx.snapshot, scratch);
     for (size_t k = 0; k < nb; k++) {
       size_t g = base + k;
       if (g >= limit) break;
@@ -868,20 +858,8 @@ Result<QueryResult> Executor::ExecuteSelect(const QueryOptimizer::Optimized& opt
   std::map<std::string, FromEntry> range_vars = optimized.bound.range_vars;
   if (optimized.plan != nullptr) CollectRangeVars(*optimized.plan, &range_vars);
   ctx.range_vars = &range_vars;
-  // One Deref cache per query: objects dereferenced while executing the plan
-  // stay warm for the projection/ORDER BY passes in Finish. Its hit/miss tally
-  // folds into the engine-wide objects.deref_cache.* metrics when it dies.
-  DerefCache cache;
-  cache.SetSnapshot(ctx.snapshot);
-  ctx.cache = &cache;
-  Result<BatchSet> bs = Exec(optimized.plan, ctx);
-  if (!bs.ok()) {
-    objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-    return bs.status();
-  }
-  Result<QueryResult> result = Finish(optimized.bound.stmt, std::move(bs).value(), ctx);
-  objects_->AccumulateDerefStats(cache.hits(), cache.misses());
-  return result;
+  MOOD_ASSIGN_OR_RETURN(BatchSet bs, Exec(optimized.plan, ctx));
+  return Finish(optimized.bound.stmt, std::move(bs), ctx);
 }
 
 }  // namespace mood

@@ -88,9 +88,8 @@ class Executor {
  public:
   /// `threads` (0 is treated as 1) and `batch_size` (0 is treated as 1) are
   /// the defaults for calls that do not override them through ExecOptions.
-  /// One Deref cache of DerefCache::kCapacity entries lives for the duration
-  /// of each ExecutePlan / ExecuteSelect call, carries the call's reader
-  /// snapshot, and is shared by all of that query's morsel workers.
+  /// Every object read of an ExecutePlan / ExecuteSelect call, on any of its
+  /// morsel workers, takes the call's reader snapshot.
   Executor(ObjectManager* objects, Evaluator* evaluator, MoodAlgebra* algebra,
            size_t threads, size_t batch_size)
       : objects_(objects),
@@ -133,7 +132,6 @@ class Executor {
   struct Ctx {
     size_t threads = 1;
     size_t batch = kDefaultBatchRows;  ///< rows per batch (>= 1)
-    DerefCache* cache = nullptr;
     QueryProfile* profile = nullptr;
     BufferPool* pool = nullptr;  ///< sampled for per-operator deltas when profiling
     /// Range-variable declarations for plan-time slot/class binding (owned by
@@ -144,8 +142,8 @@ class Executor {
     /// Compiled-program memo of the (cached) plan being executed; null
     /// compiles fresh per call.
     ProgramMemo* program_memo = nullptr;
-    /// Reader snapshot threaded down from ExecOptions (also attached to the
-    /// per-query DerefCache so every cached deref is snapshot-aware).
+    /// Reader snapshot threaded down from ExecOptions; every object read of
+    /// the call takes it.
     SnapshotView snapshot;
     /// MV delta restriction threaded down from ExecOptions (see bind_var).
     const std::string* bind_var = nullptr;
@@ -187,8 +185,7 @@ class Executor {
                      Ctx& ctx, std::vector<std::vector<MoodValue>>* cols) const;
 
   /// Resolves ExecOptions inherit-sentinels (threads, profiling pool handle)
-  /// against the executor defaults. The Deref cache lives on the call sites'
-  /// stack; they attach it.
+  /// against the executor defaults.
   Ctx MakeCtx(const ExecOptions& options) const;
 
   /// Slot/class bindings for compiling expressions over rows shaped `vars`.

@@ -232,7 +232,7 @@ void ExprCompiler::EmitCall(const PathStep& step, const ExprCompileEnv& env,
   prog->code_[guard].a = static_cast<uint32_t>(prog->code_.size());
 }
 
-void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
+void ExprProgram::EvalBatch(const RowBatch& batch, const SnapshotView& snap,
                             BatchScratch* s) const {
   const size_t n = batch.ActiveRows();
   s->flags.assign(n, kRowOk);
@@ -298,10 +298,10 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
   auto attr_of = [&](const MoodValue& v, const AttrRef& ar) -> Result<MoodValue> {
     if (v.kind() == ValueKind::kReference) {
       auto r = objects->GetAttributeByOrdinal(v.AsReference(), *ar.layout, ar.ordinal,
-                                              cache);
+                                              snap);
       if (r.ok() || !r.status().IsNotFound()) return r;
     }
-    return evaluator_->Step(v, ar.name, false, nullptr, cache);
+    return evaluator_->Step(v, ar.name, false, nullptr, snap);
   };
 
   for (size_t pc = 0; pc < code_.size(); pc++) {
@@ -394,7 +394,7 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         size_t w = 0;
         for (uint32_t k : live) {
           asked = false;
-          auto r = evaluator_->Step(val(c, k), cr.name, true, probe, cache);
+          auto r = evaluator_->Step(val(c, k), cr.name, true, probe, snap);
           if (asked) {
             live[w++] = k;
           } else if (!r.ok()) {
@@ -426,7 +426,7 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
         size_t w = 0;
         for (uint32_t k : live) {
           row = k;
-          auto r = evaluator_->Step(val(recv, k), cr.name, cr.is_call, args, cache);
+          auto r = evaluator_->Step(val(recv, k), cr.name, cr.is_call, args, snap);
           if (!r.ok()) {
             fail(k, r.status());
             continue;
@@ -564,18 +564,19 @@ void ExprProgram::EvalBatch(const RowBatch& batch, DerefCache* cache,
   }
 }
 
-Result<MoodValue> ExprProgram::EvalRow(const Oid* row, size_t nslots, DerefCache* cache,
+Result<MoodValue> ExprProgram::EvalRow(const Oid* row, size_t nslots,
+                                       const SnapshotView& snap,
                                        BatchScratch* scratch) const {
   RowBatch batch(nslots, 1);
   batch.PushRow(row, nslots);
-  EvalBatch(batch, cache, scratch);
+  EvalBatch(batch, snap, scratch);
   if (scratch->flags[0] == kRowError) return scratch->errors[0];
   return std::move(scratch->values[0]);
 }
 
-void ExprProgram::EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
+void ExprProgram::EvalPredicateBatch(const RowBatch& batch, const SnapshotView& snap,
                                      BatchScratch* s) const {
-  EvalBatch(batch, cache, s);
+  EvalBatch(batch, snap, s);
   const size_t n = batch.ActiveRows();
   s->keep.assign(n, 0);
   for (size_t k = 0; k < n; k++) {

@@ -118,17 +118,19 @@ class ExprProgram {
   /// per-row outcomes land in scratch->flags/values/errors, and the caller
   /// owns first-error ordering (walk the rows in selection order, exactly
   /// like the serial loop).
-  void EvalBatch(const RowBatch& batch, DerefCache* cache, BatchScratch* scratch) const;
+  /// Every object read takes the reader snapshot `snap` (`{}`: latest state).
+  void EvalBatch(const RowBatch& batch, const SnapshotView& snap,
+                 BatchScratch* scratch) const;
 
   /// EvalBatch over the single row `row[0..nslots)` (batch size 1): the row's
   /// value or its error.
-  Result<MoodValue> EvalRow(const Oid* row, size_t nslots, DerefCache* cache,
+  Result<MoodValue> EvalRow(const Oid* row, size_t nslots, const SnapshotView& snap,
                             BatchScratch* scratch) const;
 
   /// Predicate form of EvalBatch: scratch->keep[k] is set for kRowOk rows with
   /// the interpreter's truth rules (null => false); a value AsBool() rejects
   /// turns the row into kRowError, matching the interpreter oracle.
-  void EvalPredicateBatch(const RowBatch& batch, DerefCache* cache,
+  void EvalPredicateBatch(const RowBatch& batch, const SnapshotView& snap,
                           BatchScratch* scratch) const;
 
   /// Deterministic bytecode dump (golden-tested), e.g.

@@ -97,7 +97,7 @@ Result<MoodValue> DecodeField(Slice tuple, const AttributeLayout& layout, size_t
   return MoodValue::Decode(&tuple);
 }
 
-/// The snapshot visibility rule for one scanned extent record.
+/// The snapshot visibility rule for one object, shared by scans and reads.
 enum class Visibility {
   kHeap,      ///< serve the heap record
   kPreImage,  ///< updated since the snapshot: serve the version in `*v`
@@ -105,8 +105,7 @@ enum class Visibility {
 };
 
 Visibility VisibleAt(const SnapshotView& snap, Oid oid, VersionStore::Version* v) {
-  if (!snap.active() || !snap.versions->FileHasVersions(oid.file) ||
-      !snap.versions->VisibleVersion(oid, snap.csn, v)) {
+  if (!snap.Versioned(oid.file) || !snap.versions->VisibleVersion(oid, snap.csn, v)) {
     return Visibility::kHeap;
   }
   return v->absent ? Visibility::kHidden : Visibility::kPreImage;
@@ -139,80 +138,30 @@ Status EmitVisibleOid(uint32_t file, const SnapshotView& snap, RecordId rid,
   return VisibleAt(snap, oid, &v) == Visibility::kHidden ? Status::OK() : fn(oid);
 }
 
-/// Mixes an oid's packed bits (murmur3's finalizer): the top bits pick the
-/// stripe, the low bits the slot, so oids differing only in slot bits spread.
-uint64_t MixOid(uint64_t packed) {
-  packed ^= packed >> 33;
-  packed *= 0xff51afd7ed558ccdull;
-  packed ^= packed >> 33;
-  packed *= 0xc4ceb9fe1a85ec53ull;
-  return packed ^ (packed >> 33);
+/// VisibleAt for one object read: fills `*record` with the version `snap`
+/// sees when the version store decides it (NotFound for an object the
+/// snapshot does not see) and leaves `record->tuple` null when the heap record
+/// is the visible state. The version store answers first because it decides
+/// visibility for deleted objects (a heap read would report NotFound) and
+/// supplies pre-images of objects written after the snapshot. Read and
+/// ReadField call it only when SnapshotView::Versioned holds, so a read on a
+/// version-free file makes no call here.
+Status VersionAt(const SnapshotView& snap, Oid oid, ObjectRecord* record) {
+  VersionStore::Version v;
+  switch (VisibleAt(snap, oid, &v)) {
+    case Visibility::kHidden:
+      return Status::NotFound("object " + oid.ToString() + " not visible at reader snapshot");
+    case Visibility::kPreImage:
+      record->type_id = v.type_id;
+      record->tuple = std::move(v.tuple);
+      break;
+    case Visibility::kHeap:
+      break;
+  }
+  return Status::OK();
 }
 
 }  // namespace
-
-DerefCache::Slot& DerefCache::Probe(Stripe& stripe, uint64_t key, uint64_t hash) {
-  const size_t mask = stripe.slots.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = stripe.slots[i];
-    if (slot.record.tuple == nullptr || slot.key == key) return slot;
-  }
-}
-
-bool DerefCache::Lookup(Oid oid, uint64_t epoch, ObjectRecord* out) {
-  const uint64_t key = oid.Pack();
-  const uint64_t hash = MixOid(key);
-  Stripe& stripe = stripes_[hash >> 61];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (!stripe.slots.empty()) {
-    const Slot& slot = Probe(stripe, key, hash);
-    if (slot.record.tuple != nullptr && slot.epoch == epoch) {
-      *out = slot.record;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void DerefCache::Insert(Oid oid, uint64_t epoch, const ObjectRecord& record) {
-  const uint64_t misses = misses_.load(std::memory_order_relaxed);
-  if (misses > kProbation &&
-      hits_.load(std::memory_order_relaxed) * kMinHitShare < misses) {
-    return;
-  }
-  const uint64_t key = oid.Pack();
-  const uint64_t hash = MixOid(key);
-  Stripe& stripe = stripes_[hash >> 61];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  if (stripe.slots.empty()) stripe.slots.resize(kInitialSlots);
-  Slot* slot = &Probe(stripe, key, hash);
-  if (slot->record.tuple == nullptr) {
-    // A new entry: keep the table at most half full, doubling it up to the
-    // stripe's share of the capacity and emptying it once that is reached.
-    if (2 * (stripe.used + 1) > stripe.slots.size()) {
-      std::vector<Slot> old;
-      old.swap(stripe.slots);
-      stripe.used = 0;
-      if (old.size() < 2 * kStripeEntries) {
-        stripe.slots.resize(2 * old.size());
-        for (Slot& moved : old) {
-          if (moved.record.tuple == nullptr) continue;
-          Probe(stripe, moved.key, MixOid(moved.key)) = std::move(moved);
-          stripe.used++;
-        }
-      } else {
-        stripe.slots.resize(old.size());
-      }
-      slot = &Probe(stripe, key, hash);
-    }
-    stripe.used++;
-  }
-  slot->key = key;
-  slot->epoch = epoch;
-  slot->record = record;
-}
 
 Result<HeapFile*> ObjectManager::ExtentOf(const std::string& class_name) const {
   MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
@@ -284,32 +233,13 @@ bool ReadView::Current(uint16_t file) const {
   return Identifies(file) && objects_->WriteEpochOf(file) == EpochOf(file);
 }
 
-Result<ObjectRecord> ObjectManager::Read(Oid oid, DerefCache* cache) const {
+Result<ObjectRecord> ObjectManager::Read(Oid oid, const SnapshotView& snap) const {
   if (!oid.valid()) return Status::InvalidArgument("null object identifier");
-  // Epoch before the read: a write racing the read can at worst tag a fresh
-  // value with a pre-write epoch, which later lookups treat as stale.
-  uint64_t epoch = WriteEpochOf(oid.file);
   ObjectRecord record;
-  if (cache != nullptr && cache->Lookup(oid, epoch, &record)) return record;
-  // Version store first: it decides visibility for deleted objects (the heap
-  // read below would report NotFound) and supplies pre-images of objects
-  // written after the reader's snapshot.
-  if (cache != nullptr && cache->snapshot().active()) {
-    const SnapshotView& view = cache->snapshot();
-    if (view.versions->FileHasVersions(oid.file)) {
-      VersionStore::Version v;
-      if (view.versions->VisibleVersion(oid, view.csn, &v)) {
-        if (v.absent) {
-          return Status::NotFound("object " + oid.ToString() +
-                                  " not visible at reader snapshot");
-        }
-        record.type_id = v.type_id;
-        record.tuple = std::move(v.tuple);
-        cache->Insert(oid, epoch, record);
-        return record;
-      }
-    }
+  if (snap.Versioned(oid.file)) {
+    MOOD_RETURN_IF_ERROR(VersionAt(snap, oid, &record));
   }
+  if (record.tuple != nullptr) return record;
   MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
   MOOD_RETURN_IF_ERROR(file->Visit(RecordId{oid.page, oid.slot}, [&](Slice rec) {
     MOOD_ASSIGN_OR_RETURN(auto decoded, DecodeObjectRecord(rec));
@@ -317,12 +247,11 @@ Result<ObjectRecord> ObjectManager::Read(Oid oid, DerefCache* cache) const {
     record.tuple = std::make_shared<const MoodValue>(std::move(decoded.second));
     return Status::OK();
   }));
-  if (cache != nullptr) cache->Insert(oid, epoch, record);
   return record;
 }
 
-Result<MoodValue> ObjectManager::Fetch(Oid oid, DerefCache* cache) const {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+Result<MoodValue> ObjectManager::Fetch(Oid oid, const SnapshotView& snap) const {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, snap));
   return *record.tuple;
 }
 
@@ -332,8 +261,8 @@ Result<std::string> ObjectManager::ClassNameOf(TypeId type_id) const {
   return name;
 }
 
-Result<std::string> ObjectManager::ClassOf(Oid oid, DerefCache* cache) const {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
+Result<std::string> ObjectManager::ClassOf(Oid oid, const SnapshotView& snap) const {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, snap));
   return ClassNameOf(record.type_id);
 }
 
@@ -395,8 +324,8 @@ Status ObjectManager::DeleteObject(Oid oid, PageWriteLogger* wal,
 }
 
 Result<MoodValue> ObjectManager::GetAttribute(Oid oid, const std::string& attr,
-                                              DerefCache* cache) const {
-  return ReadField(oid, nullptr, 0, attr, cache);
+                                              const SnapshotView& snap) const {
+  return ReadField(oid, nullptr, 0, attr, snap);
 }
 
 Result<AttributeLayoutPtr> ObjectManager::LayoutOf(const std::string& class_name) const {
@@ -445,13 +374,13 @@ Result<AttributeLayoutPtr> ObjectManager::LayoutOf(TypeId type_id) const {
 Result<MoodValue> ObjectManager::GetAttributeByOrdinal(Oid oid,
                                                        const AttributeLayout& expected,
                                                        uint32_t ordinal,
-                                                       DerefCache* cache) const {
-  return ReadField(oid, &expected, ordinal, expected.attrs[ordinal].name, cache);
+                                                       const SnapshotView& snap) const {
+  return ReadField(oid, &expected, ordinal, expected.attrs[ordinal].name, snap);
 }
 
 Result<MoodValue> ObjectManager::ReadField(Oid oid, const AttributeLayout* expected,
                                            uint32_t ordinal, const std::string& name,
-                                           DerefCache* cache) const {
+                                           const SnapshotView& snap) const {
   if (!oid.valid()) return Status::InvalidArgument("null object identifier");
   // Where the attribute sits in an instance of `type_id`. A subclass instance
   // behind a statically-typed reference has its own flattened layout, which
@@ -465,13 +394,13 @@ Result<MoodValue> ObjectManager::ReadField(Oid oid, const AttributeLayout* expec
     MOOD_ASSIGN_OR_RETURN(size_t pos, actual->Ordinal(name));
     return std::make_pair(actual.get(), pos);
   };
-  if (cache != nullptr && cache->snapshot().active() &&
-      cache->snapshot().versions->FileHasVersions(oid.file)) {
-    // Chains at the reader's snapshot: the visible state may be a pre-image
-    // (or a deleted object), which only Read's snapshot rule serves.
-    MOOD_ASSIGN_OR_RETURN(ObjectRecord record, Read(oid, cache));
-    MOOD_ASSIGN_OR_RETURN(auto at, locate(record.type_id));
-    return FieldOf(record, *at.first, at.second);
+  ObjectRecord version;
+  if (snap.Versioned(oid.file)) {
+    MOOD_RETURN_IF_ERROR(VersionAt(snap, oid, &version));
+  }
+  if (version.tuple != nullptr) {
+    MOOD_ASSIGN_OR_RETURN(auto at, locate(version.type_id));
+    return FieldOf(version, *at.first, at.second);
   }
   MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
   MoodValue field;
@@ -516,13 +445,12 @@ Result<std::vector<PageId>> ObjectManager::ExtentPageIds(
 }
 
 Status ObjectManager::ScanExtentPage(
-    const std::string& class_name, PageId page, HeapFile::ScanCursor* cursor,
-    const SnapshotView& snap,
+    const std::string& class_name, PageId page, const SnapshotView& snap,
     const std::function<Status(Oid, const MoodValue&)>& fn) const {
   MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
   MOOD_ASSIGN_OR_RETURN(HeapFile* extent, storage_->GetFile(type->extent_file));
   return extent
-      ->ScanPage(page, cursor,
+      ->ScanPage(page, nullptr,
                  [&](RecordId rid, const std::string& rec) {
                    return EmitVisible(type->extent_file, snap, rid, rec, fn);
                  })
@@ -839,23 +767,23 @@ Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
 }
 
 Status ObjectManager::ChaseRefs(Oid from, const std::vector<std::string>& path,
-                                DerefCache* cache,
+                                const SnapshotView& snap,
                                 const std::function<Status(Oid)>& fn) const {
-  return ChaseFrom(from, path, 0, cache, fn);
+  return ChaseFrom(from, path, 0, snap, fn);
 }
 
 Status ObjectManager::ChaseFrom(Oid oid, const std::vector<std::string>& path,
-                                size_t depth, DerefCache* cache,
+                                size_t depth, const SnapshotView& snap,
                                 const std::function<Status(Oid)>& fn) const {
   if (depth == path.size()) return fn(oid);
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, GetAttribute(oid, path[depth], cache));
+  MOOD_ASSIGN_OR_RETURN(MoodValue v, GetAttribute(oid, path[depth], snap));
   auto handle = [&](const MoodValue& r) -> Status {
     if (r.is_null()) return Status::OK();
     if (r.kind() != ValueKind::kReference) {
       return Status::TypeError("reference path step '" + path[depth] +
                                "' reached a non-reference value");
     }
-    return ChaseFrom(r.AsReference(), path, depth + 1, cache, fn);
+    return ChaseFrom(r.AsReference(), path, depth + 1, snap, fn);
   };
   if (v.IsCollection()) {
     for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
@@ -910,12 +838,6 @@ void ObjectManager::RegisterMetrics(MetricsRegistry* registry) const {
         out->emplace_back("objects.deleted",
                           static_cast<double>(
                               objects_deleted_.load(std::memory_order_relaxed)));
-        out->emplace_back(
-            "objects.deref_cache.hits",
-            static_cast<double>(deref_hits_.load(std::memory_order_relaxed)));
-        out->emplace_back(
-            "objects.deref_cache.misses",
-            static_cast<double>(deref_misses_.load(std::memory_order_relaxed)));
         out->emplace_back("objects.write_epochs", static_cast<double>(epochs));
         {
           std::lock_guard<std::mutex> lock(index_cache_mu_);

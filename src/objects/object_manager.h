@@ -21,92 +21,11 @@
 namespace mood {
 
 /// One decoded object record: the type id stored with the object and its
-/// attribute tuple, held behind shared_ptr<const MoodValue> so cache hits and
-/// parallel morsel workers share one immutable copy.
+/// attribute tuple, held behind shared_ptr<const MoodValue> so a pre-image
+/// served from the version store is shared, not copied.
 struct ObjectRecord {
   TypeId type_id = 0;
   std::shared_ptr<const MoodValue> tuple;
-};
-
-/// Per-query dereference cache: OID -> decoded object record. Whole-object
-/// reads (Fetch, ClassOf, a method's self value) of an object a query reads
-/// again become a memory lookup instead of a page pin + record decode.
-/// Attribute reads (GetAttribute) decode one field in place and bypass it,
-/// except under a snapshot whose file has version chains.
-///
-/// Staleness contract: every entry carries the write epoch of the object's
-/// extent file at fetch time (see ObjectManager::WriteEpochOf). Any write to
-/// that file bumps the epoch, so a lookup after an update in the same query
-/// sees an epoch mismatch and refetches — an update is always visible to the
-/// next Deref.
-///
-/// Capacity is the constant kCapacity. Each stripe is a flat open-addressing
-/// table that grows with use up to its share of the capacity and is emptied
-/// when a new entry finds it full: per-query lifetime makes recency tracking
-/// not worth its bookkeeping, and a flat table keeps a miss to one probe and
-/// no allocation.
-///
-/// Admission: retaining a decoded tuple until the statement ends costs more
-/// than the heap read it saves unless the object is read again. The cache
-/// admits every object for its first kProbation misses; after that it admits
-/// only while at least one lookup in kMinHitShare has hit. A statement that
-/// reads each object once (a filter over an extent, paths with no shared
-/// targets) stops retaining after the probation, one that re-reads keeps
-/// caching. Entries admitted earlier keep serving hits either way.
-///
-/// Thread safety: lock-striped; safe for concurrent Lookup/Insert from the
-/// executor's workers.
-class DerefCache {
- public:
-  /// Entries one query's cache holds at most.
-  static constexpr size_t kCapacity = 4096;
-  /// Misses after which admission depends on the hit share (see above).
-  static constexpr uint64_t kProbation = 64;
-  /// Admission continues while at least one lookup in this many has hit.
-  static constexpr uint64_t kMinHitShare = 8;
-
-  DerefCache() = default;
-  DerefCache(const DerefCache&) = delete;
-  DerefCache& operator=(const DerefCache&) = delete;
-
-  /// Returns true and fills `out` only when an entry for `oid` exists at
-  /// exactly `epoch`. A stale entry is a miss; the refetch's Insert replaces it.
-  bool Lookup(Oid oid, uint64_t epoch, ObjectRecord* out);
-
-  void Insert(Oid oid, uint64_t epoch, const ObjectRecord& record);
-
-  /// Attaches a reader snapshot: ObjectManager::Read (and every read built on
-  /// it) then serves the version visible at the snapshot instead of the
-  /// latest heap state. The cache is per-query, so one snapshot per cache is
-  /// exactly statement scope.
-  void SetSnapshot(const SnapshotView& view) { snapshot_ = view; }
-  const SnapshotView& snapshot() const { return snapshot_; }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
- private:
-  struct Slot {
-    uint64_t key = 0;  // Oid::Pack(); the slot is empty while record.tuple is null
-    uint64_t epoch = 0;
-    ObjectRecord record;
-  };
-  struct Stripe {
-    std::mutex mu;
-    std::vector<Slot> slots;  // power-of-two size, linear probing
-    size_t used = 0;
-  };
-  static constexpr size_t kStripes = 8;
-  static constexpr size_t kStripeEntries = kCapacity / kStripes;
-  static constexpr size_t kInitialSlots = 64;
-
-  /// The slot holding `key` in `stripe`, or the empty slot where it belongs.
-  static Slot& Probe(Stripe& stripe, uint64_t key, uint64_t hash);
-
-  SnapshotView snapshot_;
-  std::array<Stripe, kStripes> stripes_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 /// Immutable per-class attribute layout: the flattened AllAttributes view of
@@ -148,8 +67,8 @@ class ObjectManager {
  public:
   /// `versions` is the multi-version store (required): every object write
   /// runs under its exclusive CommitGate section and captures its pre-image
-  /// into it, and reads through a DerefCache with an attached SnapshotView
-  /// serve the version visible at that snapshot.
+  /// into it, and reads given an active SnapshotView serve the version
+  /// visible at that snapshot.
   ObjectManager(StorageManager* storage, Catalog* catalog, VersionStore* versions)
       : storage_(storage), catalog_(catalog), versions_(versions) {}
 
@@ -174,22 +93,21 @@ class ObjectManager {
                            PageWriteLogger* wal = nullptr, uint64_t version_batch = 0);
 
   /// Reads and decodes one whole object record: its type id and tuple.
-  /// Fetch, ClassOf, the write paths and versioned attribute reads all go
-  /// through it, so a caller that needs both the class and the tuple makes
-  /// one call. The record is decoded on its pinned page (HeapFile::Visit).
-  /// With a `cache` a hit costs no heap read and the cache's snapshot
-  /// decides visibility (see DerefCache for the staleness contract); a null
-  /// cache reads the latest heap state straight through. The epoch is
-  /// sampled before the heap read, so a racing write can only make the
-  /// cached entry look stale (a wasted refetch), never hide the new value.
-  Result<ObjectRecord> Read(Oid oid, DerefCache* cache = nullptr) const;
+  /// Fetch, ClassOf and the write paths all go through it, so a caller that
+  /// needs both the class and the tuple makes one call. Every read takes the
+  /// statement's reader snapshot `snap`: when it is active and the object's
+  /// file has version chains, the version store decides what the snapshot
+  /// sees (a pre-image, or NotFound for an object it does not see);
+  /// otherwise the record is decoded on its pinned page (HeapFile::Visit).
+  /// An inactive snapshot (`{}`) reads the latest state.
+  Result<ObjectRecord> Read(Oid oid, const SnapshotView& snap = {}) const;
 
   /// The algebra's Deref(oid) operator: the object's tuple.
-  Result<MoodValue> Fetch(Oid oid, DerefCache* cache = nullptr) const;
+  Result<MoodValue> Fetch(Oid oid, const SnapshotView& snap = {}) const;
 
   /// Class name of the object (the algebra's TypeId/isA support). Derived from
   /// the type id stored with every object.
-  Result<std::string> ClassOf(Oid oid, DerefCache* cache = nullptr) const;
+  Result<std::string> ClassOf(Oid oid, const SnapshotView& snap = {}) const;
 
   /// Replaces the whole attribute tuple (type-checked; indexes maintained).
   Status UpdateObject(Oid oid, MoodValue tuple, PageWriteLogger* wal = nullptr,
@@ -203,19 +121,16 @@ class ObjectManager {
                       uint64_t version_batch = 0);
 
   /// Attribute of an object by name (inherited attributes included); NotFound
-  /// when the object's class lacks it. Decodes only that field, in place on
-  /// the record's pinned page, and neither looks up nor fills the cache.
-  /// Only when the cache's snapshot is active and the object's file has
-  /// version chains does it go through Read, whose snapshot rule may serve a
-  /// pre-image.
+  /// when the object's class lacks it. Visibility follows Read's rule for
+  /// `snap`; when the heap record is the visible state, only that field is
+  /// decoded, in place on the record's pinned page.
   Result<MoodValue> GetAttribute(Oid oid, const std::string& attr,
-                                 DerefCache* cache = nullptr) const;
+                                 const SnapshotView& snap = {}) const;
 
   // --- Attribute layouts (compiled expression support) -------------------------
 
   /// Memoized flattened attribute layout of a class. Entries are invalidated
-  /// as a whole when Catalog::schema_epoch() moves (DDL), mirroring the
-  /// write-epoch mechanism the DerefCache uses for object data.
+  /// as a whole when Catalog::schema_epoch() moves (DDL).
   Result<AttributeLayoutPtr> LayoutOf(const std::string& class_name) const;
   Result<AttributeLayoutPtr> LayoutOf(TypeId type_id) const;
 
@@ -226,10 +141,13 @@ class ObjectManager {
   /// when that class lacks the attribute (callers fall back to interpretation).
   /// Reads in place as GetAttribute does.
   Result<MoodValue> GetAttributeByOrdinal(Oid oid, const AttributeLayout& expected,
-                                          uint32_t ordinal, DerefCache* cache) const;
+                                          uint32_t ordinal,
+                                          const SnapshotView& snap) const;
 
-  /// Write epoch of one extent file's slot (see DerefCache). Monotonically
-  /// increases on every object write to files sharing the slot (FileSlot).
+  /// Write epoch of one extent file's slot: the stamp cached plans, results
+  /// and materialized views are checked against (StampHolds, ReadView).
+  /// Monotonically increases on every object write to files sharing the slot
+  /// (FileSlot).
   uint64_t WriteEpochOf(uint16_t file) const {
     return write_epochs_[FileSlot(file)].load(std::memory_order_acquire);
   }
@@ -253,9 +171,7 @@ class ObjectManager {
   /// the scan. Records born after the snapshot are skipped,
   /// records updated since serve their visible pre-image, and objects deleted
   /// from the heap but visible at the snapshot are appended per class via
-  /// SnapshotLeftovers. The page-granular path (ScanExtentPage) omits the
-  /// leftover pass — parallel scans must run SnapshotLeftovers per class after
-  /// the page loop to match.
+  /// SnapshotLeftovers.
   Status ScanExtent(const std::string& class_name, bool include_subclasses,
                     const std::vector<std::string>& exclude, const SnapshotView& snap,
                     const std::function<Status(Oid, const MoodValue&)>& fn) const;
@@ -275,26 +191,16 @@ class ObjectManager {
       const std::string& class_name, bool include_subclasses,
       const std::vector<std::string>& exclude) const;
 
-  /// Page ids of one class's own extent, in scan (chain) order. Together with
-  /// ScanExtentPage this partitions ScanExtent into page-granular morsels:
-  /// scanning the listed pages in order yields exactly ScanExtent's sequence.
+  /// Page ids of one class's own extent, in scan (chain) order.
   Result<std::vector<PageId>> ExtentPageIds(const std::string& class_name) const;
 
   /// Scans the records homed on one extent page with the decode, forwarding
-  /// and snapshot visibility of ScanExtent (leftovers excluded). `cursor`
-  /// (may be null) drives readahead, one per logical scan of the class (see
-  /// HeapFile::ScanCursor). Concurrent-read safe for distinct or identical
-  /// pages while no writer mutates the extent.
+  /// and snapshot visibility of ScanExtent (leftovers excluded).
+  /// Concurrent-read safe for distinct or identical pages while no writer
+  /// mutates the extent.
   Status ScanExtentPage(const std::string& class_name, PageId page,
-                        HeapFile::ScanCursor* cursor, const SnapshotView& snap,
+                        const SnapshotView& snap,
                         const std::function<Status(Oid, const MoodValue&)>& fn) const;
-
-  /// The completion pass for snapshot scans over `class_name`'s own extent:
-  /// produces, in oid order, every object whose heap record is gone (deleted
-  /// by a later or uncommitted writer) but which is still visible at the
-  /// snapshot. A no-op for inactive snapshots or version-free files.
-  Status SnapshotLeftovers(const std::string& class_name, const SnapshotView& snap,
-                           const std::function<Status(Oid, const MoodValue&)>& fn) const;
 
   /// |C| for one class (own extent only or with subclasses).
   Result<uint64_t> ExtentCount(const std::string& class_name,
@@ -329,8 +235,9 @@ class ObjectManager {
   /// executor alike): follows `path` from `from`, calling `fn` for every
   /// object reached. Set/List-valued reference attributes fan out, a Null
   /// stops the branch, and any other non-reference value is a TypeError.
-  Status ChaseRefs(Oid from, const std::vector<std::string>& path, DerefCache* cache,
-                   const std::function<Status(Oid)>& fn) const;
+  /// Every hop reads through `snap` (see Read).
+  Status ChaseRefs(Oid from, const std::vector<std::string>& path,
+                   const SnapshotView& snap, const std::function<Status(Oid)>& fn) const;
 
   Catalog* catalog() const { return catalog_; }
   StorageManager* storage() const { return storage_; }
@@ -343,17 +250,9 @@ class ObjectManager {
   /// exclusively.
   Status UndoIndexWrites(uint64_t batch);
 
-  /// Folds one finished query's DerefCache hit/miss counts into the
-  /// engine-wide totals (called by the Executor when the per-query cache
-  /// dies); `objects.deref_cache.*` in the metrics registry.
-  void AccumulateDerefStats(uint64_t hits, uint64_t misses) const {
-    deref_hits_.fetch_add(hits, std::memory_order_relaxed);
-    deref_misses_.fetch_add(misses, std::memory_order_relaxed);
-  }
-
-  /// Registers the `objects.*` probe: created/deleted counters, accumulated
-  /// deref-cache totals, and the summed write epochs (total cache-invalidating
-  /// writes across all extent-file slots).
+  /// Registers the `objects.*` probe: created/deleted counters and the summed
+  /// write epochs (total cache-invalidating writes across all extent-file
+  /// slots).
   void RegisterMetrics(MetricsRegistry* registry) const;
 
  private:
@@ -371,7 +270,14 @@ class ObjectManager {
   /// GetAttributeByOrdinal: attribute `name`, at `ordinal` when the instance
   /// is of exactly `expected`'s class and re-resolved by name otherwise.
   Result<MoodValue> ReadField(Oid oid, const AttributeLayout* expected, uint32_t ordinal,
-                              const std::string& name, DerefCache* cache) const;
+                              const std::string& name, const SnapshotView& snap) const;
+
+  /// The completion pass for snapshot scans over `class_name`'s own extent:
+  /// produces, in oid order, every object whose heap record is gone (deleted
+  /// by a later or uncommitted writer) but which is still visible at the
+  /// snapshot. A no-op for inactive snapshots or version-free files.
+  Status SnapshotLeftovers(const std::string& class_name, const SnapshotView& snap,
+                           const std::function<Status(Oid, const MoodValue&)>& fn) const;
 
   /// Name of the class whose type id a record carries.
   Result<std::string> ClassNameOf(TypeId type_id) const;
@@ -382,10 +288,10 @@ class ObjectManager {
                  uint64_t version_batch);
 
   Status ChaseFrom(Oid oid, const std::vector<std::string>& path, size_t depth,
-                   DerefCache* cache, const std::function<Status(Oid)>& fn) const;
+                   const SnapshotView& snap, const std::function<Status(Oid)>& fn) const;
 
-  /// Called after any committed object write to `file`; invalidates cached
-  /// snapshots of every object in files sharing the epoch slot.
+  /// Called after any object write to `file`; moves the stamp of every file
+  /// sharing the epoch slot.
   void BumpWriteEpoch(uint16_t file) const {
     write_epochs_[FileSlot(file)].fetch_add(1, std::memory_order_acq_rel);
   }
@@ -404,16 +310,13 @@ class ObjectManager {
   VersionStore* versions_;
   /// Write observer (null in plain embedded use; see SetWriteObserver).
   WriteObserver write_observer_;
-  /// Per-file-slot write epochs backing the DerefCache staleness contract.
-  /// Slotted by file id so a write invalidates at class granularity (plus any
-  /// class whose extent file aliases the slot — a false invalidation, never a
-  /// false hit).
+  /// Per-file-slot write epochs (see WriteEpochOf). Slotted by file id so a
+  /// write invalidates at class granularity (plus any class whose extent file
+  /// aliases the slot — a false invalidation, never a false hit).
   mutable std::array<std::atomic<uint64_t>, kFileSlots> write_epochs_{};
   /// Engine-wide observability counters (relaxed atomics; see RegisterMetrics).
   mutable std::atomic<uint64_t> objects_created_{0};
   mutable std::atomic<uint64_t> objects_deleted_{0};
-  mutable std::atomic<uint64_t> deref_hits_{0};
-  mutable std::atomic<uint64_t> deref_misses_{0};
   /// Guards the lazily-populated index-handle caches below: parallel workers
   /// may race to open the same index (e.g. concurrent IndSel probes). The
   /// handles themselves are concurrent-read safe once opened.

@@ -14,13 +14,19 @@ class ObjectManager;
 /// A reader's multi-version snapshot: reconstruct object state as of commit
 /// sequence number `csn` using `versions` (see VersionStore's visibility
 /// rule). Inactive (null `versions`) means read-latest — the legacy embedded
-/// behavior. Carried by DerefCache so every cached read path is
-/// snapshot-aware without new parameters on each call.
+/// behavior. Every object read takes one (ObjectManager::Read and the reads
+/// built on it); a statement passes the one it pinned.
 struct SnapshotView {
   const VersionStore* versions = nullptr;
   uint64_t csn = 0;
 
   bool active() const { return versions != nullptr; }
+  /// True when the version store may decide what this snapshot sees of an
+  /// object in `file`: the snapshot is active and the file has version
+  /// chains. Otherwise the heap record is the visible state.
+  bool Versioned(uint16_t file) const {
+    return active() && versions->FileHasVersions(file);
+  }
 };
 
 /// One extent file a derived structure read, with its write epoch at stamp

@@ -3,8 +3,9 @@
 namespace mood {
 
 Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
-                                        const ArgsFn& args, DerefCache* deref) const {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord self, objects_->Read(receiver, deref));
+                                        const ArgsFn& args,
+                                        const SnapshotView& snap) const {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord self, objects_->Read(receiver, snap));
   // The memoized layout supplies the class name and the flattened attribute
   // list (and its name vector for the method context) without re-walking the
   // IS-A DAG per call; DDL invalidates it through the catalog's schema epoch.
@@ -29,13 +30,13 @@ Result<MoodValue> Evaluator::CallMethod(Oid receiver, const std::string& fname,
   ctx.self = receiver;
   ctx.self_value = &self_value;
   ctx.attr_names = &layout->names;
-  ctx.deref = [this, deref](Oid oid) { return objects_->Fetch(oid, deref); };
+  ctx.deref = [this, snap](Oid oid) { return objects_->Fetch(oid, snap); };
   return functions_->Invoke(cls, fname, ctx, std::move(arg_values));
 }
 
 Result<MoodValue> Evaluator::Step(const MoodValue& v, const std::string& name,
                                   bool is_call, const ArgsFn& args,
-                                  DerefCache* deref) const {
+                                  const SnapshotView& snap) const {
   auto apply_one = [&](const MoodValue& e) -> Result<MoodValue> {
     if (e.is_null()) return MoodValue::Null();
     if (e.kind() != ValueKind::kReference) {
@@ -43,12 +44,12 @@ Result<MoodValue> Evaluator::Step(const MoodValue& v, const std::string& name,
                                "' applied to a non-reference value");
     }
     Oid oid = e.AsReference();
-    if (is_call) return CallMethod(oid, name, args, deref);
+    if (is_call) return CallMethod(oid, name, args, snap);
     if (name == "self") return e;
     // Attribute access; a name that is not an attribute may be a parameterless
     // method (the paper allows `s.A` where A is a parameterless method).
-    auto attr = objects_->GetAttribute(oid, name, deref);
-    if (!attr.ok() && attr.status().IsNotFound()) return CallMethod(oid, name, {}, deref);
+    auto attr = objects_->GetAttribute(oid, name, snap);
+    if (!attr.ok() && attr.status().IsNotFound()) return CallMethod(oid, name, {}, snap);
     return attr;
   };
   if (!v.IsCollection()) return apply_one(v);

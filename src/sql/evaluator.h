@@ -33,9 +33,11 @@ class Evaluator {
   /// each element steps, Null results drop and collection results flatten
   /// into one Set. A reference reads the attribute, or calls the method; an
   /// attribute name the instance lacks may name a parameterless method.
-  /// Anything else is a TypeError.
+  /// Anything else is a TypeError. Every object read, the method's receiver
+  /// and its MethodContext::deref included, takes the reader snapshot `snap`
+  /// (`{}` reads the latest state).
   Result<MoodValue> Step(const MoodValue& v, const std::string& name, bool is_call,
-                         const ArgsFn& args, DerefCache* deref) const;
+                         const ArgsFn& args, const SnapshotView& snap) const;
 
   /// Compares with existential fan-out semantics: if either side is a
   /// collection, the comparison holds if any element pair does. Static so the
@@ -47,7 +49,7 @@ class Evaluator {
 
  private:
   Result<MoodValue> CallMethod(Oid receiver, const std::string& fname,
-                               const ArgsFn& args, DerefCache* deref) const;
+                               const ArgsFn& args, const SnapshotView& snap) const;
 
   ObjectManager* objects_;
   FunctionManager* functions_;

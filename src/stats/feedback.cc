@@ -58,10 +58,9 @@ void CostCalibration::Reset() {
   probed_ = false;
 }
 
-void FeedbackStore::Configure(const FeedbackOptions& opts) {
+void FeedbackStore::Configure(uint64_t refresh_epoch_delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  refresh_epoch_delta_ = opts.refresh_epoch_delta;
-  lru_.SetCapacity(opts.max_entries);
+  refresh_epoch_delta_ = refresh_epoch_delta;
 }
 
 void FeedbackStore::Record(const std::string& sig, double selectivity,

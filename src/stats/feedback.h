@@ -9,11 +9,6 @@
 
 namespace mood {
 
-struct FeedbackOptions {
-  size_t max_entries = 256;           ///< LRU capacity
-  uint64_t refresh_epoch_delta = 256; ///< write-epoch churn before invalidation
-};
-
 /// Running means of measured per-operation costs (ms per extent page, per
 /// dereference, per predicate evaluation). The first samples come from one
 /// bounded probe (StatisticsManager::ProbeCalibration), and profiled
@@ -55,13 +50,19 @@ class CostCalibration {
 /// traffic.
 class FeedbackStore {
  public:
+  /// Entries the store holds at most.
+  static constexpr size_t kEntries = 256;
+
   struct Entry {
     double selectivity = 0;
     uint64_t schema_epoch = 0;
     TouchedExtent extent;  ///< the predicate's extent file at record time
   };
 
-  void Configure(const FeedbackOptions& opts);
+  FeedbackStore() { lru_.SetCapacity(kEntries); }
+
+  /// Write-epoch churn an entry tolerates before Lookup drops it.
+  void Configure(uint64_t refresh_epoch_delta);
 
   void Record(const std::string& sig, double selectivity, uint64_t schema_epoch,
               uint16_t file, uint64_t write_epoch);
@@ -76,7 +77,7 @@ class FeedbackStore {
 
  private:
   mutable std::mutex mu_;
-  uint64_t refresh_epoch_delta_ = 0;
+  uint64_t refresh_epoch_delta_ = 256;
   LruCache<Entry> lru_;
 };
 

@@ -23,7 +23,7 @@ bool StatisticsManager::ProbeCalibration(const std::string& cls) {
   for (size_t i = 0; i < npages; i++) {
     const uint64_t start = ProfileNowNs();
     Status st = objects_->ScanExtentPage(
-        cls, pages.value()[i], /*cursor=*/nullptr, SnapshotView{},
+        cls, pages.value()[i], SnapshotView{},
         [&](Oid oid, const MoodValue& tuple) {
           rows.push_back(Row{oid, tuple.size() > 0 ? tuple.elements()[0] : MoodValue()});
           return Status::OK();
@@ -144,10 +144,10 @@ Status StatisticsManager::Collect(const std::string& class_name) {
       if (s.has_range) {
         s.max_val = attr_acc[i].max_val;
         s.min_val = attr_acc[i].min_val;
-        if (histogram_buckets_ > 0 && !attr_acc[i].values.empty()) {
+        if (!attr_acc[i].values.empty()) {
           s.histogram = std::make_shared<const EquiDepthHistogram>(
               EquiDepthHistogram::Build(std::move(attr_acc[i].values),
-                                        histogram_buckets_));
+                                        kHistogramBuckets));
         }
       }
       attributes_[{class_name, attrs[i].name}] = s;
@@ -171,11 +171,9 @@ Status StatisticsManager::Collect(const std::string& class_name) {
   return Status::OK();
 }
 
-void StatisticsManager::Configure(size_t histogram_buckets,
-                                  const FeedbackOptions& feedback) {
-  histogram_buckets_ = histogram_buckets;
-  feedback_opts_ = feedback;
-  feedback_.Configure(feedback);
+void StatisticsManager::Configure(uint64_t refresh_epoch_delta) {
+  refresh_epoch_delta_ = refresh_epoch_delta;
+  feedback_.Configure(refresh_epoch_delta);
 }
 
 bool StatisticsManager::ExtentEpoch(const std::string& cls,
@@ -219,7 +217,7 @@ void StatisticsManager::MaybeAutoRefresh(const std::string& cls) {
   if (StampHolds(stamp.schema_epoch, objects_->catalog()->schema_epoch(),
                  {&stamp.extent, 1},
                  [this](uint16_t file) { return objects_->WriteEpochOf(file); },
-                 feedback_opts_.refresh_epoch_delta)) {
+                 refresh_epoch_delta_)) {
     return;
   }
   if (Collect(cls).ok() && refreshes_) refreshes_->Add();

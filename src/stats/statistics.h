@@ -57,8 +57,12 @@ class StatisticsManager {
   /// Scans the class extent and recomputes class, attribute and reference stats.
   Status Collect(const std::string& class_name);
 
-  /// Histogram bucket target + feedback-store sizing, set once at Open.
-  void Configure(size_t histogram_buckets, const FeedbackOptions& feedback);
+  /// Equi-depth histogram buckets Collect builds per numeric attribute.
+  static constexpr size_t kHistogramBuckets = 32;
+
+  /// Write-epoch churn past which feedback entries are dropped and collected
+  /// statistics auto-refresh; set once at Open.
+  void Configure(uint64_t refresh_epoch_delta);
   /// Metrics hookup (nullptrs allowed; detach with nullptrs before registry
   /// teardown, matching the executor's pattern).
   void SetMetrics(MetricCounter* feedback_hits, MetricCounter* feedback_writes,
@@ -157,8 +161,7 @@ class StatisticsManager {
   std::map<std::pair<std::string, std::string>, ReferenceStats> references_;
   /// Epochs at the time of the last Collect(), only for collected classes.
   std::map<std::string, CollectEpochs> collected_;
-  size_t histogram_buckets_ = 32;
-  FeedbackOptions feedback_opts_;
+  uint64_t refresh_epoch_delta_ = 256;
   FeedbackStore feedback_;
   CostCalibration calibration_;
   MetricCounter* feedback_hits_ = nullptr;

@@ -399,7 +399,7 @@ TEST_F(BatchExecFixture, IntruderRowGetsTheInterpreterStatus) {
   for (size_t i = 3; i < 6; i++) batch.PushRow(&engines[i], 1);
 
   ExprProgram::BatchScratch scratch;
-  prog->EvalPredicateBatch(batch, nullptr, &scratch);
+  prog->EvalPredicateBatch(batch, SnapshotView{}, &scratch);
   ASSERT_EQ(scratch.flags.size(), 7u);
   for (size_t k = 0; k < 7; k++) {
     // Cross-check every row against the interpreter.
@@ -421,7 +421,7 @@ TEST_F(BatchExecFixture, IntruderRowGetsTheInterpreterStatus) {
   // deselected rows (including the intruder) are never touched.
   batch.sel = {0, 2, 4, 6};
   batch.sel_active = true;
-  prog->EvalPredicateBatch(batch, nullptr, &scratch);
+  prog->EvalPredicateBatch(batch, SnapshotView{}, &scratch);
   ASSERT_EQ(scratch.flags.size(), 4u);
   for (size_t k = 0; k < 4; k++) {
     EXPECT_EQ(scratch.flags[k], ExprProgram::kRowOk) << "live " << k;

@@ -82,7 +82,7 @@ class ExprCompileFixture : public ::testing::Test {
         for (size_t i = start; i < std::min(start + batch, extent.size()); i++) {
           b.PushRow(&extent[i], 1);
         }
-        prog->EvalBatch(b, nullptr, &scratch);
+        prog->EvalBatch(b, SnapshotView{}, &scratch);
         for (size_t k = 0; k < b.ActiveRows(); k++) {
           testing::NaiveEnv row_env;
           row_env.vars[fe.var] = extent[start + k];
@@ -647,7 +647,7 @@ TEST_F(ExprCompileFixture, SubclassInstanceResolvesByName) {
   ASSERT_GE(ord, 0);
   MOOD_ASSERT_OK_AND_ASSIGN(
       MoodValue cyl, om->GetAttributeByOrdinal(
-                         turbo, *layout, static_cast<uint32_t>(ord), nullptr));
+                         turbo, *layout, static_cast<uint32_t>(ord), SnapshotView{}));
   EXPECT_EQ(cyl.AsInteger(), 12);
 
   // Kernel level: the WHERE form reaches the TurboEngine through ordinals

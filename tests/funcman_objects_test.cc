@@ -202,7 +202,7 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
                    "Car", MoodValue::Tuple({MoodValue::Integer(1), MoodValue::Integer(900),
                                             MoodValue::Reference(company)})));
   std::vector<Oid> reached;
-  MOOD_ASSERT_OK(objects_->ChaseRefs(car, {"maker"}, nullptr, [&](Oid oid) {
+  MOOD_ASSERT_OK(objects_->ChaseRefs(car, {"maker"}, SnapshotView{}, [&](Oid oid) {
     reached.push_back(oid);
     return Status::OK();
   }));
@@ -211,8 +211,9 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue name, objects_->GetAttribute(reached[0], "name"));
   EXPECT_EQ(name.AsString(), "BMW");
   // A non-reference step is a TypeError.
-  EXPECT_TRUE(objects_->ChaseRefs(car, {"id"}, nullptr, [](Oid) { return Status::OK(); })
-                  .IsTypeError());
+  EXPECT_TRUE(
+      objects_->ChaseRefs(car, {"id"}, SnapshotView{}, [](Oid) { return Status::OK(); })
+          .IsTypeError());
 }
 
 // --- In-place attribute reads ----------------------------------------------------
@@ -220,8 +221,8 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
 // The whole-object reading of attribute `attr`: Read, then the instance's own
 // layout, with the default for a field the record predates.
 Result<MoodValue> FieldViaRead(const ObjectManager& objects, Oid oid,
-                               const std::string& attr, DerefCache* cache) {
-  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects.Read(oid, cache));
+                               const std::string& attr, const SnapshotView& snap) {
+  MOOD_ASSIGN_OR_RETURN(ObjectRecord record, objects.Read(oid, snap));
   MOOD_ASSIGN_OR_RETURN(AttributeLayoutPtr layout, objects.LayoutOf(record.type_id));
   MOOD_ASSIGN_OR_RETURN(size_t idx, layout->Ordinal(attr));
   if (idx >= record.tuple->size()) return layout->attrs[idx].type->DefaultValue();
@@ -233,14 +234,14 @@ Result<MoodValue> FieldViaRead(const ObjectManager& objects, Oid oid,
 // FieldViaRead returns: the same value, or an error with the same code.
 void ExpectInPlaceReadMatches(const ObjectManager& objects, Oid oid,
                               const std::string& declared, const std::string& attr,
-                              DerefCache* cache = nullptr) {
+                              const SnapshotView& snap = {}) {
   SCOPED_TRACE(declared + "." + attr + " of " + oid.ToString());
-  Result<MoodValue> want = FieldViaRead(objects, oid, attr, cache);
+  Result<MoodValue> want = FieldViaRead(objects, oid, attr, snap);
   MOOD_ASSERT_OK_AND_ASSIGN(AttributeLayoutPtr layout, objects.LayoutOf(declared));
   MOOD_ASSERT_OK_AND_ASSIGN(size_t ordinal, layout->Ordinal(attr));
-  Result<MoodValue> by_name = objects.GetAttribute(oid, attr, cache);
+  Result<MoodValue> by_name = objects.GetAttribute(oid, attr, snap);
   Result<MoodValue> by_ordinal =
-      objects.GetAttributeByOrdinal(oid, *layout, static_cast<uint32_t>(ordinal), cache);
+      objects.GetAttributeByOrdinal(oid, *layout, static_cast<uint32_t>(ordinal), snap);
   for (const Result<MoodValue>* got : {&by_name, &by_ordinal}) {
     ASSERT_EQ(got->ok(), want.ok()) << got->status().ToString();
     if (!want.ok()) {
@@ -275,7 +276,7 @@ TEST_F(KernelFixture, InPlaceReadOfSubclassInstanceBehindReference) {
   ASSERT_EQ(ref.AsReference(), h);
   MOOD_ASSERT_OK_AND_ASSIGN(AttributeLayoutPtr vehicle, objects_->LayoutOf("Vehicle"));
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w,
-                            objects_->GetAttributeByOrdinal(h, *vehicle, 1, nullptr));
+                            objects_->GetAttributeByOrdinal(h, *vehicle, 1, SnapshotView{}));
   EXPECT_EQ(w.AsInteger(), 1300);
   for (const char* attr : {"id", "weight"}) {
     ExpectInPlaceReadMatches(*objects_, h, "Vehicle", attr);
@@ -350,14 +351,13 @@ TEST_F(KernelFixture, SnapshotReadOverAPendingChainServesThePreImage) {
   MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(2000), nullptr, batch));
   PendingSlots pending{};
   const uint64_t csn = versions_.PinSnapshot(&pending);
-  DerefCache cache;
-  cache.SetSnapshot(SnapshotView{&versions_, csn});
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
+  const SnapshotView snap{&versions_, csn};
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", snap));
   EXPECT_EQ(w.AsInteger(), 1200);
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue heap, objects_->GetAttribute(oid, "weight"));
   EXPECT_EQ(heap.AsInteger(), 2000);
   for (Oid o : {oid, untouched}) {
-    ExpectInPlaceReadMatches(*objects_, o, "Vehicle", "weight", &cache);
+    ExpectInPlaceReadMatches(*objects_, o, "Vehicle", "weight", snap);
     ExpectInPlaceReadMatches(*objects_, o, "Vehicle", "weight");
   }
   versions_.UnpinSnapshot(csn);

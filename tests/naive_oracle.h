@@ -29,11 +29,12 @@
 
 namespace mood::testing {
 
-/// Bindings of range variables to objects for the current row, plus an
-/// optional Deref cache and the bound `?` parameter values.
+/// Bindings of range variables to objects for the current row, plus the
+/// reader snapshot every object read takes (inactive: latest state) and the
+/// bound `?` parameter values.
 struct NaiveEnv {
   std::map<std::string, Oid> vars;
-  DerefCache* deref = nullptr;
+  SnapshotView snapshot;
   const std::vector<MoodValue>* params = nullptr;
 };
 
@@ -61,7 +62,7 @@ inline Result<MoodValue> NaiveEvalPathFrom(const Evaluator& ev, Oid root,
       };
     }
     MOOD_ASSIGN_OR_RETURN(current,
-                          ev.Step(current, step.name, step.is_call, args, env.deref));
+                          ev.Step(current, step.name, step.is_call, args, env.snapshot));
     if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
   }
   return current;

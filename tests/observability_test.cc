@@ -157,7 +157,6 @@ TEST_F(ObsFixture, ComponentProbesReport) {
   EXPECT_GT(snap.ValueOf("exec.query_us.count", 0), 0);
   EXPECT_TRUE(snap.Has("funcman.cold_loads"));
   EXPECT_TRUE(snap.Has("lockman.acquires"));
-  EXPECT_TRUE(snap.Has("objects.deref_cache.hits"));
 }
 
 TEST_F(ObsFixture, SlowQueryRingBuffer) {

@@ -1,7 +1,7 @@
-// Tests for PR 2's kernel additions: the sharded buffer pool's shard
-// resolution and per-shard eviction accounting, scan readahead (prefetched
-// pages must be indistinguishable from demand-fetched ones), and the
-// per-query Deref cache with write-epoch invalidation.
+// Tests for the kernel read path: the sharded buffer pool's shard resolution
+// and per-shard eviction accounting, scan readahead (prefetched pages must be
+// indistinguishable from demand-fetched ones), and object reads (one record
+// read each, and every write visible to the next read).
 
 #include <gtest/gtest.h>
 
@@ -316,9 +316,9 @@ TEST(ExtentScanTest, ScanExtentReadsAnExtentLargerThanThePoolInOnePass) {
   }
 }
 
-// --- Deref cache -------------------------------------------------------------------
+// --- Object reads ------------------------------------------------------------------
 
-class DerefCacheFixture : public ::testing::Test {
+class ObjectReadFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     MOOD_ASSERT_OK(storage_.Open(dir_.Path("db")));
@@ -344,66 +344,7 @@ class DerefCacheFixture : public ::testing::Test {
   std::unique_ptr<ObjectManager> objects_;
 };
 
-TEST_F(DerefCacheFixture, RepeatedFetchHitsTheCache) {
-  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
-  DerefCache cache;
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v1, objects_->Fetch(oid, &cache));
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue v2, objects_->Fetch(oid, &cache));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(v1.elements()[1].AsInteger(), 1200);
-  EXPECT_EQ(v2.elements()[1].AsInteger(), 1200);
-
-  // ClassOf shares the cached record.
-  MOOD_ASSERT_OK_AND_ASSIGN(std::string cls, objects_->ClassOf(oid, &cache));
-  EXPECT_EQ(cls, "Vehicle");
-  EXPECT_EQ(cache.hits(), 2u);
-
-  // GetAttribute decodes its one field on the pinned page: it reads the
-  // record and leaves the cache's counters alone.
-  MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * file, storage_.GetFile(oid.file));
-  const uint64_t reads = file->op_stats().record_reads;
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
-  EXPECT_EQ(w.AsInteger(), 1200);
-  EXPECT_EQ(file->op_stats().record_reads, reads + 1);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Fetch still hits after it.
-  MOOD_ASSERT_OK(objects_->Fetch(oid, &cache).status());
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(file->op_stats().record_reads, reads + 1);
-}
-
-TEST_F(DerefCacheFixture, WriteToClassInvalidatesCachedObjects) {
-  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
-  DerefCache cache;
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue before, objects_->Fetch(oid, &cache));
-  EXPECT_EQ(before.elements()[1].AsInteger(), 1200);
-
-  uint64_t epoch_before = objects_->WriteEpochOf(oid.file);
-  MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(1500)));
-  EXPECT_GT(objects_->WriteEpochOf(oid.file), epoch_before);
-
-  // The cached snapshot is stale now; the fetch must see the new value.
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue after, objects_->Fetch(oid, &cache));
-  EXPECT_EQ(after.elements()[1].AsInteger(), 1500);
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight", &cache));
-  EXPECT_EQ(w.AsInteger(), 1500);
-}
-
-TEST_F(DerefCacheFixture, CachedAndUncachedReadsAgree) {
-  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(7, 900));
-  DerefCache cache;
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue cached, objects_->Fetch(oid, &cache));
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue plain, objects_->Fetch(oid));
-  EXPECT_EQ(cached.ToString(), plain.ToString());
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue ca, objects_->GetAttribute(oid, "id", &cache));
-  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue pa, objects_->GetAttribute(oid, "id"));
-  EXPECT_EQ(ca.AsInteger(), pa.AsInteger());
-}
-
-TEST_F(DerefCacheFixture, NullCacheReadsStraightThrough) {
+TEST_F(ObjectReadFixture, EachReadIsOneRecordRead) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(2, 800));
   MOOD_ASSERT_OK_AND_ASSIGN(HeapFile * file, storage_.GetFile(oid.file));
   const uint64_t before = file->op_stats().record_reads;
@@ -412,73 +353,38 @@ TEST_F(DerefCacheFixture, NullCacheReadsStraightThrough) {
   EXPECT_EQ(file->op_stats().record_reads, before + 1);
   EXPECT_EQ(record.type_id, catalog_.typeId("Vehicle"));
   EXPECT_EQ(record.tuple->elements()[1].AsInteger(), 800);
-  // Without a cache every read sees the latest heap state.
-  MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(900)));
+  // GetAttribute decodes its one field on the pinned page: one record read.
   MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight"));
-  EXPECT_EQ(w.AsInteger(), 900);
+  EXPECT_EQ(w.AsInteger(), 800);
+  EXPECT_EQ(file->op_stats().record_reads, before + 2);
+  // Fetch and ClassOf agree with Read.
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue tuple, objects_->Fetch(oid));
+  EXPECT_EQ(tuple.ToString(), record.tuple->ToString());
+  MOOD_ASSERT_OK_AND_ASSIGN(std::string cls, objects_->ClassOf(oid));
+  EXPECT_EQ(cls, "Vehicle");
 }
 
-ObjectRecord RecordOf(int32_t v) {
-  return ObjectRecord{1, std::make_shared<const MoodValue>(MoodValue::Integer(v))};
+TEST_F(ObjectReadFixture, ReadAfterUpdateSeesTheNewValue) {
+  MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(1, 1200));
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue before, objects_->Fetch(oid));
+  EXPECT_EQ(before.elements()[1].AsInteger(), 1200);
+
+  uint64_t epoch_before = objects_->WriteEpochOf(oid.file);
+  MOOD_ASSERT_OK(objects_->SetAttribute(oid, "weight", MoodValue::Integer(1500)));
+  EXPECT_GT(objects_->WriteEpochOf(oid.file), epoch_before);
+
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue after, objects_->Fetch(oid));
+  EXPECT_EQ(after.elements()[1].AsInteger(), 1500);
+  MOOD_ASSERT_OK_AND_ASSIGN(MoodValue w, objects_->GetAttribute(oid, "weight"));
+  EXPECT_EQ(w.AsInteger(), 1500);
 }
 
-Oid OidAt(uint32_t i) {
-  Oid oid;
-  oid.file = 3;
-  oid.page = i / 64;
-  oid.slot = static_cast<uint16_t>(i % 64);
-  return oid;
-}
-
-TEST(DerefCacheTest, HoldsAtMostItsCapacity) {
-  DerefCache cache;
-  const uint32_t n = 3 * DerefCache::kCapacity;
-  for (uint32_t i = 0; i < n; i++) cache.Insert(OidAt(i), 1, RecordOf(static_cast<int32_t>(i)));
-  size_t held = 0;
-  ObjectRecord out;
-  for (uint32_t i = 0; i < n; i++) {
-    if (!cache.Lookup(OidAt(i), 1, &out)) continue;
-    EXPECT_EQ(out.tuple->AsInteger(), static_cast<int32_t>(i));
-    held++;
-  }
-  EXPECT_GT(held, 0u);
-  EXPECT_LE(held, DerefCache::kCapacity);
-  // The latest entry is always held, and a stale epoch is a miss.
-  EXPECT_TRUE(cache.Lookup(OidAt(n - 1), 1, &out));
-  EXPECT_FALSE(cache.Lookup(OidAt(n - 1), 2, &out));
-}
-
-TEST(DerefCacheTest, LowReuseStopsAdmittingButKeepsEarlierEntries) {
-  DerefCache cache;
-  ObjectRecord out;
-  // Every read misses once: after the probation the cache stops retaining.
-  uint32_t next = 0;
-  for (; next <= DerefCache::kProbation; next++) {
-    EXPECT_FALSE(cache.Lookup(OidAt(next), 1, &out));
-    cache.Insert(OidAt(next), 1, RecordOf(static_cast<int32_t>(next)));
-  }
-  const Oid late = OidAt(next++);
-  EXPECT_FALSE(cache.Lookup(late, 1, &out));
-  cache.Insert(late, 1, RecordOf(-1));
-  EXPECT_FALSE(cache.Lookup(late, 1, &out));
-  // Objects admitted during the probation still serve hits...
-  EXPECT_TRUE(cache.Lookup(OidAt(0), 1, &out));
-  EXPECT_EQ(out.tuple->AsInteger(), 0);
-  // ...and once re-reads make up the hit share again, admission resumes.
-  while (cache.hits() * DerefCache::kMinHitShare < cache.misses()) {
-    ASSERT_TRUE(cache.Lookup(OidAt(0), 1, &out));
-  }
-  cache.Insert(late, 1, RecordOf(-1));
-  EXPECT_TRUE(cache.Lookup(late, 1, &out));
-}
-
-TEST_F(DerefCacheFixture, DeleteInvalidatesCachedObject) {
+TEST_F(ObjectReadFixture, ReadAfterDeleteIsNotFound) {
   MOOD_ASSERT_OK_AND_ASSIGN(Oid oid, NewVehicle(3, 700));
-  DerefCache cache;
-  MOOD_ASSERT_OK(objects_->Fetch(oid, &cache).status());
+  MOOD_ASSERT_OK(objects_->Fetch(oid).status());
   MOOD_ASSERT_OK(objects_->DeleteObject(oid));
-  // The stale snapshot must not resurrect the object.
-  EXPECT_FALSE(objects_->Fetch(oid, &cache).ok());
+  EXPECT_FALSE(objects_->Fetch(oid).ok());
+  EXPECT_FALSE(objects_->GetAttribute(oid, "weight").ok());
 }
 
 }  // namespace

@@ -40,17 +40,13 @@ inline Result<std::vector<Oid>> SnapshotProbeScan(ObjectManager* objects,
     keys.push_back(MakeIndexKey(probe.param >= 0 ? params[static_cast<size_t>(probe.param)]
                                                  : probe.constant));
   }
-  // Reads go through a per-statement cache carrying the snapshot, as the
-  // engine's do; what it checks is the probe, not the cache.
-  DerefCache cache;
-  cache.SetSnapshot(snap);
   std::vector<Oid> out;
   MOOD_RETURN_IF_ERROR(objects->ScanExtent(
       node.from.class_name, node.from.every, node.from.excludes, snap,
       [&](Oid oid, const MoodValue&) -> Status {
         for (size_t p = 0; p < node.probes.size(); p++) {
           Result<MoodValue> v =
-              objects->GetAttribute(oid, node.probes[p].index.attribute, &cache);
+              objects->GetAttribute(oid, node.probes[p].index.attribute, snap);
           if (!v.ok()) return v.status().IsNotFound() ? Status::OK() : v.status();
           if (!ProbeKeyMatches(MakeIndexKey(v.value()), node.probes[p].cmp, keys[p])) {
             return Status::OK();

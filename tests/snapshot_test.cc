@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "core/database.h"
+#include "core/paper_example.h"
 #include "core/session.h"
 #include "tests/snapshot_probe_oracle.h"
 #include "tests/test_util.h"
@@ -303,6 +304,67 @@ TEST(SnapshotProbeTest, AbortRestoresIndexEntries) {
   MOOD_ASSERT_OK(db.Execute("DELETE FROM Item x WHERE x.k = 2").status());
   EXPECT_EQ(probe("item_tag", 11), 1u);
   EXPECT_EQ(probe("item_k", 2), 0u);
+}
+
+/// Method calls read their receiver through the statement's snapshot. With
+/// v.lbweight() in WHERE and in the projection, a pinned reader keeps seeing
+/// the weights of its pin while one later update is committed and another
+/// is still pending. Small batches over several threads make the morsel
+/// workers share that snapshot.
+TEST(SnapshotMethodTest, MethodCallsSeeThePinnedState) {
+  TempDir dir;
+  Database db;
+  MOOD_ASSERT_OK(db.Open(dir.Path("mood")));
+  MOOD_ASSERT_OK(paperdb::CreatePaperSchema(&db));
+  for (int i = 0; i < 16; i++) {
+    MOOD_ASSERT_OK(db.Execute("NEW Vehicle <" + std::to_string(i) + ", " +
+                              std::to_string(1000 + 100 * i) + ">")
+                       .status());
+  }
+  const std::string sql =
+      "SELECT v.id, v.lbweight() FROM Vehicle v WHERE v.lbweight() > 3000";
+  QueryOptions q;
+  q.exec_threads = TestThreads();
+  q.batch_size = 2;
+  auto rows_of = [&](Session* s) {
+    std::vector<std::string> rows;
+    auto qr = s->Query(sql, q);
+    EXPECT_TRUE(qr.ok()) << qr.status().ToString();
+    if (!qr.ok()) return rows;
+    for (const auto& row : qr.value().rows) {
+      rows.push_back(row[0].ToString() + " " + row[1].ToString());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+
+  std::unique_ptr<Session> reader = db.CreateSession();
+  MOOD_ASSERT_OK(reader->BeginSnapshot());
+  const std::vector<std::string> pinned = rows_of(reader.get());
+  ASSERT_FALSE(pinned.empty());
+
+  // Committed after the pin: vehicle 10 drops below the filter.
+  std::unique_ptr<Session> writer = db.CreateSession();
+  {
+    MOOD_ASSERT_OK_AND_ASSIGN(TxnHandle txn, writer->Begin());
+    MOOD_ASSERT_OK(writer->Execute("UPDATE Vehicle v SET weight = 100 WHERE v.id = 10").status());
+    MOOD_ASSERT_OK(txn.Commit());
+  }
+  // Pending: vehicle 1 would pass the filter.
+  std::unique_ptr<Session> pending = db.CreateSession();
+  MOOD_ASSERT_OK_AND_ASSIGN(TxnHandle open, pending->Begin());
+  MOOD_ASSERT_OK(pending->Execute("UPDATE Vehicle v SET weight = 5000 WHERE v.id = 1").status());
+
+  EXPECT_EQ(rows_of(reader.get()), pinned);
+  // A fresh statement sees the committed update and not the pending one.
+  std::unique_ptr<Session> fresh = db.CreateSession();
+  std::vector<std::string> latest = rows_of(fresh.get());
+  EXPECT_EQ(latest.size() + 1, pinned.size());
+
+  MOOD_ASSERT_OK(open.Abort());
+  EXPECT_EQ(rows_of(reader.get()), pinned);
+  MOOD_ASSERT_OK(reader->EndSnapshot());
+  EXPECT_EQ(rows_of(reader.get()), latest);
 }
 
 // ---------------------------------------------------------------------------

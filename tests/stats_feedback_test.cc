@@ -103,18 +103,18 @@ TEST(EquiDepthHistogramTest, FractionLEInterpolatesAndIsMonotone) {
 
 TEST(FeedbackStoreTest, RecordLookupAndLRUEviction) {
   FeedbackStore store;
-  FeedbackOptions opts;
-  opts.max_entries = 3;
-  store.Configure(opts);
   store.Record("a", 0.1, /*schema=*/1, /*file=*/5, /*write=*/10);
   store.Record("b", 0.2, 1, 5, 10);
-  store.Record("c", 0.3, 1, 5, 10);
+  for (size_t i = 2; i < FeedbackStore::kEntries; i++) {
+    store.Record("fill" + std::to_string(i), 0.3, 1, 5, 10);
+  }
+  EXPECT_EQ(store.size(), FeedbackStore::kEntries);
   double sel = 0;
   ASSERT_TRUE(store.Lookup("a", 1, 5, 10, &sel));
   EXPECT_DOUBLE_EQ(sel, 0.1);
   // "b" is now least-recently-used; inserting "d" evicts it.
   store.Record("d", 0.4, 1, 5, 10);
-  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.size(), FeedbackStore::kEntries);
   EXPECT_FALSE(store.Lookup("b", 1, 5, 10, &sel));
   ASSERT_TRUE(store.Lookup("a", 1, 5, 10, &sel));
   ASSERT_TRUE(store.Lookup("d", 1, 5, 10, &sel));
@@ -122,7 +122,6 @@ TEST(FeedbackStoreTest, RecordLookupAndLRUEviction) {
 
 TEST(FeedbackStoreTest, SchemaEpochMismatchInvalidates) {
   FeedbackStore store;
-  store.Configure({});
   store.Record("sig", 0.5, /*schema=*/7, /*file=*/1, /*write=*/0);
   double sel = 0;
   EXPECT_FALSE(store.Lookup("sig", /*cur schema=*/8, 1, 0, &sel));
@@ -132,9 +131,7 @@ TEST(FeedbackStoreTest, SchemaEpochMismatchInvalidates) {
 
 TEST(FeedbackStoreTest, WriteEpochChurnInvalidates) {
   FeedbackStore store;
-  FeedbackOptions opts;
-  opts.refresh_epoch_delta = 16;
-  store.Configure(opts);
+  store.Configure(16);
   store.Record("sig", 0.5, 1, /*file=*/3, /*write=*/100);
   double sel = 0;
   // Within the churn budget: still valid.
