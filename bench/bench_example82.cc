@@ -129,8 +129,8 @@ int main() {
     Check(objects->ScanExtent("Vehicle", false, {},
                               [&](Oid oid, const MoodValue&) {
                                 return objects->ChaseRefs(
-                                    oid, {"drivetrain", "engine"}, SnapshotView{},
-                                    [&](Oid engine) -> Status {
+                                    {oid}, {"drivetrain", "engine"}, SnapshotView{},
+                                    [&](size_t, Oid engine) -> Status {
                                       MOOD_ASSIGN_OR_RETURN(
                                           MoodValue v,
                                           objects->GetAttribute(engine, "cylinders"));

@@ -189,10 +189,11 @@ int main() {
     t.Print();
     std::printf(
         "note: forward traversal, backward traversal and hash partitioning run\n"
-        "one reference chase in the executor, so they read the same pages; only\n"
-        "the binary join index probes differently. The modeled costs above price\n"
-        "the three access patterns of Section 6, which is what the optimizer\n"
-        "decides on.\n");
+        "one reference chase in the executor, so they read the same pages; it\n"
+        "reads each hop of a left batch in page order, pinning every page once.\n"
+        "Only the binary join index probes differently. The modeled costs above\n"
+        "price the three access patterns of Section 6, which is what the\n"
+        "optimizer decides on.\n");
   }
 
   {

@@ -369,17 +369,17 @@ Result<Collection> MoodAlgebra::Join(const Collection& arg1, const Collection& a
   } else if (!ref_attr.empty() && method != JoinMethod::kNestedLoop) {
     // Forward traversal, backward traversal and hash partitioning produce the
     // same pairs; they differ in the I/O pattern the cost model prices
-    // (Section 6). All three run the one reference chase for now.
+    // (Section 6). All three run the one reference chase, over the whole outer
+    // collection at once, for now.
     std::unordered_set<uint64_t> inner;
     inner.reserve(arg2.size());
     for (Oid o : arg2.oids()) inner.insert(o.Pack());
-    const std::vector<std::string> path = {ref_attr};
-    for (Oid left : arg1.oids()) {
-      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(left, path, SnapshotView{}, [&](Oid right) {
-        if (inner.count(right.Pack()) > 0) emit(left, right);
-        return Status::OK();
-      }));
-    }
+    const std::vector<Oid>& outer = arg1.oids();
+    MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(
+        outer, {ref_attr}, SnapshotView{}, [&](size_t i, Oid right) {
+          if (inner.count(right.Pack()) > 0) emit(outer[i], right);
+          return Status::OK();
+        }));
   } else {
     if (pred == nullptr) {
       return Status::InvalidArgument("nested-loop join requires a predicate");

@@ -467,7 +467,8 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
   // Forward / backward / hash-partition: all three run the object manager's
   // one reference chase and probe the inner side; the strategies differ in the
   // disk access pattern the cost model prices (Section 6). The chase side fans out
-  // one task per left batch. Output batches are ragged at task boundaries —
+  // one task per left batch, and each task chases its whole batch at once, hop by
+  // hop in page order. Output batches are ragged at task boundaries —
   // deterministic, because the input batch decomposition is.
   if (ctx.profile != nullptr) ctx.profile->morsels = left.batches.size();
   std::vector<BatchSet> partial(left.batches.size());
@@ -475,22 +476,19 @@ Result<BatchSet> Executor::ExecPointerJoin(const PlanNode& node, Ctx& ctx) const
     const RowBatch& lb = left.batches[m];
     BatchAppender out(&partial[m], ncols, ctx.batch);
     std::vector<Oid> rowbuf(ncols);
-    auto probe = [&](Oid reached) {
+    const Oid* refs = lb.col(static_cast<size_t>(ref_idx));
+    std::vector<Oid> from(lb.ActiveRows());
+    for (size_t k = 0; k < from.size(); k++) from[k] = refs[lb.RowAt(k)];
+    return objects_->ChaseRefs(from, node.ref_path, ctx.snapshot, [&](size_t k, Oid reached) {
       auto it = right_by_oid.find(reached.Pack());
-      if (it != right_by_oid.end()) {
-        for (size_t r : it->second) {
-          gather_right(r, rowbuf.data());
-          out.Push(rowbuf.data(), ncols);
-        }
+      if (it == right_by_oid.end()) return Status::OK();
+      lb.GatherRow(lb.RowAt(k), rowbuf.data());
+      for (size_t r : it->second) {
+        gather_right(r, rowbuf.data());
+        out.Push(rowbuf.data(), ncols);
       }
       return Status::OK();
-    };
-    for (size_t k = 0; k < lb.ActiveRows(); k++) {
-      lb.GatherRow(lb.RowAt(k), rowbuf.data());
-      Oid from = rowbuf[static_cast<size_t>(ref_idx)];
-      MOOD_RETURN_IF_ERROR(objects_->ChaseRefs(from, node.ref_path, ctx.snapshot, probe));
-    }
-    return Status::OK();
+    });
   }));
   for (auto& part : partial) {
     for (auto& b : part.batches) bs.batches.push_back(std::move(b));

@@ -292,16 +292,48 @@ void ExprProgram::EvalBatch(const RowBatch& batch, const SnapshotView& snap,
     live.swap(merged);
     s->parked.erase(s->parked.begin() + static_cast<ptrdiff_t>(first), s->parked.end());
   };
-  // The ordinal fast path serves a single reference; anything else (a Null, a
-  // collection to fan out, a non-reference, or an instance whose class lacks
-  // the attribute) takes the shared path step.
-  auto attr_of = [&](const MoodValue& v, const AttrRef& ar) -> Result<MoodValue> {
-    if (v.kind() == ValueKind::kReference) {
-      auto r = objects->GetAttributeByOrdinal(v.AsReference(), *ar.layout, ar.ordinal,
-                                              snap);
-      if (r.ok() || !r.status().IsNotFound()) return r;
+  // One attribute step over the live rows; `in(k)` is row k's input value.
+  // The references go to one grouped read (ObjectManager::ReadFields, in
+  // page order), which writes c.v[k] and s->errors[k]; any other value (a
+  // Null, a collection to fan out, a non-reference) and a reference whose
+  // class lacks the attribute (NotFound) take the shared path step. A live
+  // row's s->errors[k] is OK on entry: only `fail` sets it otherwise.
+  auto attr_step = [&](const AttrRef& ar, BatchScratch::Col& c, const auto& in) {
+    s->reads.clear();
+    for (uint32_t k : live) {
+      const MoodValue& v = in(k);
+      if (v.kind() == ValueKind::kReference) {
+        s->reads.push_back({v.AsReference(), k});
+        continue;
+      }
+      auto r = evaluator_->Step(v, ar.name, false, nullptr, snap);
+      if (r.ok()) {
+        c.v[k] = std::move(r).value();
+      } else {
+        fail(k, r.status());
+      }
     }
-    return evaluator_->Step(v, ar.name, false, nullptr, snap);
+    objects->ReadFields(s->reads, ar.layout.get(), ar.ordinal, ar.name, snap, c.v.data(),
+                        s->errors.data());
+    size_t w = 0;
+    for (uint32_t k : live) {
+      if (s->flags[k] == kRowError) continue;
+      if (s->errors[k].IsNotFound()) {
+        // ReadFields left c.v[k] (and so in(k)) untouched.
+        auto r = evaluator_->Step(in(k), ar.name, false, nullptr, snap);
+        if (!r.ok()) {
+          fail(k, r.status());
+          continue;
+        }
+        s->errors[k] = Status::OK();
+        c.v[k] = std::move(r).value();
+      } else if (!s->errors[k].ok()) {
+        s->flags[k] = kRowError;
+        continue;
+      }
+      live[w++] = k;
+    }
+    live.resize(w);
   };
 
   for (size_t pc = 0; pc < code_.size(); pc++) {
@@ -346,38 +378,17 @@ void ExprProgram::EvalBatch(const RowBatch& batch, const SnapshotView& snap,
         break;
       }
       case OpCode::kLoadAttr: {
-        const AttrRef& ar = attrs_[ins.b];
         BatchScratch::Col& c = push();
         const Oid* col = batch.col(ins.a);
-        size_t w = 0;
-        for (uint32_t k : live) {
-          auto r = attr_of(MoodValue::Reference(col[batch.RowAt(k)]), ar);
-          if (!r.ok()) {
-            fail(k, r.status());
-            continue;
-          }
-          c.v[k] = std::move(r).value();
-          live[w++] = k;
-        }
-        live.resize(w);
+        attr_step(attrs_[ins.b], c,
+                  [&](uint32_t k) { return MoodValue::Reference(col[batch.RowAt(k)]); });
         break;
       }
       case OpCode::kDerefAttr: {
-        const AttrRef& ar = attrs_[ins.b];
         BatchScratch::Col& c = s->stack[s->top - 1];
         if (c.v.size() < n) c.v.resize(n);
-        size_t w = 0;
-        for (uint32_t k : live) {
-          auto r = attr_of(val(c, k), ar);
-          if (!r.ok()) {
-            fail(k, r.status());
-            continue;
-          }
-          c.v[k] = std::move(r).value();
-          live[w++] = k;
-        }
+        attr_step(attrs_[ins.b], c, [&](uint32_t k) -> const MoodValue& { return val(c, k); });
         c.is_const = false;
-        live.resize(w);
         break;
       }
       case OpCode::kGuardCall: {

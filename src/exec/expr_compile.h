@@ -106,6 +106,7 @@ class ExprProgram {
     std::vector<uint32_t> live;
     std::vector<uint32_t> merged;  ///< rejoin buffer
     std::vector<Parked> parked;    ///< innermost jump last (regions nest)
+    std::vector<ObjectManager::FieldRead> reads;  ///< one path step's grouped read
     /// Bound `?` parameter values for this execution (null: none bound).
     const std::vector<MoodValue>* params = nullptr;
   };

@@ -161,6 +161,74 @@ Status VersionAt(const SnapshotView& snap, Oid oid, ObjectRecord* record) {
   return Status::OK();
 }
 
+/// Where one grouped read's attribute sits in instances of each type id it
+/// meets, resolved once per distinct type id. An instance of exactly
+/// `expected`'s class uses the bound ordinal; any other class (a subclass
+/// behind a statically-typed reference has its own flattened layout, which
+/// may order inherited attributes differently) re-resolves by name.
+class FieldLocator {
+ public:
+  FieldLocator(const ObjectManager& objects, const AttributeLayout* expected,
+               uint32_t ordinal, const std::string& name)
+      : objects_(objects), expected_(expected), ordinal_(ordinal), name_(name) {}
+
+  /// The field of an instance of `type_id` from its encoded tuple.
+  Result<MoodValue> Decode(TypeId type_id, Slice tuple) {
+    MOOD_ASSIGN_OR_RETURN(auto at, Locate(type_id));
+    return DecodeField(tuple, *at.first, at.second);
+  }
+  /// The field of a decoded record.
+  Result<MoodValue> Field(const ObjectRecord& record) {
+    MOOD_ASSIGN_OR_RETURN(auto at, Locate(record.type_id));
+    return FieldOf(record, *at.first, at.second);
+  }
+
+ private:
+  /// One resolved type id: its layout and the attribute's position in it
+  /// (null layout: LayoutOf failed; negative pos: the class lacks `name_`).
+  struct Entry {
+    TypeId type_id = kInvalidTypeId;
+    AttributeLayoutPtr layout;
+    int pos = -1;
+  };
+
+  Result<std::pair<const AttributeLayout*, size_t>> Locate(TypeId type_id) {
+    if (expected_ != nullptr && type_id == expected_->type_id) {
+      return std::make_pair(expected_, size_t{ordinal_});
+    }
+    const Entry& e = Find(type_id);
+    // The failures are rare: their statuses are rebuilt rather than kept.
+    if (e.layout == nullptr) return objects_.LayoutOf(type_id).status();
+    if (e.pos < 0) return e.layout->Ordinal(name_).status();
+    return std::make_pair(e.layout.get(), static_cast<size_t>(e.pos));
+  }
+
+  /// The entry of `type_id`, resolved through LayoutOf on first use. The
+  /// first lives inline, so a one-item read allocates nothing.
+  const Entry& Find(TypeId type_id) {
+    if (count_ > 0 && first_.type_id == type_id) return first_;
+    for (const Entry& e : more_) {
+      if (e.type_id == type_id) return e;
+    }
+    Entry& e = count_++ == 0 ? first_ : more_.emplace_back();
+    e.type_id = type_id;
+    Result<AttributeLayoutPtr> layout = objects_.LayoutOf(type_id);
+    if (layout.ok()) {
+      e.layout = std::move(layout).value();
+      e.pos = e.layout->OrdinalOf(name_);
+    }
+    return e;
+  }
+
+  const ObjectManager& objects_;
+  const AttributeLayout* expected_;
+  uint32_t ordinal_;
+  const std::string& name_;
+  Entry first_;
+  std::vector<Entry> more_;  // distinct type ids after the first
+  size_t count_ = 0;
+};
+
 }  // namespace
 
 Result<HeapFile*> ObjectManager::ExtentOf(const std::string& class_name) const {
@@ -381,37 +449,85 @@ Result<MoodValue> ObjectManager::GetAttributeByOrdinal(Oid oid,
 Result<MoodValue> ObjectManager::ReadField(Oid oid, const AttributeLayout* expected,
                                            uint32_t ordinal, const std::string& name,
                                            const SnapshotView& snap) const {
-  if (!oid.valid()) return Status::InvalidArgument("null object identifier");
-  // Where the attribute sits in an instance of `type_id`. A subclass instance
-  // behind a statically-typed reference has its own flattened layout, which
-  // may order inherited attributes differently, so it re-resolves by name.
-  AttributeLayoutPtr actual;
-  auto locate = [&](TypeId type_id) -> Result<std::pair<const AttributeLayout*, size_t>> {
-    if (expected != nullptr && type_id == expected->type_id) {
-      return std::make_pair(expected, size_t{ordinal});
+  FieldRead item{oid, 0};
+  MoodValue value;
+  Status st;
+  ReadFields({&item, 1}, expected, ordinal, name, snap, &value, &st);
+  if (!st.ok()) return st;
+  return value;
+}
+
+void ObjectManager::ReadFields(std::span<FieldRead> items, const AttributeLayout* expected,
+                               uint32_t ordinal, const std::string& name,
+                               const SnapshotView& snap, MoodValue* values,
+                               Status* errors) const {
+  // Null identifiers fail up front; the rest are read in (file, page, slot)
+  // order.
+  size_t n = 0;
+  for (const FieldRead& item : items) {
+    if (item.oid.valid()) {
+      items[n++] = item;
+    } else {
+      errors[item.row] = Status::InvalidArgument("null object identifier");
     }
-    MOOD_ASSIGN_OR_RETURN(actual, LayoutOf(type_id));
-    MOOD_ASSIGN_OR_RETURN(size_t pos, actual->Ordinal(name));
-    return std::make_pair(actual.get(), pos);
+  }
+  items = items.first(n);
+  if (n > 1) {
+    std::sort(items.begin(), items.end(), [](const FieldRead& a, const FieldRead& b) {
+      return a.oid.Pack() < b.oid.Pack();
+    });
+  }
+  FieldLocator locator(*this, expected, ordinal, name);
+  auto put = [&](uint32_t row, Result<MoodValue>&& field) {
+    if (field.ok()) {
+      values[row] = std::move(field).value();
+      if (!errors[row].ok()) errors[row] = Status::OK();
+    } else {
+      errors[row] = field.status();
+    }
   };
-  ObjectRecord version;
-  if (snap.Versioned(oid.file)) {
-    MOOD_RETURN_IF_ERROR(VersionAt(snap, oid, &version));
+  while (!items.empty()) {
+    const uint16_t file_id = items.front().oid.file;
+    size_t len = 1;
+    while (len < items.size() && items[len].oid.file == file_id) len++;
+    std::span<FieldRead> run = items.first(len);
+    items = items.subspan(len);
+    // The version store answers first where it decides what `snap` sees;
+    // the items it leaves to the heap stay in order at the front of `run`.
+    if (snap.Versioned(file_id)) {
+      size_t heap = 0;
+      for (const FieldRead& item : run) {
+        ObjectRecord version;
+        Status st = VersionAt(snap, item.oid, &version);
+        if (!st.ok()) {
+          errors[item.row] = std::move(st);
+        } else if (version.tuple != nullptr) {
+          put(item.row, locator.Field(version));
+        } else {
+          run[heap++] = item;
+        }
+      }
+      run = run.first(heap);
+    }
+    Result<HeapFile*> file = storage_->GetFile(file_id);
+    if (!file.ok()) {
+      for (const FieldRead& item : run) errors[item.row] = file.status();
+      continue;
+    }
+    (*file)->VisitSorted(
+        run.size(), [&](size_t j) { return RecordId{run[j].oid.page, run[j].oid.slot}; },
+        [&](size_t j, const Result<Slice>& rec) {
+          const uint32_t row = run[j].row;
+          if (!rec.ok()) {
+            errors[row] = rec.status();
+          } else if (rec->size() < 4) {
+            errors[row] = Status::Corruption("short object record");
+          } else {
+            put(row, locator.Decode(DecodeFixed32(rec->data()),
+                                    Slice(rec->data() + 4, rec->size() - 4)));
+          }
+        });
   }
-  if (version.tuple != nullptr) {
-    MOOD_ASSIGN_OR_RETURN(auto at, locate(version.type_id));
-    return FieldOf(version, *at.first, at.second);
-  }
-  MOOD_ASSIGN_OR_RETURN(HeapFile* file, storage_->GetFile(oid.file));
-  MoodValue field;
-  MOOD_RETURN_IF_ERROR(file->Visit(RecordId{oid.page, oid.slot}, [&](Slice rec) {
-    if (rec.size() < 4) return Status::Corruption("short object record");
-    MOOD_ASSIGN_OR_RETURN(auto at, locate(DecodeFixed32(rec.data())));
-    rec.remove_prefix(4);
-    MOOD_ASSIGN_OR_RETURN(field, DecodeField(rec, *at.first, at.second));
-    return Status::OK();
-  }));
-  return field;
 }
 
 Result<std::vector<std::string>> ObjectManager::ScanClasses(
@@ -450,7 +566,7 @@ Status ObjectManager::ScanExtentPage(
   MOOD_ASSIGN_OR_RETURN(const MoodsType* type, catalog_->Lookup(class_name));
   MOOD_ASSIGN_OR_RETURN(HeapFile* extent, storage_->GetFile(type->extent_file));
   return extent
-      ->ScanPage(page, nullptr,
+      ->ScanPage(page,
                  [&](RecordId rid, const std::string& rec) {
                    return EmitVisible(type->extent_file, snap, rid, rec, fn);
                  })
@@ -766,30 +882,62 @@ Status ObjectManager::CreateBinaryJoinIndex(const std::string& index_name,
   });
 }
 
-Status ObjectManager::ChaseRefs(Oid from, const std::vector<std::string>& path,
+Status ObjectManager::ChaseRefs(const std::vector<Oid>& from,
+                                const std::vector<std::string>& path,
                                 const SnapshotView& snap,
-                                const std::function<Status(Oid)>& fn) const {
-  return ChaseFrom(from, path, 0, snap, fn);
-}
-
-Status ObjectManager::ChaseFrom(Oid oid, const std::vector<std::string>& path,
-                                size_t depth, const SnapshotView& snap,
-                                const std::function<Status(Oid)>& fn) const {
-  if (depth == path.size()) return fn(oid);
-  MOOD_ASSIGN_OR_RETURN(MoodValue v, GetAttribute(oid, path[depth], snap));
-  auto handle = [&](const MoodValue& r) -> Status {
-    if (r.is_null()) return Status::OK();
-    if (r.kind() != ValueKind::kReference) {
-      return Status::TypeError("reference path step '" + path[depth] +
-                               "' reached a non-reference value");
-    }
-    return ChaseFrom(r.AsReference(), path, depth + 1, snap, fn);
+                                const std::function<Status(size_t, Oid)>& fn) const {
+  // One hop's frontier in depth-first order: (index into `from`, object).
+  // `first_error` is the earliest failure in that order found so far; the
+  // frontier keeps only the nodes before it, which is all a depth-first
+  // chase would visit before failing.
+  struct Node {
+    size_t from;
+    Oid oid;
   };
-  if (v.IsCollection()) {
-    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
-    return Status::OK();
+  std::vector<Node> frontier(from.size());
+  for (size_t i = 0; i < from.size(); i++) frontier[i] = {i, from[i]};
+  Status first_error;
+  std::vector<Node> next;
+  std::vector<FieldRead> items;
+  std::vector<MoodValue> values;
+  std::vector<Status> errors;
+  for (const std::string& step : path) {
+    if (frontier.empty()) break;
+    const size_t n = frontier.size();
+    items.resize(n);
+    for (size_t j = 0; j < n; j++) items[j] = {frontier[j].oid, static_cast<uint32_t>(j)};
+    values.resize(n);
+    errors.resize(n);
+    ReadFields(items, nullptr, 0, step, snap, values.data(), errors.data());
+    next.clear();
+    auto follow = [&](size_t j, const MoodValue& r) -> Status {
+      if (r.is_null()) return Status::OK();
+      if (r.kind() != ValueKind::kReference) {
+        return Status::TypeError("reference path step '" + step +
+                                 "' reached a non-reference value");
+      }
+      next.push_back({frontier[j].from, r.AsReference()});
+      return Status::OK();
+    };
+    for (size_t j = 0; j < n; j++) {
+      Status st = std::move(errors[j]);
+      if (st.ok() && values[j].IsCollection()) {
+        for (const MoodValue& e : values[j].elements()) {
+          st = follow(j, e);
+          if (!st.ok()) break;
+        }
+      } else if (st.ok()) {
+        st = follow(j, values[j]);
+      }
+      if (!st.ok()) {
+        first_error = std::move(st);
+        break;
+      }
+    }
+    frontier.swap(next);
   }
-  return handle(v);
+  for (const Node& node : frontier) MOOD_RETURN_IF_ERROR(fn(node.from, node.oid));
+  return first_error;
 }
 
 Result<BPlusTree*> ObjectManager::OpenBTree(const IndexDesc& desc) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,11 +122,33 @@ class ObjectManager {
                       uint64_t version_batch = 0);
 
   /// Attribute of an object by name (inherited attributes included); NotFound
-  /// when the object's class lacks it. Visibility follows Read's rule for
-  /// `snap`; when the heap record is the visible state, only that field is
-  /// decoded, in place on the record's pinned page.
+  /// when the object's class lacks it. ReadFields' one-item case.
   Result<MoodValue> GetAttribute(Oid oid, const std::string& attr,
                                  const SnapshotView& snap = {}) const;
+
+  /// One object of a grouped attribute read; `row` indexes the caller's
+  /// output arrays.
+  struct FieldRead {
+    Oid oid;
+    uint32_t row = 0;
+  };
+
+  /// The grouped attribute read behind every path step: attribute `name` of
+  /// each item's object, at `ordinal` when the instance is of exactly
+  /// `expected`'s class (null `expected`: always by name) and re-resolved by
+  /// name through the instance's own layout otherwise (NotFound when that
+  /// class lacks it). errors[row] receives each item's status and
+  /// values[row] its field, assigned only when the status is OK.
+  ///
+  /// The items are reordered in place: sorted by (file, page, slot) and read
+  /// through HeapFile::VisitSorted, so each page is pinned once per call and
+  /// at most one page is pinned at a time. A subclass layout is resolved once
+  /// per distinct type id per call. Visibility follows Read's rule for `snap`
+  /// object by object; when the heap record is the visible state, only the
+  /// field is decoded, in place on the pinned page.
+  void ReadFields(std::span<FieldRead> items, const AttributeLayout* expected,
+                  uint32_t ordinal, const std::string& name, const SnapshotView& snap,
+                  MoodValue* values, Status* errors) const;
 
   // --- Attribute layouts (compiled expression support) -------------------------
 
@@ -134,12 +157,10 @@ class ObjectManager {
   Result<AttributeLayoutPtr> LayoutOf(const std::string& class_name) const;
   Result<AttributeLayoutPtr> LayoutOf(TypeId type_id) const;
 
-  /// Attribute of an object by plan-time ordinal. `expected` is the layout the
-  /// ordinal was bound against; when the stored instance is of exactly that
-  /// class the access is a direct tuple index (no name lookup). A subclass
-  /// instance re-resolves by name through the instance's own layout; NotFound
-  /// when that class lacks the attribute (callers fall back to interpretation).
-  /// Reads in place as GetAttribute does.
+  /// Attribute of an object by plan-time ordinal: ReadFields' one-item case
+  /// with `expected` the layout the ordinal was bound against (a subclass
+  /// instance re-resolves by name; NotFound when its class lacks the
+  /// attribute, and callers fall back to interpretation).
   Result<MoodValue> GetAttributeByOrdinal(Oid oid, const AttributeLayout& expected,
                                           uint32_t ordinal,
                                           const SnapshotView& snap) const;
@@ -232,12 +253,17 @@ class ObjectManager {
   Result<BinaryJoinIndex*> OpenJoinIndex(const IndexDesc& desc);
 
   /// The reference chase of the pointer-join strategies (algebra and
-  /// executor alike): follows `path` from `from`, calling `fn` for every
-  /// object reached. Set/List-valued reference attributes fan out, a Null
-  /// stops the branch, and any other non-reference value is a TypeError.
-  /// Every hop reads through `snap` (see Read).
-  Status ChaseRefs(Oid from, const std::vector<std::string>& path,
-                   const SnapshotView& snap, const std::function<Status(Oid)>& fn) const;
+  /// executor alike): follows `path` from every oid of `from`, calling
+  /// `fn(i, reached)` for every object reached from `from[i]`, in order of
+  /// `i` and depth first within it. Set/List-valued reference attributes fan
+  /// out, a Null stops the branch, and any other non-reference value is a
+  /// TypeError. The chase goes hop by hop, each hop one grouped read
+  /// (ReadFields) of the whole frontier, so each page is pinned once per
+  /// hop; the outcome, including which error is returned first, is the
+  /// depth-first one. Every hop reads through `snap` (see Read).
+  Status ChaseRefs(const std::vector<Oid>& from, const std::vector<std::string>& path,
+                   const SnapshotView& snap,
+                   const std::function<Status(size_t, Oid)>& fn) const;
 
   Catalog* catalog() const { return catalog_; }
   StorageManager* storage() const { return storage_; }
@@ -266,9 +292,7 @@ class ObjectManager {
       const std::vector<std::string>& exclude,
       const std::function<Status(const std::string&, uint32_t, HeapFile*)>& scan) const;
 
-  /// The one attribute read behind GetAttribute (`expected` null) and
-  /// GetAttributeByOrdinal: attribute `name`, at `ordinal` when the instance
-  /// is of exactly `expected`'s class and re-resolved by name otherwise.
+  /// ReadFields over one object.
   Result<MoodValue> ReadField(Oid oid, const AttributeLayout* expected, uint32_t ordinal,
                               const std::string& name, const SnapshotView& snap) const;
 
@@ -286,9 +310,6 @@ class ObjectManager {
   /// read: type check, heap update, pre-image capture, index maintenance.
   Status Rewrite(Oid oid, const ObjectRecord& old, MoodValue tuple, PageWriteLogger* wal,
                  uint64_t version_batch);
-
-  Status ChaseFrom(Oid oid, const std::vector<std::string>& path, size_t depth,
-                   const SnapshotView& snap, const std::function<Status(Oid)>& fn) const;
 
   /// Called after any object write to `file`; moves the stamp of every file
   /// sharing the epoch slot.

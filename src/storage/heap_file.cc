@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/coding.h"
@@ -114,20 +115,12 @@ Result<RecordId> HeapFile::Insert(Slice record, PageWriteLogger* wal) {
   return rid;
 }
 
-Result<Slice> HeapFile::Pin(RecordId rid, PageGuard* guard) const {
-  record_reads_.fetch_add(1, std::memory_order_relaxed);
-  MOOD_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(rid.page));
-  *guard = PageGuard(pool_, page);
-  SlottedPage sp(page);
-  MOOD_ASSIGN_OR_RETURN(uint8_t flags, sp.GetFlags(rid.slot));
-  MOOD_ASSIGN_OR_RETURN(Slice data, sp.Get(rid.slot));
+Result<Slice> HeapFile::SlotBody(const SlottedPage& sp, SlotId slot, RecordId* target) {
+  MOOD_ASSIGN_OR_RETURN(uint8_t flags, sp.GetFlags(slot));
+  MOOD_ASSIGN_OR_RETURN(Slice data, sp.Get(slot));
   if (!(flags & kSlotForward)) return data;
-  forward_chases_.fetch_add(1, std::memory_order_relaxed);
-  MOOD_ASSIGN_OR_RETURN(RecordId target, DecodeRecordId(data));
-  guard->Release();
-  MOOD_ASSIGN_OR_RETURN(Page* tpage, pool_->FetchPage(target.page));
-  *guard = PageGuard(pool_, tpage);
-  return SlottedPage(tpage).Get(target.slot);
+  MOOD_ASSIGN_OR_RETURN(*target, DecodeRecordId(data));
+  return Slice();
 }
 
 Result<std::string> HeapFile::Get(RecordId rid) const {
@@ -259,36 +252,21 @@ void HeapFile::MaybeReadAhead(PageId page, ScanCursor* cursor) const {
   const ChainMap& chain = *cached;
   auto it = chain.index.find(page);
   if (it == chain.index.end()) return;
-  uint32_t idx = it->second;
-
-  // Advance last_index to max(last_index, idx); a touch below the current
-  // watermark means this worker is behind the scan front — no readahead.
-  uint32_t prev = cursor->last_index.load(std::memory_order_relaxed);
-  while (prev == ScanCursor::kNoIndex || idx > prev) {
-    if (cursor->last_index.compare_exchange_weak(prev, idx, std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  if (prev != ScanCursor::kNoIndex && idx < prev) return;
-
-  uint64_t want = static_cast<uint64_t>(idx) + 1 + depth;
-  if (want > chain.pages.size()) want = chain.pages.size();
-  uint32_t from = cursor->prefetched_to.load(std::memory_order_relaxed);
-  if (from < idx + 1) from = idx + 1;
-  for (uint32_t i = from; i < want; i++) {
+  const uint32_t idx = it->second;
+  // A stale chain map can place a page behind the walk: no readahead then.
+  if (cursor->last_index != ScanCursor::kNoIndex && idx < cursor->last_index) return;
+  cursor->last_index = idx;
+  const auto want =
+      static_cast<uint32_t>(std::min<uint64_t>(uint64_t{idx} + 1 + depth, chain.pages.size()));
+  for (uint32_t i = std::max(cursor->prefetched_to, idx + 1); i < want; i++) {
     (void)pool_->Prefetch(chain.pages[i]);  // best-effort
   }
-  uint32_t to = static_cast<uint32_t>(want);
-  uint32_t pf = cursor->prefetched_to.load(std::memory_order_relaxed);
-  while (to > pf &&
-         !cursor->prefetched_to.compare_exchange_weak(pf, to, std::memory_order_relaxed)) {
-  }
+  cursor->prefetched_to = std::max(cursor->prefetched_to, want);
 }
 
 Result<PageId> HeapFile::ScanPage(
-    PageId page_id, ScanCursor* cursor,
-    const std::function<Status(RecordId, const std::string&)>& fn) const {
-  return WalkPage(page_id, cursor, /*copy=*/true, fn);
+    PageId page_id, const std::function<Status(RecordId, const std::string&)>& fn) const {
+  return WalkPage(page_id, nullptr, /*copy=*/true, fn);
 }
 
 Result<PageId> HeapFile::WalkPage(

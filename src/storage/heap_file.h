@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/slice.h"
@@ -70,35 +71,71 @@ class HeapFile {
 
   Result<RecordId> Insert(Slice record, PageWriteLogger* wal = nullptr);
 
-  /// Runs `fn(Slice)` on record `rid`'s bytes in place on its pinned page,
-  /// following a forwarding stub to the moved body, and returns what `fn`
-  /// returns. Counts one record read (and one forward chase for a stub). The
-  /// slice is valid only inside `fn`, which runs with exactly one page
-  /// pinned; like every read, it must not overlap a writer to this file.
+  /// Grouped record read over `n` records sorted by page: `rid_at(i)` names
+  /// record i, and `fn(i, const Result<Slice>&)` runs once for each, with the
+  /// record's bytes in place on its pinned page or with the record's error (a
+  /// failed page read, a dead slot). Each distinct page is pinned once for all
+  /// of its records. A forwarding stub is followed only after its home page
+  /// is released, so `fn` always runs with exactly one page pinned: the
+  /// moved bodies of a page's records reach `fn` after that page's other
+  /// records. Counts one record read per record and one forward chase per
+  /// stub. Like every read, it must not overlap a writer to this file.
+  template <typename RidAt, typename Fn>
+  void VisitSorted(size_t n, const RidAt& rid_at, const Fn& fn) const {
+    record_reads_.fetch_add(n, std::memory_order_relaxed);
+    std::vector<std::pair<size_t, RecordId>> moved;  // (i, stub target)
+    for (size_t i = 0; i < n;) {
+      const PageId page_id = rid_at(i).page;
+      size_t end = i + 1;
+      while (end < n && rid_at(end).page == page_id) end++;
+      Result<Page*> page = pool_->FetchPage(page_id);
+      if (!page.ok()) {
+        const Result<Slice> failed(page.status());
+        for (; i < end; i++) fn(i, failed);
+        continue;
+      }
+      {
+        PageGuard guard(pool_, *page);
+        SlottedPage sp(*page);
+        for (; i < end; i++) {
+          RecordId target;
+          Result<Slice> body = SlotBody(sp, rid_at(i).slot, &target);
+          if (target.valid()) {
+            moved.emplace_back(i, target);
+          } else {
+            fn(i, body);
+          }
+        }
+      }
+      for (const auto& [j, target] : moved) {
+        forward_chases_.fetch_add(1, std::memory_order_relaxed);
+        Result<Page*> tpage = pool_->FetchPage(target.page);
+        if (!tpage.ok()) {
+          fn(j, Result<Slice>(tpage.status()));
+          continue;
+        }
+        PageGuard tguard(pool_, *tpage);
+        fn(j, SlottedPage(*tpage).Get(target.slot));
+      }
+      moved.clear();
+    }
+  }
+
+  /// VisitSorted's one-record case: runs `fn(Slice)` on record `rid`'s bytes
+  /// in place and returns what `fn` returns (or the record's error).
   template <typename Fn>
   Status Visit(RecordId rid, Fn&& fn) const {
-    PageGuard guard;
-    MOOD_ASSIGN_OR_RETURN(Slice record, Pin(rid, &guard));
-    return fn(record);
+    Status st;
+    VisitSorted(1, [&](size_t) { return rid; }, [&](size_t, const Result<Slice>& record) {
+      st = record.ok() ? fn(*record) : record.status();
+    });
+    return st;
   }
 
   /// A copy of record `rid` (Visit into a string).
   Result<std::string> Get(RecordId rid) const;
   Status Update(RecordId rid, Slice record, PageWriteLogger* wal = nullptr);
   Status Delete(RecordId rid, PageWriteLogger* wal = nullptr);
-
-  /// Per-scan readahead state. One cursor tracks one logical scan (which may
-  /// be driven by many morsel workers): the furthest chain position touched so
-  /// far and the prefetch frontier already issued. All fields are atomics so
-  /// workers sharing a cursor need no extra lock; a worker that jumps backward
-  /// (out-of-order morsel pickup) simply doesn't trigger readahead.
-  struct ScanCursor {
-    static constexpr uint32_t kNoIndex = 0xFFFFFFFFu;
-    /// Chain index of the furthest page this scan has touched.
-    std::atomic<uint32_t> last_index{kNoIndex};
-    /// Exclusive chain index up to which prefetches have been issued.
-    std::atomic<uint32_t> prefetched_to{0};
-  };
 
   /// Every live record in page-chain order, each page read once: the chain
   /// walk follows the next link ScanPage hands back (no pre-walk of the page
@@ -124,13 +161,8 @@ class HeapFile {
   /// are copied out before `fn` runs, so at most one page is pinned at a time
   /// and the callback may itself fetch pages. Concurrent-read safe: many
   /// threads may ScanPage/Get disjoint or identical pages while no writer
-  /// mutates the file.
-  ///
-  /// When `cursor` is non-null and the scan's page accesses are monotone
-  /// forward along the chain, the next `pool->readahead()` chain pages are
-  /// prefetched into the pool (unpinned) after this page's records are copied
-  /// out. Readahead is best-effort and never changes which records `fn` sees.
-  Result<PageId> ScanPage(PageId page, ScanCursor* cursor,
+  /// mutates the file. A single page issues no readahead; Scan does.
+  Result<PageId> ScanPage(PageId page,
                           const std::function<Status(RecordId, const std::string&)>& fn) const;
 
   const FileInfo& info() const { return info_; }
@@ -140,7 +172,7 @@ class HeapFile {
 
   /// Lock-free per-file operation counters (relaxed atomics, incremented on
   /// the respective entry points; sampled by the StorageManager's `storage.*`
-  /// metrics probe). `forward_chases` counts Get() calls that followed a
+  /// metrics probe). `forward_chases` counts record reads that followed a
   /// forwarding stub — the extra page fetch updates-in-place avoid.
   struct OpStats {
     uint64_t inserts = 0;
@@ -165,10 +197,9 @@ class HeapFile {
   /// Appends a fresh page to the chain and returns it pinned.
   Result<Page*> AppendPage(PageWriteLogger* wal);
 
-  /// Visit's pinning half: pins the page holding `rid`'s body into `guard`
-  /// (the home page, or the target of its forwarding stub) and returns the
-  /// body's bytes on it.
-  Result<Slice> Pin(RecordId rid, PageGuard* guard) const;
+  /// The body of `slot` on a pinned page. A forwarding stub sets `*target` to
+  /// the moved body's address instead (the returned slice is then empty).
+  static Result<Slice> SlotBody(const SlottedPage& sp, SlotId slot, RecordId* target);
 
   /// Raw insert honoring flags (used by the forwarding machinery).
   Result<RecordId> InsertWithFlags(Slice record, uint8_t flags, PageWriteLogger* wal);
@@ -192,8 +223,17 @@ class HeapFile {
     std::unordered_map<PageId, uint32_t> index;
   };
 
+  /// Readahead state of one serial chain walk: the chain index of the page
+  /// last touched and the exclusive index up to which prefetches were issued.
+  struct ScanCursor {
+    static constexpr uint32_t kNoIndex = 0xFFFFFFFFu;
+    uint32_t last_index = kNoIndex;
+    uint32_t prefetched_to = 0;
+  };
+
   /// ScanPage, copying the records out only when `copy` is set (otherwise
-  /// `fn` sees an empty string and forwarding stubs are not chased).
+  /// `fn` sees an empty string and forwarding stubs are not chased). A
+  /// non-null `cursor` drives readahead past `page`.
   Result<PageId> WalkPage(PageId page, ScanCursor* cursor, bool copy,
                           const std::function<Status(RecordId, const std::string&)>& fn) const;
 
@@ -204,8 +244,9 @@ class HeapFile {
   /// Keeps `pages` (one full walk) as the chain map unless one is cached.
   void RememberChain(std::vector<PageId> pages) const;
 
-  /// Issues up to pool_->readahead() prefetches past `page` when `cursor`
-  /// shows a monotone forward scan. Never fails: readahead errors are dropped.
+  /// Issues up to pool_->readahead() prefetches past `page` while the walk
+  /// moves forward along the cached chain. Never fails: readahead errors are
+  /// dropped.
   void MaybeReadAhead(PageId page, ScanCursor* cursor) const;
 
   BufferPool* pool_;

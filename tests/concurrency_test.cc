@@ -258,7 +258,7 @@ TEST_F(HeapFileConcurrencyTest, PartitionedPageScansEqualInsertOrder) {
         size_t i = cursor.fetch_add(1);
         if (i >= pages.size()) return;
         Result<PageId> next = file_->ScanPage(
-            pages[i], nullptr, [&](RecordId rid, const std::string& rec) {
+            pages[i], [&](RecordId rid, const std::string& rec) {
               per_page[i].emplace_back(rid, rec);
               return Status::OK();
             });

@@ -37,7 +37,7 @@ class ExecFixture : public ::testing::Test {
   Status ChaseTo(Oid root, const std::vector<std::string>& refs, const std::string& attr,
                  const std::function<void(const MoodValue&)>& visit) {
     ObjectManager* objects = db_.objects();
-    return objects->ChaseRefs(root, refs, SnapshotView{}, [&](Oid reached) -> Status {
+    return objects->ChaseRefs({root}, refs, SnapshotView{}, [&](size_t, Oid reached) -> Status {
       MOOD_ASSIGN_OR_RETURN(MoodValue v, objects->GetAttribute(reached, attr));
       visit(v);
       return Status::OK();

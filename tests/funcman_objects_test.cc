@@ -202,7 +202,7 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
                    "Car", MoodValue::Tuple({MoodValue::Integer(1), MoodValue::Integer(900),
                                             MoodValue::Reference(company)})));
   std::vector<Oid> reached;
-  MOOD_ASSERT_OK(objects_->ChaseRefs(car, {"maker"}, SnapshotView{}, [&](Oid oid) {
+  MOOD_ASSERT_OK(objects_->ChaseRefs({car}, {"maker"}, SnapshotView{}, [&](size_t, Oid oid) {
     reached.push_back(oid);
     return Status::OK();
   }));
@@ -212,7 +212,8 @@ TEST_F(KernelFixture, ReferenceChaseReachesTargets) {
   EXPECT_EQ(name.AsString(), "BMW");
   // A non-reference step is a TypeError.
   EXPECT_TRUE(
-      objects_->ChaseRefs(car, {"id"}, SnapshotView{}, [](Oid) { return Status::OK(); })
+      objects_
+          ->ChaseRefs({car}, {"id"}, SnapshotView{}, [](size_t, Oid) { return Status::OK(); })
           .IsTypeError());
 }
 

@@ -13,10 +13,14 @@
 // FROM extents in ScanExtent order, and every clause (WHERE, GROUP BY, HAVING,
 // ORDER BY, projection, DISTINCT) evaluates row by row, as the outer loop,
 // through NaiveEval.
+//
+// NaiveChaseRefs is the per-row depth-first reference chase the pointer-join
+// strategies' batched ObjectManager::ChaseRefs must reproduce.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -66,6 +70,44 @@ inline Result<MoodValue> NaiveEvalPathFrom(const Evaluator& ev, Oid root,
     if (current.is_null() && i + 1 < steps.size()) return MoodValue::Null();
   }
   return current;
+}
+
+/// The reference chase one start object at a time, depth first: the
+/// per-row loop ObjectManager::ChaseRefs must reproduce (the same objects
+/// reached in the same order, and the same first error). One GetAttribute per
+/// hop; Set/List values fan out, a Null stops the branch, any other
+/// non-reference is a TypeError.
+inline Status NaiveChaseFrom(const ObjectManager& objects, Oid oid,
+                             const std::vector<std::string>& path, size_t depth,
+                             const SnapshotView& snap,
+                             const std::function<Status(Oid)>& fn) {
+  if (depth == path.size()) return fn(oid);
+  MOOD_ASSIGN_OR_RETURN(MoodValue v, objects.GetAttribute(oid, path[depth], snap));
+  auto handle = [&](const MoodValue& r) -> Status {
+    if (r.is_null()) return Status::OK();
+    if (r.kind() != ValueKind::kReference) {
+      return Status::TypeError("reference path step '" + path[depth] +
+                               "' reached a non-reference value");
+    }
+    return NaiveChaseFrom(objects, r.AsReference(), path, depth + 1, snap, fn);
+  };
+  if (v.IsCollection()) {
+    for (const auto& e : v.elements()) MOOD_RETURN_IF_ERROR(handle(e));
+    return Status::OK();
+  }
+  return handle(v);
+}
+
+/// NaiveChaseFrom over `from` in order: `fn(i, reached)`.
+inline Status NaiveChaseRefs(const ObjectManager& objects, const std::vector<Oid>& from,
+                             const std::vector<std::string>& path,
+                             const SnapshotView& snap,
+                             const std::function<Status(size_t, Oid)>& fn) {
+  for (size_t i = 0; i < from.size(); i++) {
+    MOOD_RETURN_IF_ERROR(NaiveChaseFrom(objects, from[i], path, 0, snap,
+                                        [&](Oid reached) { return fn(i, reached); }));
+  }
+  return Status::OK();
 }
 
 inline Result<MoodValue> NaiveEvalBinary(const Evaluator& ev, const Expr& e,

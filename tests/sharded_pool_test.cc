@@ -191,29 +191,26 @@ TEST(HeapFileReadaheadTest, MonotoneScanPrefetchesAndPreservesRecords) {
   MOOD_ASSERT_OK_AND_ASSIGN(std::vector<PageId> pages, file->PageIds());
   ASSERT_EQ(pages.size(), 12u);
 
-  auto scan_all = [&](HeapFile::ScanCursor* cursor) {
-    std::vector<std::string> records;
-    for (PageId p : pages) {
-      EXPECT_TRUE(file->ScanPage(p, cursor,
-                                 [&](RecordId, const std::string& rec) {
-                                   records.push_back(rec);
-                                   return Status::OK();
-                                 })
-                      .ok());
-    }
-    return records;
-  };
+  // Reference: the records page by page through ScanPage, which reads no
+  // pages ahead.
+  std::vector<std::string> plain;
+  for (PageId p : pages) {
+    MOOD_ASSERT_OK(file->ScanPage(p, [&](RecordId, const std::string& rec) {
+                         plain.push_back(rec);
+                         return Status::OK();
+                       })
+                       .status());
+  }
+  EXPECT_EQ(storage.buffer_pool()->stats().prefetches, 0u);
 
-  std::vector<std::string> plain = scan_all(nullptr);
-  HeapFile::ScanCursor warm;  // first cursor'd scan also builds the chain cache
-  std::vector<std::string> warmed = scan_all(&warm);
-  EXPECT_EQ(plain, warmed);
-
-  // With the chain cached, a fresh monotone scan fetches each page exactly
-  // once — and readahead turns nearly all of those fetches into hits.
+  // PageIds() learned the chain, so a Scan fetches each page exactly once —
+  // and readahead turns nearly all of those fetches into hits.
   storage.buffer_pool()->ResetStats();
-  HeapFile::ScanCursor cursor;
-  std::vector<std::string> ahead = scan_all(&cursor);
+  std::vector<std::string> ahead;
+  MOOD_ASSERT_OK(file->Scan([&](RecordId, const std::string& rec) {
+    ahead.push_back(rec);
+    return Status::OK();
+  }));
   EXPECT_EQ(plain, ahead);
 
   BufferPoolStats s = storage.buffer_pool()->stats();
@@ -221,11 +218,6 @@ TEST(HeapFileReadaheadTest, MonotoneScanPrefetchesAndPreservesRecords) {
   EXPECT_LE(s.misses, 4u);                     // everything else was prefetched
   EXPECT_GE(s.prefetches, 8u);
   EXPECT_EQ(storage.buffer_pool()->PinnedPageCount(), 0u);
-
-  // A backward jump must not fault: readahead just stays quiet.
-  MOOD_ASSERT_OK(file->ScanPage(pages[0], &cursor,
-                                [](RecordId, const std::string&) { return Status::OK(); })
-                     .status());
   MOOD_ASSERT_OK(storage.Close());
 }
 
@@ -247,13 +239,10 @@ TEST(HeapFileReadaheadTest, DisabledReadaheadNeverPrefetches) {
   MOOD_ASSERT_OK_AND_ASSIGN(std::vector<PageId> pages, file->PageIds());
 
   storage.buffer_pool()->ResetStats();
-  HeapFile::ScanCursor cursor;
-  for (PageId p : pages) {
-    MOOD_ASSERT_OK(file->ScanPage(p, &cursor,
-                                  [](RecordId, const std::string&) { return Status::OK(); })
-                       .status());
-  }
-  EXPECT_EQ(storage.buffer_pool()->stats().prefetches, 0u);
+  MOOD_ASSERT_OK(file->Scan([](RecordId, const std::string&) { return Status::OK(); }));
+  BufferPoolStats s = storage.buffer_pool()->stats();
+  EXPECT_EQ(s.hits + s.misses, pages.size());
+  EXPECT_EQ(s.prefetches, 0u);
   MOOD_ASSERT_OK(storage.Close());
 }
 

@@ -471,8 +471,7 @@ TEST_F(HeapFileTest, ScanPageHandsBackTheChainLink) {
   for (PageId page = file_->info().first_page; page != kInvalidPageId;) {
     walked.push_back(page);
     MOOD_ASSERT_OK_AND_ASSIGN(
-        page, file_->ScanPage(page, nullptr,
-                              [](RecordId, const std::string&) { return Status::OK(); }));
+        page, file_->ScanPage(page, [](RecordId, const std::string&) { return Status::OK(); }));
   }
   EXPECT_EQ(walked, pages);
 }
